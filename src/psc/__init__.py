@@ -18,4 +18,4 @@ __all__ = [
     "trace_faces", "verify",
 ]
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"

@@ -15,21 +15,52 @@ from . import embedding as emb
 from .budgets import LARGE, SMALL, Budget
 from .errors import DeltaTooLarge
 
-KIND_RANK = {
-    "Deg1": 0,
-    "Deg2": 1,
-    "EdgeSeparator": 2,
-    "FaceTwoSmall": 3,
-    "Deg3SmallNbr": 4,
-    "Deg3TwoTriangles": 5,
-    "Deg3TriTwoSquares": 6,
-    "Deg4Tri5Tri": 7,
-    "GenericDeletable": 8,
-    "W_Deg3Triangle": 4,
-    "W_Deg4ThreeTriangles": 5,
-    "W_Tri5": 6,
-    "W_GenericDeletable21": 8,
-}
+AUDIT = "audit"   # both catalogs at once, for the discharging audit
+
+
+def _no_args(budget, found):
+    return ()
+
+
+def _face_cap_small(budget, found):
+    # the face argument applies once 1-/2-vertices are ruled out; "small"
+    # here means degree below the class bound 6
+    if any(w.kind in ("Deg1", "Deg2") for w in found):
+        return None
+    return (6,)
+
+
+# The catalog: one row per detector, ordered by the lowest rank it emits.
+# A row holds the detector's name (looked up in this module at call time),
+# the kinds it emits with their reducer priority, and for each context it
+# runs in a function (budget, witnesses found so far) -> the detector's
+# arguments after g, or None to skip it.  The contexts are the two budget
+# regimes and AUDIT, which is run with the graph's own budget.
+CATALOG = (
+    ("_low_degree_configs", {"Deg1": 0, "Deg2": 1},
+     {LARGE: _no_args, SMALL: _no_args, AUDIT: _no_args}),
+    ("find_edge_separator", {"EdgeSeparator": 2},
+     {LARGE: _no_args, SMALL: _no_args, AUDIT: _no_args}),
+    ("find_face_two_small", {"FaceTwoSmall": 3},
+     {LARGE: lambda b, found: (b.delta_context,), SMALL: _face_cap_small,
+      AUDIT: _no_args}),
+    ("find_small_vertex_configs",
+     {"Deg3SmallNbr": 4, "Deg3TwoTriangles": 5, "Deg3TriTwoSquares": 6,
+      "Deg4Tri5Tri": 7},
+     {LARGE: lambda b, found: (b.delta_context,), AUDIT: _no_args}),
+    ("find_weak_configs_delta6",
+     {"W_Deg3Triangle": 4, "W_Deg4ThreeTriangles": 5, "W_Tri5": 6},
+     {SMALL: _no_args,
+      AUDIT: lambda b, found: () if b.regime == SMALL else None}),
+    ("find_generic_deletable",
+     {"GenericDeletable": 8, "W_GenericDeletable21": 8},
+     {LARGE: lambda b, found: (b.palette_size,),
+      SMALL: lambda b, found: (b.palette_size, "W_GenericDeletable21"),
+      AUDIT: lambda b, found: (b.palette_size,)}),
+)
+
+KIND_RANK = {kind: rank for _, kinds, _ in CATALOG
+             for kind, rank in kinds.items()}
 
 
 @dataclass(frozen=True)
@@ -121,23 +152,32 @@ def _is_triangulated(g, faces, v):
     return all(faces[i].degree == 3 for i in _faces_around(g, faces, v))
 
 
+def _low_degree_configs(g):
+    """A Deg1 or Deg2 witness for every vertex of degree 1 or 2."""
+    out = []
+    for v in range(g.n):
+        d = g.degree(v)
+        if d == 1:
+            out.append(ConfigWitness(
+                kind="Deg1", actors=(v,), recipe={"op": "delete", "v": v}))
+        elif d == 2:
+            u, w = sorted(g.neighbors(v))
+            out.append(ConfigWitness(
+                kind="Deg2", actors=(v, u, w),
+                recipe={"op": "delete_and_add", "v": v, "anchor": u,
+                        "edges": [[u, w]]}))
+    return out
+
+
 def find_small_vertex_configs(g, delta_cap=None):
-    """All matches of the six small-vertex forbidden configurations."""
+    """All matches of the degree-3 and degree-4 forbidden configurations
+    (the degree-1/2 ones come from _low_degree_configs)."""
     cap = delta_cap if delta_cap is not None else g.max_degree()
     faces = emb.trace_faces(g)
     found = []
     for v in range(g.n):
         d = g.degree(v)
-        if d == 1:
-            found.append(ConfigWitness(
-                kind="Deg1", actors=(v,), recipe={"op": "delete", "v": v}))
-        elif d == 2:
-            u, w = sorted(g.neighbors(v))
-            found.append(ConfigWitness(
-                kind="Deg2", actors=(v, u, w),
-                recipe={"op": "delete_and_add", "v": v, "anchor": u,
-                        "edges": [[u, w]]}))
-        elif d == 3:
+        if d == 3:
             found.extend(_deg3_configs(g, faces, v, cap))
         elif d == 4:
             w4 = _deg4_config(g, faces, v)
@@ -268,90 +308,50 @@ def find_weak_configs_delta6(g):
 
 # -- aggregation -------------------------------------------------------------
 
+def _run_row(detector, g, args):
+    """A row's witnesses as a list; args None skips the row."""
+    if args is None:
+        return []
+    out = globals()[detector](g, *args)
+    if isinstance(out, list):
+        return out
+    return [] if out is None else [out]
+
+
+def _detect(g, budget, context):
+    found = []
+    for detector, _, args in CATALOG:
+        if context in args:
+            found += _run_row(detector, g, args[context](budget, found))
+    return sorted(found, key=_sort_key)
+
+
 def detect_all(g, budget=None):
     """All witnesses of the catalog matching the budget context, sorted by
     reducer priority (kind rank, then smallest actors)."""
     if budget is None:
         budget = Budget.for_graph(g)
-    found = []
-    if budget.regime == LARGE:
-        found.extend(find_small_vertex_configs(g, budget.delta_context))
-        w = find_face_two_small(g, budget.delta_context)
-        if w:
-            found.append(w)
-        w = find_generic_deletable(g, budget.palette_size)
-        if w:
-            found.append(w)
-    else:
-        low = _low_degree_configs(g)
-        found.extend(low)
-        found.extend(find_weak_configs_delta6(g))
-        if not low:
-            # the face argument applies once 1-/2-vertices are ruled out;
-            # "small" here means degree below the class bound 6
-            w = find_face_two_small(g, 6)
-            if w:
-                found.append(w)
-        w = find_generic_deletable(g, budget.palette_size,
-                                   kind="W_GenericDeletable21")
-        if w:
-            found.append(w)
-    w = find_edge_separator(g)
-    if w:
-        found.append(w)
-    return sorted(found, key=_sort_key)
-
-
-def _low_degree_configs(g):
-    out = []
-    for v in range(g.n):
-        d = g.degree(v)
-        if d == 1:
-            out.append(ConfigWitness(
-                kind="Deg1", actors=(v,), recipe={"op": "delete", "v": v}))
-        elif d == 2:
-            u, w = sorted(g.neighbors(v))
-            out.append(ConfigWitness(
-                kind="Deg2", actors=(v, u, w),
-                recipe={"op": "delete_and_add", "v": v, "anchor": u,
-                        "edges": [[u, w]]}))
-    return out
+    return _detect(g, budget, budget.regime)
 
 
 def detect_for_audit(g):
     """Union of both catalogs' detectors, for audit cross-referencing."""
-    found = list(find_small_vertex_configs(g))
-    if g.max_degree() <= 6:
-        found.extend(find_weak_configs_delta6(g))
-    w = find_face_two_small(g)
-    if w:
-        found.append(w)
-    w = find_generic_deletable(g, Budget.for_graph(g).palette_size)
-    if w:
-        found.append(w)
-    w = find_edge_separator(g)
-    if w:
-        found.append(w)
-    return sorted(found, key=_sort_key)
+    return _detect(g, Budget.for_graph(g), AUDIT)
 
 
 def find_first_witness(g, budget):
-    """Cheapest applicable witness in priority order (used by the reducer);
-    avoids the full scan that detect_all performs."""
-    for v in range(g.n):
-        if g.degree(v) == 1:
-            return ConfigWitness(kind="Deg1", actors=(v,),
-                                 recipe={"op": "delete", "v": v})
-    for v in range(g.n):
-        if g.degree(v) == 2:
-            u, w = sorted(g.neighbors(v))
-            return ConfigWitness(
-                kind="Deg2", actors=(v, u, w),
-                recipe={"op": "delete_and_add", "v": v, "anchor": u,
-                        "edges": [[u, w]]})
-    for w in detect_all(g, budget):
-        return w
-    return None
+    """The witness detect_all(g, budget) lists first (used by the reducer).
+    Rows run in rank order and the search stops once no later row can emit
+    a kind ranked below the best witness so far."""
+    best = []
+    for detector, kinds, args in CATALOG:
+        if budget.regime not in args:
+            continue
+        if best and KIND_RANK[best[0].kind] < min(kinds.values()):
+            break
+        found = best + _run_row(detector, g, args[budget.regime](budget, best))
+        best = [min(found, key=_sort_key)] if found else []
+    return best[0] if best else None
 
 
 # -- independent predicate checkers (used by tests) --------------------------
@@ -371,7 +371,8 @@ def check_witness(g, w, budget=None):
         return g.adjacent(u, v) and _smallest_component_without(g, u, v) is not None
     if k == "FaceTwoSmall":
         u, v = a
-        cap = budget.delta_context if budget.regime == LARGE else g.max_degree()
+        # the small-regime detector's class bound, not the graph's Delta
+        cap = budget.delta_context if budget.regime == LARGE else 6
         face = faces[w.faces[0]]
         on_face = set(face.vertices())
         return (face.degree >= 4 and u in on_face and v in on_face

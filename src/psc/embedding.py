@@ -16,6 +16,7 @@ from .errors import (
     AsymmetricAdjacency,
     Disconnected,
     DuplicateNeighbor,
+    DuplicateRow,
     NonPlanarEmbedding,
     NotOnSameFace,
     UnknownVertex,
@@ -75,15 +76,6 @@ class FaceSet:
         """Index of the face containing the directed edge (u, v)."""
         return self._corner_to_face[(u, v)]
 
-    def faces_at(self, v):
-        """Indices of faces incident to v, with multiplicity one per corner."""
-        out = []
-        for i, f in enumerate(self.faces):
-            for u, _ in f.corners:
-                if u == v:
-                    out.append(i)
-        return out
-
 
 class EmbeddedGraph:
     """Immutable simple connected planar graph with a fixed embedding."""
@@ -112,9 +104,6 @@ class EmbeddedGraph:
 
     def max_degree(self):
         return max((len(r) for r in self.rotation), default=0)
-
-    def min_degree(self):
-        return min((len(r) for r in self.rotation), default=0)
 
     def adjacent(self, u, v):
         return v in self._adj[u]
@@ -230,13 +219,12 @@ def trace_faces(g):
 
 
 class SquareGraph:
-    """The distance-<=2 pair structure over a base embedded graph."""
+    """The distance-<=2 adjacency over a base embedded graph."""
 
-    __slots__ = ("base", "pairs", "adj")
+    __slots__ = ("base", "adj")
 
-    def __init__(self, base, pairs, adj):
+    def __init__(self, base, adj):
         self.base = base
-        self.pairs = pairs
         self.adj = adj
 
     def degree(self, v):
@@ -256,14 +244,9 @@ def dist2_neighborhood(g, v):
 
 def square(g):
     adj = []
-    pairs = set()
     for v in range(g.n):
-        ball = dist2_neighborhood(g, v)
-        adj.append(frozenset(ball))
-        for u in ball:
-            if u > v:
-                pairs.add((v, u))
-    return SquareGraph(g, frozenset(pairs), tuple(adj))
+        adj.append(frozenset(dist2_neighborhood(g, v)))
+    return SquareGraph(g, tuple(adj))
 
 
 def _face_corner_at(face, v):
@@ -377,9 +360,14 @@ def from_pg(text):
             continue
         head, _, rest = line.partition(":")
         v = int(head)
+        if v in rows:
+            raise DuplicateRow(f"vertex {v} has more than one row")
         rows[v] = [int(t) for t in rest.split()]
     if n is None:
         raise UnknownVertex("missing 'n <count>' header line")
+    for v in rows:
+        if not (0 <= v < n):
+            raise UnknownVertex(f"row for vertex {v} not in 0..{n - 1}")
     rotation = [rows.get(v, []) for v in range(n)]
     return build(n, rotation)
 

@@ -27,6 +27,10 @@ class UnknownVertex(PscError):
     pass
 
 
+class DuplicateRow(PscError):
+    pass
+
+
 class AlreadyAdjacent(PscError):
     pass
 

@@ -33,6 +33,12 @@ def glue_pocket(g, u, v):
     raise RuntimeError("no embedding found for pocket")
 
 
+def cube():
+    """The 3-cube: cubic, all faces 4-faces, no vertex of degree 1 or 2."""
+    return emb.build(8, [[1, 3, 4], [2, 0, 5], [3, 1, 6], [0, 2, 7],
+                         [7, 5, 0], [4, 6, 1], [5, 7, 2], [6, 4, 3]])
+
+
 _real_dsatur = col.dsatur_color
 
 

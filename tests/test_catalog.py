@@ -1,9 +1,14 @@
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import cube, glue_pocket, stingy_dsatur
 from psc import catalog as cat
+from psc import coloring as col
 from psc import embedding as emb
 from psc import generators as gen
+from psc import reducer as red
 from psc.budgets import Budget
 from psc.errors import DeltaTooLarge
 
@@ -45,7 +50,6 @@ def test_bowtie_edge_separator():
 
 
 def test_glued_pocket_edge_separator(corpus_large):
-    from conftest import glue_pocket
     g = glue_pocket(gen.gen_stacked_triangulation(20, 1), 0, 1)
     w = cat.find_edge_separator(g)
     assert w is not None
@@ -99,6 +103,9 @@ def test_priority_order():
               "Deg3TwoTriangles", "Deg3TriTwoSquares", "Deg4Tri5Tri",
               "GenericDeletable")]
     assert ranks == sorted(ranks)
+    # find_first_witness relies on rows ordered by their lowest rank
+    lowest = [min(kinds.values()) for _, kinds, _ in cat.CATALOG]
+    assert lowest == sorted(lowest)
 
 
 def test_detect_all_sorted(corpus_large):
@@ -116,14 +123,33 @@ def test_first_witness_prefers_deg1():
 
 
 def test_witness_soundness(corpus_large, corpus_small):
-    for g in corpus_large[:12]:
+    for g in corpus_large[:12] + corpus_small[:12] + [cube()]:
         b = Budget.for_graph(g)
         for w in cat.detect_all(g, b):
             assert cat.check_witness(g, w, b), (w.kind, w.actors)
-    for g in corpus_small[:12]:
-        b = Budget.for_graph(g)
-        for w in cat.detect_all(g, b):
-            assert cat.check_witness(g, w, b), (w.kind, w.actors)
+
+
+def test_first_witness_matches_detect_all(corpus_large, corpus_small):
+    """The first-witness search returns the head of the full sorted scan,
+    also on every intermediate graph of a forced reduction."""
+    seen = []
+    real = cat.find_first_witness
+
+    def recording(g, budget):
+        seen.append((g, budget))
+        return real(g, budget)
+
+    for g in (gen.gen_stacked_triangulation(40, 5), corpus_small[0]):
+        with mock.patch.object(col, "dsatur_color", stingy_dsatur(6)), \
+                mock.patch.object(cat, "find_first_witness", recording):
+            red.color_within_budget(g)
+    assert len(seen) > 40
+    pocket = glue_pocket(gen.gen_stacked_triangulation(20, 1), 0, 1)
+    graphs = corpus_large + corpus_small + [cube(), pocket]
+    seen += [(g, Budget.for_graph(g)) for g in graphs]
+    for g, b in seen:
+        assert cat.find_first_witness(g, b) == (cat.detect_all(g, b)
+                                                or [None])[0], emb.to_pg(g)
 
 
 def test_deletable_vertex_check():

@@ -144,6 +144,13 @@ def test_missing_input_exit_2(tmp_path):
     assert run(["color", str(tmp_path / "nope.pg")]) == 2
 
 
+def test_bad_row_exit_2(tmp_path, capsys):
+    bad = tmp_path / "bad.pg"
+    bad.write_text("n 4\n0: 1 2 3\n1: 0 3 2\n2: 0 1 3\n3: 0 2 1\n9:\n")
+    assert run(["detect", str(bad)]) == 2
+    assert "row for vertex 9" in capsys.readouterr().err
+
+
 def test_corpus(capsys):
     assert run(["corpus", "--n", "4", "--delta", "9", "--seed", "2"]) == 0
     out = capsys.readouterr().out

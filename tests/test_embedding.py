@@ -151,6 +151,19 @@ def test_pg_comments_and_whitespace():
     assert g.n == 3 and g.m == 3
 
 
+K3 = "n 3\n0: 1 2\n1: 2 0\n2: 0 1\n"
+
+
+@pytest.mark.parametrize("text, error", [
+    (K3 + "9:\n", err.UnknownVertex),
+    (K3 + "-1:\n", err.UnknownVertex),
+    (K3 + "1: 2 0\n", err.DuplicateRow),
+])
+def test_from_pg_rejects_bad_rows(text, error):
+    with pytest.raises(error):
+        emb.from_pg(text)
+
+
 def test_digest_stable():
     g = gen.named_graph("k4")
     assert emb.graph_digest(g) == emb.graph_digest(gen.named_graph("k4"))
