@@ -19,7 +19,7 @@ from . import embedding as emb
 from . import generators as gen
 from . import reducer as red
 from .budgets import Budget
-from .errors import PscError
+from .errors import ExtensionStuck, MergeInfeasible, PscError
 
 DEFAULT_SEED = 1729
 
@@ -79,7 +79,11 @@ def cmd_color(args):
         base = Budget.for_graph(g)
         b = base if budget is None else \
             Budget(budget, base.delta_context, base.regime)
-        coloring, trace = red.color_within_budget(g, b)
+        try:
+            coloring, trace = red.color_within_budget(g, b)
+        except (ExtensionStuck, MergeInfeasible) as e:
+            print(f"error: {e}", file=sys.stderr)
+            return 1
         budget = b.palette_size
         trace_text = trace.to_jsonl()
     elif args.mode == "exact":
@@ -155,8 +159,13 @@ def cmd_verify(args):
     if ok:
         print("valid")
         return 0
-    print(f"invalid: vertices {pair[0]} and {pair[1]} share color "
-          f"{coloring.color_of[pair[0]]}")
+    v, u = pair
+    c = coloring.color_of[v]
+    if v == u:
+        print(f"invalid: vertex {v} has color {c}; colors must be in "
+              f"1..{coloring.palette_size} on vertices 0..{g.n - 1}")
+    else:
+        print(f"invalid: vertices {v} and {u} share color {c}")
     return 1
 
 
@@ -285,6 +294,8 @@ def main(argv=None):
         return args.fn(args)
     except (PscError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
+        if getattr(e, "graph_text", None):
+            sys.stderr.write(e.graph_text)
         return 2
 
 

@@ -38,12 +38,17 @@ class ExactResult:
 
 
 def verify(g, coloring):
-    """True iff all distance-<=2 pairs differ; on failure also returns one
-    violating pair."""
+    """True iff exactly the vertices of g are colored, all in 1..palette,
+    and all distance-<=2 pairs differ; on failure also returns one
+    violating pair, or (v, v) for a key v that is not a vertex of g or
+    whose color is outside the palette."""
     col = coloring.color_of
     for v in range(g.n):
         if v not in col:
             raise PartialColoring(f"vertex {v} has no color")
+    for v, c in col.items():
+        if not (0 <= v < g.n and 1 <= c <= coloring.palette_size):
+            return False, (v, v)
     for v in range(g.n):
         for u in emb.dist2_neighborhood(g, v):
             if u > v and col[u] == col[v]:

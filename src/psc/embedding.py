@@ -284,22 +284,41 @@ def mutate_add_edge(g, u, v, face_index):
     return build(g.n, rot)
 
 
+def _relabel(rotation, vertices):
+    """Restrict the rotation lists to `vertices`, renumber those densely in
+    increasing order and build the result; returns (graph, old -> new)."""
+    keep = sorted(set(vertices))
+    id_map = {old: i for i, old in enumerate(keep)}
+    rot = [[id_map[u] for u in rotation[old] if u in id_map] for old in keep]
+    return build(len(keep), rot), id_map
+
+
 def mutate_delete_vertex(g, v):
     """Remove v; returns (new graph, mapping old id -> new dense id)."""
     g._check_vertex(v)
-    id_map = {}
-    for old in range(g.n):
-        if old != v:
-            id_map[old] = old if old < v else old - 1
-    rot = []
-    for old in range(g.n):
-        if old == v:
-            continue
-        rot.append([id_map[u] for u in g.rotation[old] if u != v])
     try:
-        return build(g.n - 1, rot), id_map
+        return _relabel(g.rotation, [u for u in range(g.n) if u != v])
     except Disconnected:
         raise WouldDisconnect(f"removing {v} disconnects the graph") from None
+
+
+def mutate_contract_edge(g, v, anchor):
+    """Contract the edge (anchor, v): v disappears and its neighbor anchor
+    inherits v's other neighbors (duplicates dropped), preserving the
+    embedding; returns (new graph, mapping old id -> new dense id).
+
+    The result is G - v plus edges from the anchor to v's other neighbors,
+    so any coloring of it restricts to a coloring of G - v.
+    """
+    rot = list(g.rotation)
+    rv, ra = rot[v], rot[anchor]
+    i, j = rv.index(anchor), ra.index(v)
+    inherited = rv[i + 1:] + rv[:i]  # v's neighbors after anchor, in order
+    gained = tuple(x for x in inherited if x not in g._adj[anchor])
+    rot[anchor] = ra[:j] + gained + ra[j + 1:]
+    for x in gained:
+        rot[x] = [anchor if y == v else y for y in rot[x]]
+    return _relabel(rot, [u for u in range(g.n) if u != v])
 
 
 def induced_subgraph(g, vertices):
@@ -307,34 +326,15 @@ def induced_subgraph(g, vertices):
 
     The subgraph must be connected.
     """
-    keep = sorted(set(vertices))
-    id_map = {old: i for i, old in enumerate(keep)}
-    rot = []
-    for old in keep:
-        rot.append([id_map[u] for u in g.rotation[old] if u in id_map])
-    return build(len(keep), rot), id_map
-
-
-def common_faces(g, u, v):
-    """Indices of faces whose boundary contains both u and v."""
-    faces = trace_faces(g)
-    out = []
-    for i, f in enumerate(faces):
-        have_u = have_v = False
-        for a, _ in f.corners:
-            if a == u:
-                have_u = True
-            elif a == v:
-                have_v = True
-        if have_u and have_v:
-            out.append(i)
-    return out
+    return _relabel(g.rotation, vertices)
 
 
 def add_edge_any_face(g, u, v):
     """Add uv inside the first face containing both endpoints."""
-    for i in common_faces(g, u, v):
-        return mutate_add_edge(g, u, v, i)
+    for i, f in enumerate(trace_faces(g)):
+        ends = [a for a, _ in f.corners]
+        if u in ends and v in ends:
+            return mutate_add_edge(g, u, v, i)
     raise NotOnSameFace(f"{u} and {v} share no face")
 
 
@@ -356,7 +356,12 @@ def from_pg(text):
         if not line:
             continue
         if line.startswith("n "):
-            n = int(line.split()[1])
+            if n is not None:
+                raise DuplicateRow("more than one 'n <count>' header line")
+            parts = line.split()
+            if len(parts) != 2:
+                raise UnknownVertex(f"header must be 'n <count>', got {line!r}")
+            n = int(parts[1])
             continue
         head, _, rest = line.partition(":")
         v = int(head)

@@ -56,12 +56,13 @@ def _solve(g, budget, steps, trace):
     degree_limit = budget.delta_context if budget.regime == LARGE else 6
     pending = []  # extension records, unwound in reverse
     current = g
+    digest = f"{emb.graph_digest(g):016x}"
     mapping = None
     while True:
         base = col.dsatur_color(emb.square(current), budget.palette_size)
         if base is not None:
             trace.terminal = {"n": current.n, "palette": base.palette_size,
-                              "digest": f"{emb.graph_digest(current):016x}"}
+                              "digest": digest}
             mapping = dict(base.color_of)
             break
         w = cat.find_first_witness(current, budget)
@@ -69,8 +70,7 @@ def _solve(g, budget, steps, trace):
             raise NoWitnessFound(
                 "no reducible configuration found (would contradict the "
                 "structure theorem)", graph_text=emb.to_pg(current))
-        step = {"witness": w.to_obj(),
-                "before": f"{emb.graph_digest(current):016x}"}
+        step = {"witness": w.to_obj(), "before": digest}
         op = w.recipe["op"]
         if op == "split":
             step["after"] = None
@@ -90,7 +90,8 @@ def _solve(g, budget, steps, trace):
         if nxt.max_degree() > degree_limit:
             raise ExtensionStuck(
                 f"reduction raised the maximum degree past {degree_limit}")
-        step["after"] = f"{emb.graph_digest(nxt):016x}"
+        digest = f"{emb.graph_digest(nxt):016x}"
+        step["after"] = digest
         step["extension"] = None
         steps.append(step)
         current = nxt
@@ -102,51 +103,19 @@ def _solve(g, budget, steps, trace):
 def _delete_with_edges(g, v, edges, anchor):
     """G - v plus the recipe's edges.  When deleting v alone would
     disconnect the graph, the same result is obtained by contracting the
-    edge between v and the anchor endpoint of the added edges."""
+    edge between v and the anchor endpoint of the added edges (by default
+    v's neighbor of smallest degree, then smallest id)."""
     try:
         out, id_map = emb.mutate_delete_vertex(g, v)
     except emb.WouldDisconnect:
-        return _contract_into(g, v, anchor)
+        if anchor is None:
+            anchor = min(g.neighbors(v), key=lambda x: (g.degree(x), x))
+        return emb.mutate_contract_edge(g, v, anchor)
     for a, b in edges:
         a2, b2 = id_map[a], id_map[b]
         if not out.adjacent(a2, b2):
             out = emb.add_edge_any_face(out, a2, b2)
     return out, id_map
-
-
-def _contract_into(g, v, anchor):
-    """Contract the edge (anchor, v): v disappears, anchor inherits v's
-    other neighbors (duplicates dropped), preserving the embedding.
-
-    The result is G - v plus edges from the anchor to v's other neighbors,
-    so any coloring of it restricts to a coloring of G - v.
-    """
-    if anchor is None:
-        anchor = min(g.neighbors(v), key=lambda x: (g.degree(x), x))
-    rot = [list(r) for r in g.rotation]
-    rv = rot[v]
-    i = rv.index(anchor)
-    inherited = rv[i + 1:] + rv[:i]  # v's neighbors after anchor, in order
-    ra = rot[anchor]
-    j = ra.index(v)
-    spliced = ra[:j] + [x for x in inherited if x not in g.neighbors(anchor)] \
-        + ra[j + 1:]
-    rot[anchor] = spliced
-    for x in sorted(g.neighbors(v)):
-        if x == anchor:
-            continue
-        if anchor in g.neighbors(x):
-            rot[x] = [y for y in rot[x] if y != v]
-        else:
-            rot[x] = [anchor if y == v else y for y in rot[x]]
-    id_map = {old: (old if old < v else old - 1) for old in range(g.n)
-              if old != v}
-    final = []
-    for old in range(g.n):
-        if old == v:
-            continue
-        final.append([id_map[x] for x in rot[old]])
-    return emb.build(g.n - 1, final), id_map
 
 
 def _extend(before, v, id_map, mapping, budget, step):
@@ -204,31 +173,13 @@ def _normalize_uv(mapping, u, v):
 
 def _avoiding_permutation(k, sources, blocked):
     """Bijection on 1..k fixing 1 and 2 that moves every source color out of
-    the blocked set."""
-    sigma = {1: 1, 2: 2}
-    kept = [c for c in sources if c not in blocked and c not in (1, 2)]
-    moving = [c for c in sources if c in blocked and c not in (1, 2)]
-    for c in kept:
-        sigma[c] = c
-    taken = {1, 2} | set(kept)
-    pool = [t for t in range(3, k + 1)
-            if t not in blocked and t not in taken]
-    for c in moving:
-        if not pool:
-            raise MergeInfeasible("palette too small to separate cut sides")
-        sigma[c] = pool.pop(0)
-        taken.add(sigma[c])
-    # complete to a bijection, identity where possible
-    deferred = []
-    for c in range(1, k + 1):
-        if c in sigma:
-            continue
-        if c not in taken:
-            sigma[c] = c
-            taken.add(c)
-        else:
-            deferred.append(c)
-    leftovers = [t for t in range(1, k + 1) if t not in taken]
-    for c, t in zip(deferred, leftovers):
-        sigma[c] = t
+    the blocked set: in ascending order, each blocked source above 2 swaps
+    with the smallest color >= 3 that is neither blocked nor a source."""
+    moving = sorted(c for c in sources if c in blocked and c > 2)
+    free = [t for t in range(3, k + 1) if t not in blocked and t not in sources]
+    if len(free) < len(moving):
+        raise MergeInfeasible("palette too small to separate cut sides")
+    sigma = {c: c for c in range(1, k + 1)}
+    for c, t in zip(moving, free):
+        sigma[c], sigma[t] = t, c
     return sigma

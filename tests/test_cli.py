@@ -1,9 +1,14 @@
 import json
+from unittest import mock
 
 import pytest
 
+from conftest import stingy_dsatur
+from psc import catalog as cat
 from psc import cli
+from psc import coloring as col
 from psc import embedding as emb
+from psc import generators as gen
 
 
 def run(argv):
@@ -132,12 +137,39 @@ def test_verify_invalid(tmp_path, capsys):
     assert "share color" in capsys.readouterr().out
 
 
+def test_verify_bad_color_exit_1(tmp_path, capsys):
+    p3 = tmp_path / "p3.pg"
+    p3.write_text("n 3\n0: 1\n1: 0 2\n2: 1\n")
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"palette": 3, "colors": {"0": 1, "1": 2, "2": 0}}')
+    assert run(["verify", str(p3), str(bad)]) == 1
+    assert "vertex 2 has color 0" in capsys.readouterr().out
+
+
 def test_verify_partial(tmp_path):
     p3 = tmp_path / "p3.pg"
     p3.write_text("n 3\n0: 1\n1: 0 2\n2: 1\n")
     part = tmp_path / "part.json"
     part.write_text('{"palette": 2, "colors": {"0": 1, "1": 2}}')
     assert run(["verify", str(p3), str(part)]) == 2
+
+
+def test_color_budget_not_met_exit_1(tmp_path, capsys):
+    # the octahedron's square is K6, so palette 3 cannot be reached
+    path = tmp_path / "oct.pg"
+    path.write_text(emb.to_pg(gen.named_graph("octahedron")))
+    assert run(["color", "--budget", "3", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_no_witness_dumps_graph(tri, capsys):
+    with mock.patch.object(col, "dsatur_color", stingy_dsatur(6)), \
+            mock.patch.object(cat, "find_first_witness", lambda g, b: None):
+        assert run(["color", str(tri)]) == 2
+    err = capsys.readouterr().err
+    head, _, dump = err.partition("\n")
+    assert head.startswith("error: no reducible configuration")
+    assert emb.from_pg(dump) == emb.from_pg(tri.read_text())
 
 
 def test_missing_input_exit_2(tmp_path):

@@ -20,6 +20,16 @@ def test_verify_p3_violation():
     assert not ok and set(pair) == {0, 2}
 
 
+@pytest.mark.parametrize("colors, bad", [
+    ({0: 0, 1: 2, 2: 3}, 0),             # color 0
+    ({0: 1, 1: 2, 2: 4}, 2),             # color above the palette
+    ({0: 1, 1: 2, 2: 3, 7: 1}, 7),       # key that is not a vertex
+])
+def test_verify_rejects_bad_colors(colors, bad):
+    g = emb.from_pg("n 3\n0: 1\n1: 0 2\n2: 1\n")
+    assert col.verify(g, col.SquareColoring(3, colors)) == (False, (bad, bad))
+
+
 def test_verify_partial_raises():
     g = gen.gen_cycle(4)
     with pytest.raises(PartialColoring):

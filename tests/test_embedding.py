@@ -101,6 +101,7 @@ def test_add_edge_in_face():
     assert g2.adjacent(0, 2)
     assert g2.m == g.m + 1
     assert len(emb.trace_faces(g2)) == len(faces) + 1
+    assert emb.add_edge_any_face(g, 0, 2) == g2
 
 
 def test_add_edge_already_adjacent():
@@ -111,12 +112,10 @@ def test_add_edge_already_adjacent():
 
 def test_add_edge_not_on_same_face():
     g = gen.named_graph("octahedron")
-    # 0 and 1 are adjacent; find the non-adjacent antipodal pair instead
-    v = next(x for x in range(6) if not g.adjacent(0, x) and x != 0)
-    g2 = emb.add_edge_any_face(g, 0, v) if emb.common_faces(g, 0, v) else None
-    if g2 is None:
-        with pytest.raises(err.NotOnSameFace):
-            emb.add_edge_any_face(g, 0, v)
+    # every face is a triangle, so 0 and its antipode share no face
+    v = next(x for x in range(1, 6) if not g.adjacent(0, x))
+    with pytest.raises(err.NotOnSameFace):
+        emb.add_edge_any_face(g, 0, v)
 
 
 def test_delete_vertex():
@@ -130,6 +129,15 @@ def test_delete_would_disconnect():
     g = emb.from_pg("n 3\n0: 1\n1: 0 2\n2: 1\n")
     with pytest.raises(err.WouldDisconnect):
         emb.mutate_delete_vertex(g, 1)
+
+
+def test_contract_edge_on_bridge():
+    # two triangles joined through the cut vertex 0 (neighbors 1 and 2)
+    g = emb.from_pg("n 7\n0: 1 2\n1: 3 4 0\n2: 0 5 6\n3: 4 1\n4: 1 3\n"
+                    "5: 6 2\n6: 2 5\n")
+    g2, id_map = emb.mutate_contract_edge(g, 0, 1)
+    assert id_map == {old: old - 1 for old in range(1, 7)}
+    assert g2.rotation == ((2, 3, 1), (0, 4, 5), (3, 0), (0, 2), (5, 1), (1, 4))
 
 
 def test_induced_subgraph():
@@ -158,6 +166,8 @@ K3 = "n 3\n0: 1 2\n1: 2 0\n2: 0 1\n"
     (K3 + "9:\n", err.UnknownVertex),
     (K3 + "-1:\n", err.UnknownVertex),
     (K3 + "1: 2 0\n", err.DuplicateRow),
+    (K3.replace("n 3", "n 3 9"), err.UnknownVertex),
+    (K3 + "n 3\n", err.DuplicateRow),
 ])
 def test_from_pg_rejects_bad_rows(text, error):
     with pytest.raises(error):

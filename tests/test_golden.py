@@ -3,7 +3,9 @@
 The sha256 of `detect`, `detect --all`, `audit --json` and a forced
 constructive run (DSATUR refused above 6 vertices) is pinned for seeded
 graphs from both regimes, so any change to detection order, witness
-content or reduction traces shows up as a digest mismatch.
+content or reduction traces shows up as a digest mismatch.  The bridge
+graph is the one input whose reduction contracts an edge, because deleting
+its cut vertex would disconnect it.
 """
 
 import hashlib
@@ -29,9 +31,11 @@ def golden_graphs():
     large = gen.gen_corpus(3, (20, 60), 9, 101)
     small = gen.gen_corpus(2, (12, 50), 3, 102, delta_max=6)
     pocket = glue_pocket(gen.gen_stacked_triangulation(22, 3), 0, 1)
+    bridge = emb.from_pg("n 7\n0: 1 2\n1: 3 4 0\n2: 0 5 6\n3: 4 1\n"
+                         "4: 1 3\n5: 6 2\n6: 2 5\n")
     return {"large0": large[0], "large1": large[1], "large2": large[2],
             "small0": small[0], "small1": small[1], "pocket": pocket,
-            "cube": cube()}
+            "cube": cube(), "bridge": bridge}
 
 
 def digests(g, tmp_path):
@@ -49,6 +53,12 @@ def digests(g, tmp_path):
 
 # graph -> sha256 of (detect, detect --all, audit --json, forced color)
 GOLDEN = {
+    "bridge": (
+        "d01041f61681bb7ff09d601f608f6aa68ad4aac4da983acf8bbdf8f81c804ecd",
+        "c5fefd0576e8308d4fd40a5cf6a63b1c89194ebf420030570928f655daf79755",
+        "69129e7aba0f68f12d569f22efd1074f0af35d911cdbc4407e5d81ffb778084c",
+        "58eb0b80185d3e35aabfeeb72b6840771905e78037d943c9912426ff90763c3f",
+    ),
     "cube": (
         "74ba2f2f2155c342f00cf7d8fb96493fedf9c64cd889e9e94d372edd97f59891",
         "4b99784400b668f6d81a34d6e29478f4845306b13ac22e98414529ad891b35ad",

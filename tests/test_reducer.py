@@ -1,6 +1,8 @@
+import itertools
 import json
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import glue_pocket, stingy_dsatur
@@ -9,6 +11,7 @@ from psc import embedding as emb
 from psc import generators as gen
 from psc import reducer as red
 from psc.budgets import Budget
+from psc.errors import MergeInfeasible
 
 
 def collect_kinds(steps, out):
@@ -97,6 +100,26 @@ def test_contraction_fallback_on_bridge():
     assert col.verify(g, c)[0]
     assert c.palette_size <= 21
     assert tr.steps
+
+
+def test_avoiding_permutation_exhaustive():
+    for k in range(2, 8):
+        colors = range(1, k + 1)
+        subsets = [set(c) for r in range(k + 1)
+                   for c in itertools.combinations(colors, r)]
+        for sources, blocked in itertools.product(subsets, subsets):
+            moving = {c for c in sources & blocked if c > 2}
+            free = set(range(3, k + 1)) - blocked - sources
+            if len(free) < len(moving):
+                with pytest.raises(MergeInfeasible):
+                    red._avoiding_permutation(k, sorted(sources), blocked)
+                continue
+            sigma = red._avoiding_permutation(k, sorted(sources), blocked)
+            assert sorted(sigma) == sorted(sigma.values()) == list(colors)
+            assert sigma[1] == 1 and sigma[2] == 2
+            for c in sources - blocked:
+                assert sigma[c] == c
+            assert all(sigma[c] not in blocked for c in moving)
 
 
 def test_four_regular_quadrangulation():
