@@ -11,6 +11,11 @@ SMALL = "small"   # Delta <= 6 configuration catalog
 
 @dataclass(frozen=True)
 class Budget:
+    """A run's palette, regime, and `delta_context`: the largest degree the
+    regime's catalog is proven for.  That is Delta in the large regime (9
+    for Delta in {7,8}) and the class bound 6 in the small regime.  The
+    reducer fails a run whose reductions raise the degree past it."""
+
     palette_size: int
     delta_context: int
     regime: str
@@ -25,4 +30,4 @@ class Budget:
             return Budget(2 * delta + 7, delta, LARGE)
         if delta >= 7:
             return Budget(25, 9, LARGE)
-        return Budget(21, delta, SMALL)
+        return Budget(21, 6, SMALL)

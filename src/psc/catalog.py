@@ -23,11 +23,10 @@ def _no_args(budget, found):
 
 
 def _face_cap_small(budget, found):
-    # the face argument applies once 1-/2-vertices are ruled out; "small"
-    # here means degree below the class bound 6
+    # the face argument applies once 1-/2-vertices are ruled out
     if any(w.kind in ("Deg1", "Deg2") for w in found):
         return None
-    return (6,)
+    return (budget.delta_context,)
 
 
 # The catalog: one row per detector, ordered by the lowest rank it emits.
@@ -371,8 +370,7 @@ def check_witness(g, w, budget=None):
         return g.adjacent(u, v) and _smallest_component_without(g, u, v) is not None
     if k == "FaceTwoSmall":
         u, v = a
-        # the small-regime detector's class bound, not the graph's Delta
-        cap = budget.delta_context if budget.regime == LARGE else 6
+        cap = budget.delta_context
         face = faces[w.faces[0]]
         on_face = set(face.vertices())
         return (face.degree >= 4 and u in on_face and v in on_face

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import dataclasses
 import json
 import os
 import sys
@@ -31,6 +32,11 @@ def _seed(args):
     if env is not None:
         return int(env)
     return DEFAULT_SEED
+
+
+def _budget(g, palette):
+    b = Budget.for_graph(g)
+    return b if palette is None else dataclasses.replace(b, palette_size=palette)
 
 
 def _read_graph(path):
@@ -72,13 +78,10 @@ def cmd_gen(args):
 
 def cmd_color(args):
     g = _read_graph(args.input)
-    delta = g.max_degree()
     budget = args.budget
     trace_text = None
     if args.mode == "constructive":
-        base = Budget.for_graph(g)
-        b = base if budget is None else \
-            Budget(budget, base.delta_context, base.regime)
+        b = _budget(g, budget)
         try:
             coloring, trace = red.color_within_budget(g, b)
         except (ExtensionStuck, MergeInfeasible) as e:
@@ -93,12 +96,10 @@ def cmd_color(args):
             print(f"chi2 <= {res.chi2} (timeout, not exact)", file=sys.stderr)
     elif args.mode == "dsatur":
         coloring = col.dsatur_color(emb.square(g))
-        if budget is None:
-            budget = 5 * delta + 1
     else:  # greedy
         coloring = col.greedy_color(g)
-        if budget is None:
-            budget = 5 * delta + 1
+    if budget is None and args.mode in ("dsatur", "greedy"):
+        budget = 5 * g.max_degree() + 1
     ok, pair = col.verify(g, coloring)
     if args.json:
         obj = json.loads(coloring.to_json())
@@ -139,9 +140,7 @@ def cmd_audit(args):
 
 def cmd_detect(args):
     g = _read_graph(args.input)
-    base = Budget.for_graph(g)
-    budget = base if args.budget is None else \
-        Budget(args.budget, base.delta_context, base.regime)
+    budget = _budget(g, args.budget)
     if args.all:
         ws = cat.detect_all(g, budget)
     else:
@@ -202,14 +201,10 @@ def _corpus_member(task):
 
 
 def cmd_corpus(args):
-    count = args.n if args.n is not None else 100
-    delta_min = args.delta if args.delta is not None else 9
-    delta_max = 6 if delta_min <= 6 else None
-    graphs = gen.gen_corpus(count, (20, 200), delta_min, _seed(args),
+    delta_max = 6 if args.delta <= 6 else None
+    graphs = gen.gen_corpus(args.n, (20, 200), args.delta, _seed(args),
                             delta_max=delta_max)
-    mode = args.mode if args.mode in ("charges", "detect", "constructive") \
-        else "all"
-    tasks = [(emb.to_pg(g), mode) for g in graphs]
+    tasks = [(emb.to_pg(g), args.mode) for g in graphs]
     workers = min(8, os.cpu_count() or 1)
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         results = list(pool.map(_corpus_member, tasks))
@@ -235,19 +230,13 @@ def make_parser():
         prog="psc", description="planar square coloring toolkit")
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    def common(sp, inp=False):
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--json", action="store_true")
-        sp.add_argument("-o", "--output", default=None)
-        if inp:
-            sp.add_argument("input", help="input .pg graph file")
-
     sp = sub.add_parser("gen", help="generate a graph")
     sp.add_argument("--family", required=True,
                     help="wegner|stacked|cycle|grid|k4|octahedron|icosahedron")
     sp.add_argument("--delta", type=int, default=None)
     sp.add_argument("--n", type=int, default=None)
-    common(sp)
+    sp.add_argument("--seed", type=int, default=None)
+    sp.add_argument("-o", "--output", default=None)
     sp.set_defaults(fn=cmd_gen)
 
     sp = sub.add_parser("color", help="color the square of a graph")
@@ -255,31 +244,38 @@ def make_parser():
                     choices=["greedy", "dsatur", "constructive", "exact"])
     sp.add_argument("--budget", type=int, default=None)
     sp.add_argument("--timeout", type=float, default=60.0)
-    common(sp, inp=True)
+    sp.add_argument("--json", action="store_true")
+    sp.add_argument("-o", "--output", default=None)
+    sp.add_argument("input", help="input .pg graph file")
     sp.set_defaults(fn=cmd_color)
 
     sp = sub.add_parser("audit", help="discharging audit")
-    common(sp, inp=True)
+    sp.add_argument("--json", action="store_true")
+    sp.add_argument("-o", "--output", default=None)
+    sp.add_argument("input", help="input .pg graph file")
     sp.set_defaults(fn=cmd_audit)
 
     sp = sub.add_parser("detect", help="find reducible configurations")
     sp.add_argument("--all", action="store_true")
     sp.add_argument("--budget", type=int, default=None)
-    common(sp, inp=True)
+    sp.add_argument("-o", "--output", default=None)
+    sp.add_argument("input", help="input .pg graph file")
     sp.set_defaults(fn=cmd_detect)
 
     sp = sub.add_parser("verify", help="check a coloring JSON against a graph")
-    common(sp, inp=True)
+    sp.add_argument("input", help="input .pg graph file")
     sp.add_argument("coloring", help="coloring JSON file")
     sp.set_defaults(fn=cmd_verify)
 
     sp = sub.add_parser("corpus", help="generate a corpus and run checks")
     sp.add_argument("--mode", default="all",
-                    help="charges|detect|constructive|all")
-    sp.add_argument("--delta", type=int, default=None,
+                    choices=["charges", "detect", "constructive", "all"])
+    sp.add_argument("--delta", type=int, default=9,
                     help="minimum Delta (<=6 selects the small regime)")
-    sp.add_argument("--n", type=int, default=None, help="number of graphs")
-    common(sp)
+    sp.add_argument("--n", type=int, default=100, help="number of graphs")
+    sp.add_argument("--seed", type=int, default=None)
+    sp.add_argument("--json", action="store_true")
+    sp.add_argument("-o", "--output", default=None)
     sp.set_defaults(fn=cmd_corpus)
     return p
 

@@ -8,7 +8,7 @@ import time
 from dataclasses import dataclass
 
 from . import embedding as emb
-from .errors import PartialColoring
+from .errors import BadColoring, PartialColoring
 
 
 @dataclass(frozen=True)
@@ -24,9 +24,17 @@ class SquareColoring:
 
     @staticmethod
     def from_json(text):
+        """Parse {"palette": int, "colors": {vertex: int}}; other keys,
+        such as the `verified` and `trace` of `psc color --json`, are
+        ignored."""
         obj = json.loads(text)
+        colors = obj.get("colors") if isinstance(obj, dict) else None
+        if not isinstance(colors, dict) or not all(
+                type(x) is int for x in (obj.get("palette"), *colors.values())):
+            raise BadColoring(
+                'expected {"palette": int, "colors": {vertex: int}}')
         return SquareColoring(obj["palette"],
-                              {int(v): c for v, c in obj["colors"].items()})
+                              {int(v): c for v, c in colors.items()})
 
 
 @dataclass(frozen=True)

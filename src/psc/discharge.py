@@ -35,7 +35,7 @@ class Transfer:
     def to_obj(self):
         return {"rule": self.rule, "from": list(self.source),
                 "to": list(self.target), "amount": fmt(self.amount),
-                "via": [list(v) if isinstance(v, tuple) else v for v in self.via]}
+                "via": list(self.via)}
 
 
 @dataclass
@@ -60,24 +60,20 @@ class ChargeLedger:
                             self.transfers + list(new_transfers))
 
 
-def initial_charges(g, faces=None):
-    if faces is None:
-        faces = emb.trace_faces(g)
+def initial_charges(g):
     charges = {}
     for v in range(g.n):
         charges[("v", v)] = Fraction(g.degree(v) - 6)
-    for i, f in enumerate(faces):
+    for i, f in enumerate(emb.trace_faces(g)):
         charges[("f", i)] = Fraction(2 * f.degree - 6)
     return ChargeLedger(dict(charges), charges, [])
 
 
-def apply_R1(ledger, g, faces=None):
+def apply_R1(ledger, g):
     """Each d-face pays d-3 to every incident vertex of degree at most 5,
     once per incidence."""
-    if faces is None:
-        faces = emb.trace_faces(g)
     transfers = []
-    for i, f in enumerate(faces):
+    for i, f in enumerate(emb.trace_faces(g)):
         pay = Fraction(f.degree - 3)
         if pay == 0:
             continue
@@ -110,7 +106,7 @@ def apply_R2_R3_R4(ledger, g, ws):
     r2, r3, r4 = [], [], []
     for u in range(g.n):
         d = g.degree(u)
-        if d < 7 or d == 6:
+        if d < 7:
             continue
         weak_nbrs = [w for w in g.rotation[u] if ws[w] == WEAK]
         if d == 11 and len(weak_nbrs) == d:
@@ -141,14 +137,10 @@ def apply_R2_R3_R4(ledger, g, ws):
 
 @dataclass
 class AuditReport:
-    graph: object
     ledger: ChargeLedger
     weak_strong: dict
     negatives: list          # (element, final charge)
     cross_refs: dict         # element -> list of ConfigWitness
-
-    def total_final(self):
-        return self.ledger.total_final()
 
     def to_obj(self):
         led = self.ledger
@@ -172,8 +164,8 @@ class AuditReport:
 def audit(g):
     """Full discharging pipeline plus negative-element cross-referencing."""
     faces = emb.trace_faces(g)
-    ledger = initial_charges(g, faces)
-    ledger = apply_R1(ledger, g, faces)
+    ledger = initial_charges(g)
+    ledger = apply_R1(ledger, g)
     ws = classify(ledger, g)
     ledger = apply_R2_R3_R4(ledger, g, ws)
     negatives = sorted((el, c) for el, c in ledger.final.items() if c < 0)
@@ -187,4 +179,4 @@ def audit(g):
             for v in faces[el[1]].vertices():
                 ball |= emb.dist2_neighborhood(g, v) | {v}
         cross[el] = [w for w in witnesses if ball.intersection(w.actors)]
-    return AuditReport(g, ledger, ws, negatives, cross)
+    return AuditReport(ledger, ws, negatives, cross)

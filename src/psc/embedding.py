@@ -221,14 +221,10 @@ def trace_faces(g):
 class SquareGraph:
     """The distance-<=2 adjacency over a base embedded graph."""
 
-    __slots__ = ("base", "adj")
+    __slots__ = ("adj",)
 
-    def __init__(self, base, adj):
-        self.base = base
+    def __init__(self, adj):
         self.adj = adj
-
-    def degree(self, v):
-        return len(self.adj[v])
 
 
 def dist2_neighborhood(g, v):
@@ -246,7 +242,7 @@ def square(g):
     adj = []
     for v in range(g.n):
         adj.append(frozenset(dist2_neighborhood(g, v)))
-    return SquareGraph(g, tuple(adj))
+    return SquareGraph(tuple(adj))
 
 
 def _face_corner_at(face, v):

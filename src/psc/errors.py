@@ -59,6 +59,10 @@ class PartialColoring(PscError):
     pass
 
 
+class BadColoring(PscError):
+    """A coloring file that is not {"palette": int, "colors": {v: int}}."""
+
+
 # -- catalog -----------------------------------------------------------------
 
 class DeltaTooLarge(PscError):

@@ -14,7 +14,7 @@ import json
 from . import catalog as cat
 from . import coloring as col
 from . import embedding as emb
-from .budgets import LARGE, Budget
+from .budgets import Budget
 from .errors import ExtensionStuck, MergeInfeasible, NoWitnessFound
 
 
@@ -53,7 +53,6 @@ def _solve(g, budget, steps, trace):
     Chain reductions (delete / add edge) are handled iteratively; only
     edge-separator splits recurse.
     """
-    degree_limit = budget.delta_context if budget.regime == LARGE else 6
     pending = []  # extension records, unwound in reverse
     current = g
     digest = f"{emb.graph_digest(g):016x}"
@@ -87,9 +86,9 @@ def _solve(g, budget, steps, trace):
             nxt, id_map = _delete_with_edges(current, v, edges,
                                              w.recipe.get("anchor"))
             pending.append((current, v, id_map, step))
-        if nxt.max_degree() > degree_limit:
-            raise ExtensionStuck(
-                f"reduction raised the maximum degree past {degree_limit}")
+        if nxt.max_degree() > budget.delta_context:
+            raise ExtensionStuck("reduction raised the maximum degree past "
+                                 f"{budget.delta_context}")
         digest = f"{emb.graph_digest(nxt):016x}"
         step["after"] = digest
         step["extension"] = None

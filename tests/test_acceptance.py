@@ -16,9 +16,8 @@ from psc import cli
 
 
 def charge_pipeline(g):
-    faces = emb.trace_faces(g)
-    ledger = dis.initial_charges(g, faces)
-    ledger = dis.apply_R1(ledger, g, faces)
+    ledger = dis.initial_charges(g)
+    ledger = dis.apply_R1(ledger, g)
     ws = dis.classify(ledger, g)
     return dis.apply_R2_R3_R4(ledger, g, ws), ws
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from unittest import mock
 
@@ -9,6 +10,7 @@ from psc import cli
 from psc import coloring as col
 from psc import embedding as emb
 from psc import generators as gen
+from psc.budgets import Budget
 
 
 def run(argv):
@@ -154,6 +156,21 @@ def test_verify_partial(tmp_path):
     assert run(["verify", str(p3), str(part)]) == 2
 
 
+@pytest.mark.parametrize("text", [
+    '{"palette": 3, "colors": {"0": "x", "1": 2, "2": 3}}',
+    '{"colors": {"0": 1, "1": 2, "2": 3}}',
+    '[1, 2, 3]',
+    '{"palette": 3, "colors": {"0": true, "1": 2, "2": 3}}',
+])
+def test_verify_malformed_coloring_exit_2(tmp_path, capsys, text):
+    p3 = tmp_path / "p3.pg"
+    p3.write_text("n 3\n0: 1\n1: 0 2\n2: 1\n")
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    assert run(["verify", str(p3), str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_color_budget_not_met_exit_1(tmp_path, capsys):
     # the octahedron's square is K6, so palette 3 cannot be reached
     path = tmp_path / "oct.pg"
@@ -170,6 +187,37 @@ def test_no_witness_dumps_graph(tri, capsys):
     head, _, dump = err.partition("\n")
     assert head.startswith("error: no reducible configuration")
     assert emb.from_pg(dump) == emb.from_pg(tri.read_text())
+
+
+def test_detect_budget_override(tri, capsys):
+    g = emb.from_pg(tri.read_text())
+    ws = cat.detect_all(
+        g, dataclasses.replace(Budget.for_graph(g), palette_size=20))
+    assert ws != cat.detect_all(g)  # the override changes the report
+    assert run(["detect", "--all", "--budget", "20", str(tri)]) == 0
+    assert capsys.readouterr().out == cat.report_json(ws) + "\n"
+
+
+# flags a subcommand does not read are rejected, not ignored
+@pytest.mark.parametrize("argv", [
+    ["gen", "--family", "k4", "--json"],
+    ["color", "--seed", "1", "{g}"],
+    ["audit", "--seed", "1", "{g}"],
+    ["detect", "--seed", "1", "{g}"],
+    ["verify", "--seed", "1", "{g}", "{c}"],
+    ["detect", "--json", "{g}"],
+    ["verify", "--json", "{g}", "{c}"],
+    ["verify", "-o", "{out}", "{g}", "{c}"],
+    ["corpus", "--mode", "bogus", "--n", "1"],
+], ids=" ".join)
+def test_unsupported_flag_exit_2(tmp_path, argv):
+    paths = {"{g}": tmp_path / "k4.pg", "{c}": tmp_path / "c.json",
+             "{out}": tmp_path / "out.txt"}
+    assert run(["gen", "--family", "k4", "-o", str(paths["{g}"])]) == 0
+    assert run(["color", "--json", str(paths["{g}"]),
+                "-o", str(paths["{c}"])]) == 0
+    assert run([str(paths.get(a, a)) for a in argv]) == 2
+    assert not paths["{out}"].exists()
 
 
 def test_missing_input_exit_2(tmp_path):

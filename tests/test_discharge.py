@@ -4,14 +4,12 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from psc import discharge as dis
-from psc import embedding as emb
 from psc import generators as gen
 
 
 def run_pipeline(g):
-    faces = emb.trace_faces(g)
-    ledger = dis.initial_charges(g, faces)
-    ledger = dis.apply_R1(ledger, g, faces)
+    ledger = dis.initial_charges(g)
+    ledger = dis.apply_R1(ledger, g)
     ws = dis.classify(ledger, g)
     return dis.apply_R2_R3_R4(ledger, g, ws), ws
 

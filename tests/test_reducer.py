@@ -10,7 +10,7 @@ from psc import coloring as col
 from psc import embedding as emb
 from psc import generators as gen
 from psc import reducer as red
-from psc.budgets import Budget
+from psc.budgets import SMALL, Budget
 from psc.errors import MergeInfeasible
 
 
@@ -183,6 +183,12 @@ def test_delta_seven_eight_use_25():
     assert b.palette_size == 25 and b.delta_context == 9
     c, _ = red.color_within_budget(g)
     assert c.palette_size <= 25
+
+
+def test_small_regime_degree_bound_is_six():
+    for delta in range(1, 7):
+        b = Budget.for_delta(delta)
+        assert (b.palette_size, b.delta_context, b.regime) == (21, 6, SMALL)
 
 
 @settings(max_examples=10, deadline=None)
