@@ -174,19 +174,8 @@ def _corpus_member(task):
     g = emb.from_pg(text)
     out = {}
     if mode in ("charges", "all"):
-        report = dis.audit(g)
-        ok = report.ledger.total_final() == -12 \
-            and report.ledger.total_initial() == -12
-        for v in range(g.n):
-            final = report.ledger.final[("v", v)]
-            d = g.degree(v)
-            if d >= 7 and final < 0:
-                ok = False
-            if d == 6 and final != 0:
-                ok = False
-            if report.weak_strong[v] == dis.WEAK and d > 5:
-                ok = False
-        out["charges"] = ok
+        ledger, _ = dis.charges(g)
+        out["charges"] = not dis.lemma_violations(ledger, g)
     if mode in ("detect", "all"):
         out["detect"] = bool(cat.detect_all(g))
     if mode in ("constructive", "all"):

@@ -4,6 +4,7 @@ exact branch-and-bound chi_2 oracle for desk-scale graphs."""
 from __future__ import annotations
 
 import json
+import re
 import time
 from dataclasses import dataclass
 
@@ -26,15 +27,26 @@ class SquareColoring:
     def from_json(text):
         """Parse {"palette": int, "colors": {vertex: int}}; other keys,
         such as the `verified` and `trace` of `psc color --json`, are
-        ignored."""
-        obj = json.loads(text)
+        ignored.  A vertex key must be an integer written as `str` writes
+        it, and no key may repeat, so no two keys name the same vertex."""
+        obj = json.loads(text, object_pairs_hook=_unique_keys)
         colors = obj.get("colors") if isinstance(obj, dict) else None
         if not isinstance(colors, dict) or not all(
                 type(x) is int for x in (obj.get("palette"), *colors.values())):
             raise BadColoring(
                 'expected {"palette": int, "colors": {vertex: int}}')
+        for v in colors:
+            if not re.fullmatch(r"0|-?[1-9][0-9]*", v):
+                raise BadColoring(f"vertex key {v!r} is not a canonical integer")
         return SquareColoring(obj["palette"],
                               {int(v): c for v, c in colors.items()})
+
+
+def _unique_keys(pairs):
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        raise BadColoring("repeated key in coloring JSON")
+    return obj
 
 
 @dataclass(frozen=True)

@@ -95,44 +95,86 @@ def classify(ledger_after_r1, g):
     return out
 
 
-def apply_R2_R3_R4(ledger, g, ws):
-    """Vertex rules, computed simultaneously from the post-face-rule state.
+def vertex_rule(d, weak):
+    """The transfers R2-R4 make a vertex of degree d send.
 
-    Degree-11 vertices with all neighbors weak pay 5/11 each; other 11+
-    vertices pay 1/2 per weak neighbor plus two transiting 1/4 bonuses when
-    both flanking neighbors are strong; degree 7-10 vertices pay w0/d per
-    weak neighbor plus w0/2d through each strong flank.
+    `weak` holds the weak flags of its neighbours in rotation order, read
+    cyclically.  Each transfer is (rule, target, amount, flank): target and
+    flank are positions in `weak`, and flank is None for a direct payment.
+
+    - R2: a degree-11 vertex whose neighbours are all weak pays 5/11 to each.
+    - R3: any other vertex of degree >= 11 pays 1/2 to each weak neighbour,
+      plus 1/4 through each flank when both its flanks are strong.
+    - R4: a vertex of degree 7..10 pays (d-6)/d to each weak neighbour, plus
+      (d-6)/2d through each strong flank.
+
+    The charge lemmas follow.  A vertex of degree d >= 6 starts at d - 6 >= 0
+    and gets nothing from R1, which pays only degree <= 5, so it is never
+    weak (`classify` raises `WeakHighDegree` otherwise) and receives nothing
+    here.  At d = 6 it pays nothing either, so it ends at 0.  At d >= 7 it
+    ends at d - 6 minus its outflow, and the outflow is at most d - 6:
+    - for 7 <= d <= 14 by enumerating all 2^d patterns (the maximum is
+      exactly d - 6 up to d = 12), in tests/test_discharge.py;
+    - for d >= 12 in closed form.  Only R3 applies, so the outflow is W/2 +
+      B/2 for W weak neighbours, B of them with both flanks strong.  Each of
+      those B has a strong successor, distinct for distinct ones, so
+      B <= d - W and the outflow is at most d/2 <= d - 6.
     """
-    r2, r3, r4 = [], [], []
-    for u in range(g.n):
-        d = g.degree(u)
-        if d < 7:
-            continue
-        weak_nbrs = [w for w in g.rotation[u] if ws[w] == WEAK]
-        if d == 11 and len(weak_nbrs) == d:
-            for w in weak_nbrs:
-                r2.append(Transfer("R2", ("v", u), ("v", w), Fraction(5, 11)))
-        elif d >= 11:
-            for w in weak_nbrs:
-                r3.append(Transfer("R3", ("v", u), ("v", w), Fraction(1, 2)))
-                flanks = g.next_to(u, w)
-                if len(flanks) == 2 and all(ws[s] == STRONG for s in flanks):
-                    for s in flanks:
-                        r3.append(Transfer("R3", ("v", u), ("v", w),
-                                           Fraction(1, 4), via=(s,)))
-        else:  # 7 <= d <= 10
-            w0 = Fraction(d - 6)
-            for w in weak_nbrs:
-                r4.append(Transfer("R4", ("v", u), ("v", w), w0 / d))
-                for s in g.next_to(u, w):
-                    if ws[s] == STRONG:
-                        r4.append(Transfer("R4", ("v", u), ("v", w),
-                                           w0 / (2 * d), via=(s,)))
+    if d < 7:
+        return []
+    if d == 11 and all(weak):
+        return [("R2", i, Fraction(5, 11), None) for i in range(d)]
+    if d >= 11:
+        rule, pay, bonus = "R3", Fraction(1, 2), Fraction(1, 4)
+    else:
+        rule, pay, bonus = "R4", Fraction(d - 6, d), Fraction(d - 6, 2 * d)
+    out = []
+    for i in range(d):
+        if weak[i]:
+            out.append((rule, i, pay, None))
+            strong = [j for j in ((i - 1) % d, (i + 1) % d) if not weak[j]]
+            if rule == "R4" or len(strong) == 2:
+                out += [(rule, i, bonus, j) for j in strong]
+    return out
+
+
+def apply_R2_R3_R4(ledger, g, ws):
+    """The vertex rules of `vertex_rule`, computed simultaneously from the
+    post-face-rule state and ordered by (rule, source, target, via)."""
     transfers = []
-    for group in (r2, r3, r4):
-        group.sort(key=lambda t: (t.source, t.target, t.via))
-        transfers.extend(group)
+    for u in range(g.n):
+        rot = g.rotation[u]
+        weak = tuple(ws[w] == WEAK for w in rot)
+        for rule, i, amount, j in vertex_rule(len(rot), weak):
+            via = () if j is None else (rot[j],)
+            transfers.append(
+                Transfer(rule, ("v", u), ("v", rot[i]), amount, via))
+    transfers.sort(key=lambda t: (t.rule, t.source, t.target, t.via))
     return ledger.applied(transfers)
+
+
+def charges(g):
+    """Initial charges, R1, the weak/strong split and R2-R4: the final
+    ledger and the weak/strong map."""
+    ledger = apply_R1(initial_charges(g), g)
+    ws = classify(ledger, g)
+    return apply_R2_R3_R4(ledger, g, ws), ws
+
+
+def lemma_violations(ledger, g):
+    """How a `charges` ledger breaks the discharging lemmas: a total other
+    than -12 before or after, a vertex of degree >= 7 ending negative, or one
+    of degree 6 ending nonzero.  Empty when they hold."""
+    out = []
+    for name, total in (("initial", ledger.total_initial()),
+                        ("final", ledger.total_final())):
+        if total != -12:
+            out.append(f"{name} total {fmt(total)}")
+    for v in range(g.n):
+        d, c = g.degree(v), ledger.final[("v", v)]
+        if (d >= 7 and c < 0) or (d == 6 and c != 0):
+            out.append(f"vertex {v} of degree {d} ends at {fmt(c)}")
+    return out
 
 
 @dataclass
@@ -164,10 +206,7 @@ class AuditReport:
 def audit(g):
     """Full discharging pipeline plus negative-element cross-referencing."""
     faces = emb.trace_faces(g)
-    ledger = initial_charges(g)
-    ledger = apply_R1(ledger, g)
-    ws = classify(ledger, g)
-    ledger = apply_R2_R3_R4(ledger, g, ws)
+    ledger, ws = charges(g)
     negatives = sorted((el, c) for el, c in ledger.final.items() if c < 0)
     witnesses = cat.detect_for_audit(g)
     cross = {}

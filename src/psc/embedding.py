@@ -108,25 +108,6 @@ class EmbeddedGraph:
     def adjacent(self, u, v):
         return v in self._adj[u]
 
-    def successor(self, v, u):
-        """Neighbor following u in the clockwise rotation around v."""
-        rot = self.rotation[v]
-        return rot[(rot.index(u) + 1) % len(rot)]
-
-    def predecessor(self, v, u):
-        rot = self.rotation[v]
-        return rot[(rot.index(u) - 1) % len(rot)]
-
-    def next_to(self, v, u):
-        """The (at most two) neighbors of v consecutive with u around v."""
-        rot = self.rotation[v]
-        if len(rot) == 1:
-            return ()
-        if len(rot) == 2:
-            other = rot[0] if rot[1] == u else rot[1]
-            return (other,)
-        return (self.predecessor(v, u), self.successor(v, u))
-
     def _check_vertex(self, v):
         if not (0 <= v < self.n):
             raise UnknownVertex(f"vertex {v} not in 0..{self.n - 1}")

@@ -8,6 +8,7 @@ from conftest import stingy_dsatur
 from psc import catalog as cat
 from psc import cli
 from psc import coloring as col
+from psc import discharge as dis
 from psc import embedding as emb
 from psc import generators as gen
 from psc.budgets import Budget
@@ -161,6 +162,9 @@ def test_verify_partial(tmp_path):
     '{"colors": {"0": 1, "1": 2, "2": 3}}',
     '[1, 2, 3]',
     '{"palette": 3, "colors": {"0": true, "1": 2, "2": 3}}',
+    '{"palette": 3, "colors": {"0": 1, "1": 2, "2": 3, "02": 1}}',
+    '{"palette": 3, "colors": {"0": 1, "1": 2, "2": 3, "-0": 2}}',
+    '{"palette": 3, "colors": {"0": 1, "1": 2, "2": 3, "0": 3}}',
 ])
 def test_verify_malformed_coloring_exit_2(tmp_path, capsys, text):
     p3 = tmp_path / "p3.pg"
@@ -235,6 +239,18 @@ def test_corpus(capsys):
     assert run(["corpus", "--n", "4", "--delta", "9", "--seed", "2"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+
+
+def test_corpus_charges_fail_on_broken_rule():
+    # the worker is called directly, so the patch holds in any start method
+    task = (emb.to_pg(gen.gen_corpus(1, (20, 60), 9, 101)[0]), "charges")
+    assert cli._corpus_member(task) == {"charges": True}
+    rule = dis.vertex_rule
+
+    def doubled(d, weak):
+        return [(r, i, 2 * amount, j) for r, i, amount, j in rule(d, weak)]
+    with mock.patch.object(dis, "vertex_rule", doubled):
+        assert cli._corpus_member(task) == {"charges": False}
 
 
 def test_determinism_cli(tri, tmp_path):

@@ -5,7 +5,9 @@ constructive run (DSATUR refused above 6 vertices) is pinned for seeded
 graphs from both regimes, so any change to detection order, witness
 content or reduction traces shows up as a digest mismatch.  The bridge
 graph is the one input whose reduction contracts an edge, because deleting
-its cut vertex would disconnect it.
+its cut vertex would disconnect it.  The 11-gon bipyramid is the one input
+reaching the discharging rule R2: each hub has degree 11 and only weak
+neighbours.
 """
 
 import hashlib
@@ -33,9 +35,13 @@ def golden_graphs():
     pocket = glue_pocket(gen.gen_stacked_triangulation(22, 3), 0, 1)
     bridge = emb.from_pg("n 7\n0: 1 2\n1: 3 4 0\n2: 0 5 6\n3: 4 1\n"
                          "4: 1 3\n5: 6 2\n6: 2 5\n")
+    rows = [f"{i}: {(i + 1) % 11} 11 {(i - 1) % 11} 12" for i in range(11)]
+    rows += ["11: " + " ".join(map(str, range(11))),
+             "12: " + " ".join(map(str, range(10, -1, -1)))]
+    bipyramid11 = emb.from_pg("\n".join(["n 13", *rows, ""]))
     return {"large0": large[0], "large1": large[1], "large2": large[2],
             "small0": small[0], "small1": small[1], "pocket": pocket,
-            "cube": cube(), "bridge": bridge}
+            "cube": cube(), "bridge": bridge, "bipyramid11": bipyramid11}
 
 
 def digests(g, tmp_path):
@@ -53,6 +59,12 @@ def digests(g, tmp_path):
 
 # graph -> sha256 of (detect, detect --all, audit --json, forced color)
 GOLDEN = {
+    "bipyramid11": (
+        "b940c5ab504eb04e6467575468dc9e76a3a3f49545a0aaf05db0b45913bcd397",
+        "b940c5ab504eb04e6467575468dc9e76a3a3f49545a0aaf05db0b45913bcd397",
+        "386e26513763836ad8c0f6dbdc2f2d61033409b6389d94a5bb9109e4a0b5b20f",
+        "97cde0c52dfdb0294d9942a6b3a8179f9bc946c79d87a40a97a517afe39c75c7",
+    ),
     "bridge": (
         "d01041f61681bb7ff09d601f608f6aa68ad4aac4da983acf8bbdf8f81c804ecd",
         "c5fefd0576e8308d4fd40a5cf6a63b1c89194ebf420030570928f655daf79755",
