@@ -85,22 +85,53 @@ def _sort_key(w):
 # -- individual detectors ----------------------------------------------------
 
 def find_edge_separator(g):
-    """First edge uv (sorted) whose endpoint removal disconnects the graph."""
+    """First edge uv (sorted) whose endpoint removal disconnects the graph.
+
+    Only candidate edges get a BFS: those with a cut-vertex end, and those
+    whose ends share a face other than the two on either side of uv.  Every
+    separating edge is a candidate.  If neither end is a cut vertex, every
+    component of G - {u, v} holds a neighbour of u (else v would be a cut
+    vertex).  Around u the neighbours other than v change component at
+    least twice, at most once across v, so some x, y consecutive around u
+    lie in different components.  The face at the corner x-u-y is not
+    beside uv, and its walk from y back to x avoids u (a face walk visits
+    a non-cut vertex once), so it passes through v.  The first candidate
+    that separates is therefore the first separating edge."""
     if g.n < 4:
         return None
-    edges = sorted((u, v) for u in range(g.n) for v in g.neighbors(u) if u < v)
-    for u, v in edges:
-        comp = _smallest_component_without(g, u, v)
-        if comp is not None:
-            return ConfigWitness(
-                kind="EdgeSeparator", actors=(u, v),
-                recipe={"op": "split", "u": u, "v": v,
-                        "component": sorted(comp)})
+    at, cut = _faces_at(g)
+    for u in range(g.n):
+        for v in sorted(x for x in g.neighbors(u) if x > u):
+            # both faces beside uv hold u and v; when they are one face,
+            # uv is a bridge and has a cut-vertex end
+            if cut[u] or cut[v] or len(at[u] & at[v]) > 2:
+                comp = _smallest_component_without(g, u, v)
+                if comp is not None:
+                    return ConfigWitness(
+                        kind="EdgeSeparator", actors=(u, v),
+                        recipe={"op": "split", "u": u, "v": v,
+                                "component": sorted(comp)})
     return None
 
 
+def _faces_at(g):
+    """For each vertex, the set of faces on whose boundary it lies, and
+    whether one face's corner walk visits it twice; in a connected plane
+    graph that happens exactly at the cut vertices."""
+    walks = [[] for _ in range(g.n)]
+    for fi, face in enumerate(emb.trace_faces(g)):
+        for x, _ in face.corners:
+            walks[x].append(fi)
+    at = [set(w) for w in walks]
+    return at, [len(s) < len(w) for s, w in zip(at, walks)]
+
+
 def _smallest_component_without(g, u, v):
-    """Smallest component of G minus {u, v}, or None if still connected."""
+    """None if G minus {u, v} is connected.  Otherwise the BFS component of
+    its first vertex or the union of all the other components, whichever
+    is smaller (the first on a tie); with three or more components the
+    union is not itself a component."""
+    adj = g._adj
     rest = [x for x in range(g.n) if x != u and x != v]
     if not rest:
         return None
@@ -109,7 +140,7 @@ def _smallest_component_without(g, u, v):
     comp = [rest[0]]
     while queue:
         x = queue.popleft()
-        for y in g.neighbors(x):
+        for y in adj[x]:
             if y not in seen:
                 seen.add(y)
                 comp.append(y)
@@ -366,8 +397,15 @@ def check_witness(g, w, budget=None):
     if k == "Deg2":
         return g.degree(a[0]) == 2 and set(a[1:]) == set(g.neighbors(a[0]))
     if k == "EdgeSeparator":
+        # component: a non-empty proper union of components of G - {u, v}
         u, v = a
-        return g.adjacent(u, v) and _smallest_component_without(g, u, v) is not None
+        r = w.recipe
+        comp = set(r["component"])
+        rest = set(range(g.n)) - {u, v}
+        return (r["op"] == "split" and r["u"] == u and r["v"] == v
+                and g.adjacent(u, v)
+                and bool(comp) and comp < rest
+                and all(g.neighbors(x) <= comp | {u, v} for x in comp))
     if k == "FaceTwoSmall":
         u, v = a
         cap = budget.delta_context

@@ -1,10 +1,13 @@
 import itertools
+from unittest import mock
 
 import pytest
 
+from psc import catalog as cat
 from psc import embedding as emb
 from psc import generators as gen
 from psc import coloring as col
+from psc import reducer as red
 
 
 def glue_pocket(g, u, v):
@@ -33,6 +36,13 @@ def glue_pocket(g, u, v):
     raise RuntimeError("no embedding found for pocket")
 
 
+def double_pocket():
+    """Two pockets glued on the edge 0-1 of a stacked triangulation: G minus
+    {0, 1} has three components."""
+    g = gen.gen_stacked_triangulation(20, 1)
+    return glue_pocket(glue_pocket(g, 0, 1), 0, 1)
+
+
 def cube():
     """The 3-cube: cubic, all faces 4-faces, no vertex of degree 1 or 2."""
     return emb.build(8, [[1, 3, 4], [2, 0, 5], [3, 1, 6], [0, 2, 7],
@@ -50,6 +60,40 @@ def stingy_dsatur(limit):
             return None
         return _real_dsatur(sq, budget)
     return f
+
+
+def find_edge_separator_scan(g):
+    """Oracle for catalog.find_edge_separator: one BFS per edge, in sorted
+    edge order, O(m (n + m))."""
+    if g.n < 4:
+        return None
+    edges = sorted((u, v) for u in range(g.n) for v in g.neighbors(u) if u < v)
+    for u, v in edges:
+        comp = cat._smallest_component_without(g, u, v)
+        if comp is not None:
+            return cat.ConfigWitness(
+                kind="EdgeSeparator", actors=(u, v),
+                recipe={"op": "split", "u": u, "v": v,
+                        "component": sorted(comp)})
+    return None
+
+
+@pytest.fixture(scope="session")
+def forced_intermediates(corpus_small):
+    """(graph, budget) for every graph the reducer searched for a witness
+    in two forced reductions (DSATUR refused above 6 vertices)."""
+    seen = []
+    real = cat.find_first_witness
+
+    def recording(g, budget):
+        seen.append((g, budget))
+        return real(g, budget)
+
+    for g in (gen.gen_stacked_triangulation(40, 5), corpus_small[0]):
+        with mock.patch.object(col, "dsatur_color", stingy_dsatur(6)), \
+                mock.patch.object(cat, "find_first_witness", recording):
+            red.color_within_budget(g)
+    return seen
 
 
 @pytest.fixture(scope="session")

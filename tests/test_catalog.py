@@ -1,14 +1,13 @@
-from unittest import mock
+import dataclasses
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import cube, glue_pocket, stingy_dsatur
+from conftest import (cube, double_pocket, find_edge_separator_scan,
+                      glue_pocket)
 from psc import catalog as cat
-from psc import coloring as col
 from psc import embedding as emb
 from psc import generators as gen
-from psc import reducer as red
 from psc.budgets import Budget
 from psc.errors import DeltaTooLarge
 
@@ -49,12 +48,118 @@ def test_bowtie_edge_separator():
     assert 0 in (w.recipe["u"], w.recipe["v"])
 
 
-def test_glued_pocket_edge_separator(corpus_large):
+def test_glued_pocket_edge_separator():
     g = glue_pocket(gen.gen_stacked_triangulation(20, 1), 0, 1)
     w = cat.find_edge_separator(g)
     assert w is not None
     comp = set(w.recipe["component"])
     assert comp and w.recipe["u"] not in comp and w.recipe["v"] not in comp
+
+
+def test_edge_separator_witness_check():
+    g = glue_pocket(gen.gen_stacked_triangulation(20, 1), 0, 1)
+    w = cat.find_edge_separator(g)
+    assert cat.check_witness(g, w)
+    u, v = w.actors
+    comp = w.recipe["component"]
+    for change in ({"component": [2, 3]},          # not closed in G - {u, v}
+                   {"u": v, "v": u},               # ends differ from actors
+                   {"component": []},
+                   {"component": comp + [u]},
+                   {"component": sorted(set(range(g.n)) - {u, v})},
+                   {"op": "delete"}):
+        bad = dataclasses.replace(w, recipe={**w.recipe, **change})
+        assert not cat.check_witness(g, bad), change
+    # two pockets on one edge: the component is a union of two components
+    h = double_pocket()
+    w = cat.find_edge_separator(h)
+    assert w.recipe["component"] == [20, 21, 22, 23]
+    assert cat.check_witness(h, w)
+
+
+def _deletions(graphs):
+    """Every connected single-vertex deletion of the graphs."""
+    out = []
+    for g in graphs:
+        for v in range(g.n):
+            try:
+                out.append(emb.mutate_delete_vertex(g, v)[0])
+            except emb.WouldDisconnect:
+                pass
+    return out
+
+
+def _small_graphs():
+    return (gen.gen_corpus(10, (8, 30), 3, 44, delta_max=6)
+            + gen.gen_corpus(10, (8, 30), 9, 45))
+
+
+def test_edge_separator_matches_scan(corpus_large, corpus_small,
+                                     forced_intermediates):
+    pockets = [glue_pocket(gen.gen_stacked_triangulation(20, s), 0, 1)
+               for s in range(3)]
+    pockets += [double_pocket(), glue_pocket(gen.named_graph("k4"), 0, 1),
+                glue_pocket(corpus_small[0], 0, corpus_small[0].rotation[0][0])]
+    graphs = (corpus_large + corpus_small + pockets + [bowtie(), cube()]
+              + [g for g, _ in forced_intermediates]
+              + _deletions(_small_graphs()))
+    hits = 0
+    for g in graphs:
+        w = cat.find_edge_separator(g)
+        assert w == find_edge_separator_scan(g), emb.to_pg(g)
+        hits += w is not None
+    assert hits >= 50 and len(graphs) - hits >= 50
+
+
+@st.composite
+def pocketed_triangulations(draw):
+    """A stacked triangulation with 1-3 K4 pockets glued on random edges."""
+    g = gen.gen_stacked_triangulation(draw(st.integers(4, 30)),
+                                      draw(st.integers(0, 10_000)))
+    for _ in range(draw(st.integers(1, 3))):
+        edges = sorted((u, v) for u in range(g.n) for v in g.neighbors(u)
+                       if u < v)
+        g = glue_pocket(g, *draw(st.sampled_from(edges)))
+    return g
+
+
+@settings(max_examples=40, deadline=None)
+@given(pocketed_triangulations())
+def test_edge_separator_matches_scan_pocketed(g):
+    w = cat.find_edge_separator(g)
+    assert w is not None and w == find_edge_separator_scan(g), emb.to_pg(g)
+
+
+def _brute_cut_vertices(g):
+    cut = []
+    for v in range(g.n):
+        rest = [x for x in range(g.n) if x != v]
+        seen = {v, rest[0]}
+        stack = rest[:1]
+        while stack:
+            for y in g.neighbors(stack.pop()):
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        cut.append(len(seen) < g.n)
+    return cut
+
+
+def test_face_walk_cut_vertices():
+    """A vertex is visited twice by one face's corner walk exactly when it
+    is a cut vertex."""
+    graphs = [bowtie(), cube(), gen.gen_cycle(5), gen.named_graph("k4"),
+              emb.build(2, [[1], [0]]),
+              emb.from_pg("n 7\n0: 1 2\n1: 3 4 0\n2: 0 5 6\n3: 4 1\n"
+                          "4: 1 3\n5: 6 2\n6: 2 5\n")]
+    small = _small_graphs()
+    graphs += small + _deletions(small + graphs[:4])
+    cuts = 0
+    for g in graphs:
+        _, cut = cat._faces_at(g)
+        assert cut == _brute_cut_vertices(g), emb.to_pg(g)
+        cuts += sum(cut)
+    assert cuts >= 50
 
 
 def test_c6_no_face_two_small():
@@ -129,24 +234,14 @@ def test_witness_soundness(corpus_large, corpus_small):
             assert cat.check_witness(g, w, b), (w.kind, w.actors)
 
 
-def test_first_witness_matches_detect_all(corpus_large, corpus_small):
+def test_first_witness_matches_detect_all(corpus_large, corpus_small,
+                                          forced_intermediates):
     """The first-witness search returns the head of the full sorted scan,
     also on every intermediate graph of a forced reduction."""
-    seen = []
-    real = cat.find_first_witness
-
-    def recording(g, budget):
-        seen.append((g, budget))
-        return real(g, budget)
-
-    for g in (gen.gen_stacked_triangulation(40, 5), corpus_small[0]):
-        with mock.patch.object(col, "dsatur_color", stingy_dsatur(6)), \
-                mock.patch.object(cat, "find_first_witness", recording):
-            red.color_within_budget(g)
-    assert len(seen) > 40
+    assert len(forced_intermediates) > 40
     pocket = glue_pocket(gen.gen_stacked_triangulation(20, 1), 0, 1)
     graphs = corpus_large + corpus_small + [cube(), pocket]
-    seen += [(g, Budget.for_graph(g)) for g in graphs]
+    seen = forced_intermediates + [(g, Budget.for_graph(g)) for g in graphs]
     for g, b in seen:
         assert cat.find_first_witness(g, b) == (cat.detect_all(g, b)
                                                 or [None])[0], emb.to_pg(g)

@@ -7,7 +7,9 @@ content or reduction traces shows up as a digest mismatch.  The bridge
 graph is the one input whose reduction contracts an edge, because deleting
 its cut vertex would disconnect it.  The 11-gon bipyramid is the one input
 reaching the discharging rule R2: each hub has degree 11 and only weak
-neighbours.
+neighbours.  The double pocket (two K4 pockets glued on the edge 0-1) is
+the one input where G minus a separating edge's endpoints has three
+components, so its split component is a union of two of them.
 """
 
 import hashlib
@@ -15,7 +17,7 @@ from unittest import mock
 
 import pytest
 
-from conftest import cube, glue_pocket, stingy_dsatur
+from conftest import cube, double_pocket, glue_pocket, stingy_dsatur
 from psc import cli
 from psc import coloring as col
 from psc import embedding as emb
@@ -41,7 +43,8 @@ def golden_graphs():
     bipyramid11 = emb.from_pg("\n".join(["n 13", *rows, ""]))
     return {"large0": large[0], "large1": large[1], "large2": large[2],
             "small0": small[0], "small1": small[1], "pocket": pocket,
-            "cube": cube(), "bridge": bridge, "bipyramid11": bipyramid11}
+            "cube": cube(), "bridge": bridge, "bipyramid11": bipyramid11,
+            "double_pocket": double_pocket()}
 
 
 def digests(g, tmp_path):
@@ -76,6 +79,12 @@ GOLDEN = {
         "4b99784400b668f6d81a34d6e29478f4845306b13ac22e98414529ad891b35ad",
         "d1069f7002e369ccd1229c5a9d2c4fe7435c57107b6c9747b95e1d9a958d6925",
         "507d7a376ee07d82f0c5bad141c0f671ba5fe2dd0a5c50e9576446658333701c",
+    ),
+    "double_pocket": (
+        "1060f1018cdcf93e80f53c18470170451f2e8cb2402d4c275efc0fc6f3ddb534",
+        "cb43ef77d12ba914b222cf54c0a4d046ba735e144a00b03e1cbf9e3caef00da9",
+        "a79a90e4023091e7a51b3a308bf1a4782b7cc1c85f0b5674b3f85e7016f1bed5",
+        "5c46a65461c33672e613f6f32dc7f8af252799753b59b3d1c6b9fea151058b4d",
     ),
     "large0": (
         "be0c31b25023f5843da2097173c6b4394fab7491ae922273a3c0dff390ac8a35",
