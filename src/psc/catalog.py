@@ -8,7 +8,6 @@ Detection order inside reports is deterministic: kind rank, then actors.
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass, field
 
 from . import embedding as emb
@@ -118,12 +117,8 @@ def _faces_at(g):
     """For each vertex, the set of faces on whose boundary it lies, and
     whether one face's corner walk visits it twice; in a connected plane
     graph that happens exactly at the cut vertices."""
-    walks = [[] for _ in range(g.n)]
-    for fi, face in enumerate(emb.trace_faces(g)):
-        for x, _ in face.corners:
-            walks[x].append(fi)
-    at = [set(w) for w in walks]
-    return at, [len(s) < len(w) for s, w in zip(at, walks)]
+    at = [set(fa) for fa in g._face_at]
+    return at, [len(s) < len(fa) for s, fa in zip(at, g._face_at)]
 
 
 def _smallest_component_without(g, u, v):
@@ -131,23 +126,13 @@ def _smallest_component_without(g, u, v):
     its first vertex or the union of all the other components, whichever
     is smaller (the first on a tie); with three or more components the
     union is not itself a component."""
-    adj = g._adj
     rest = [x for x in range(g.n) if x != u and x != v]
     if not rest:
         return None
-    seen = {u, v, rest[0]}
-    queue = deque([rest[0]])
-    comp = [rest[0]]
-    while queue:
-        x = queue.popleft()
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                comp.append(y)
-                queue.append(y)
+    comp = emb.component(g._adj, rest[0], (u, v))
     if len(comp) == len(rest):
         return None
-    other = [x for x in rest if x not in seen]
+    other = [x for x in rest if x not in comp]
     return comp if len(comp) <= len(other) else other
 
 
@@ -172,14 +157,14 @@ def find_face_two_small(g, delta_cap=None):
     return None
 
 
-def _faces_around(g, faces, v):
+def _faces_around(g, v):
     """Face index between each pair of rotation-consecutive neighbors:
     entry i is the face holding the corner (v -> rotation[v][i])."""
-    return [faces.face_of_corner(v, u) for u in g.rotation[v]]
+    return g._face_at[v]
 
 
 def _is_triangulated(g, faces, v):
-    return all(faces[i].degree == 3 for i in _faces_around(g, faces, v))
+    return all(faces[i].degree == 3 for i in _faces_around(g, v))
 
 
 def _low_degree_configs(g):
@@ -226,7 +211,7 @@ def _deg3_configs(g, faces, v, cap):
             kind="Deg3SmallNbr", actors=(v, u, v1, v2),
             recipe={"op": "delete_and_add", "v": v, "anchor": u,
                     "edges": [[u, v1], [u, v2]]}))
-    around = _faces_around(g, faces, v)
+    around = _faces_around(g, v)
     tri = [i for i, fi in enumerate(around) if faces[fi].degree == 3]
     threshold = min(10, cap)
     if len(tri) >= 2 and any(g.degree(u) <= threshold for u in g.neighbors(v)):
@@ -297,7 +282,7 @@ def find_weak_configs_delta6(g):
             found.append(ConfigWitness(
                 kind="W_Tri5", actors=(v,), recipe={"op": "delete", "v": v}))
         elif d == 4:
-            around = _faces_around(g, faces, v)
+            around = _faces_around(g, v)
             tri = [i for i, fi in enumerate(around) if faces[fi].degree == 3]
             if len(tri) == 4:
                 found.append(ConfigWitness(
@@ -315,7 +300,7 @@ def find_weak_configs_delta6(g):
                     recipe={"op": "delete_and_add", "v": v, "anchor": a,
                             "edges": edges}))
         elif d == 3:
-            around = _faces_around(g, faces, v)
+            around = _faces_around(g, v)
             tri = [i for i, fi in enumerate(around) if faces[fi].degree == 3]
             if tri:
                 i = tri[0]
@@ -421,13 +406,13 @@ def check_witness(g, w, budget=None):
         v, _, mid, _ = a
         if g.degree(v) != 3 or not g.adjacent(v, mid):
             return False
-        tri = [fi for fi in _faces_around(g, faces, v) if faces[fi].degree == 3]
+        tri = [fi for fi in _faces_around(g, v) if faces[fi].degree == 3]
         thr = min(10, budget.delta_context)
         return (len(tri) >= 2
                 and any(g.degree(u) <= thr for u in g.neighbors(v)))
     if k == "Deg3TriTwoSquares":
         v = a[0]
-        degs = sorted(faces[fi].degree for fi in _faces_around(g, faces, v))
+        degs = sorted(faces[fi].degree for fi in _faces_around(g, v))
         return g.degree(v) == 3 and degs == [3, 4, 4] and budget.delta_context <= 10
     if k == "Deg4Tri5Tri":
         v, five, low = a
@@ -441,10 +426,10 @@ def check_witness(g, w, budget=None):
         return g.degree(a[0]) == 5 and _is_triangulated(g, faces, a[0])
     if k == "W_Deg4ThreeTriangles":
         v = a[0]
-        tri = [fi for fi in _faces_around(g, faces, v) if faces[fi].degree == 3]
+        tri = [fi for fi in _faces_around(g, v) if faces[fi].degree == 3]
         return g.degree(v) == 4 and len(tri) >= 3
     if k == "W_Deg3Triangle":
         v = a[0]
-        tri = [fi for fi in _faces_around(g, faces, v) if faces[fi].degree == 3]
+        tri = [fi for fi in _faces_around(g, v) if faces[fi].degree == 3]
         return g.degree(v) == 3 and bool(tri)
     raise ValueError(f"unknown witness kind {k}")

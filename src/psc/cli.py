@@ -159,8 +159,10 @@ def cmd_verify(args):
         print("valid")
         return 0
     v, u = pair
-    c = coloring.color_of[v]
-    if v == u:
+    c = coloring.color_of.get(v)
+    if c is None:
+        print(f"invalid: vertex {v} has no color")
+    elif v == u:
         print(f"invalid: vertex {v} has color {c}; colors must be in "
               f"1..{coloring.palette_size} on vertices 0..{g.n - 1}")
     else:

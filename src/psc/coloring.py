@@ -9,7 +9,7 @@ import time
 from dataclasses import dataclass
 
 from . import embedding as emb
-from .errors import BadColoring, PartialColoring
+from .errors import BadColoring
 
 
 @dataclass(frozen=True)
@@ -60,12 +60,12 @@ class ExactResult:
 def verify(g, coloring):
     """True iff exactly the vertices of g are colored, all in 1..palette,
     and all distance-<=2 pairs differ; on failure also returns one
-    violating pair, or (v, v) for a key v that is not a vertex of g or
-    whose color is outside the palette."""
+    violating pair, or (v, v) for a vertex v without a color, or a key v
+    that is not a vertex of g or whose color is outside the palette."""
     col = coloring.color_of
     for v in range(g.n):
         if v not in col:
-            raise PartialColoring(f"vertex {v} has no color")
+            return False, (v, v)
     for v, c in col.items():
         if not (0 <= v < g.n and 1 <= c <= coloring.palette_size):
             return False, (v, v)

@@ -9,8 +9,6 @@ the rotation around v.  A connected simple rotation system is a genus-zero
 
 from __future__ import annotations
 
-from collections import deque
-
 from .errors import (
     AlreadyAdjacent,
     AsymmetricAdjacency,
@@ -53,40 +51,17 @@ class Face:
         return f"Face({list(self.corners)})"
 
 
-class FaceSet:
-    __slots__ = ("faces", "_corner_to_face")
-
-    def __init__(self, faces):
-        self.faces = tuple(faces)
-        self._corner_to_face = {}
-        for i, f in enumerate(self.faces):
-            for c in f.corners:
-                self._corner_to_face[c] = i
-
-    def __len__(self):
-        return len(self.faces)
-
-    def __iter__(self):
-        return iter(self.faces)
-
-    def __getitem__(self, i):
-        return self.faces[i]
-
-    def face_of_corner(self, u, v):
-        """Index of the face containing the directed edge (u, v)."""
-        return self._corner_to_face[(u, v)]
-
-
 class EmbeddedGraph:
     """Immutable simple connected planar graph with a fixed embedding."""
 
-    __slots__ = ("n", "rotation", "_adj", "_faces")
+    __slots__ = ("n", "rotation", "_adj", "_faces", "_face_at")
 
-    def __init__(self, n, rotation, _adj, _faces):
+    def __init__(self, n, rotation, _adj):
         self.n = n
         self.rotation = rotation
         self._adj = _adj
-        self._faces = _faces
+        self._faces = None    # filled by trace_faces, with _face_at
+        self._face_at = None
 
     # -- accessors -----------------------------------------------------------
 
@@ -149,22 +124,10 @@ def build(n, rotation):
         for u in rot[v]:
             if v not in adj[u]:
                 raise AsymmetricAdjacency(f"{v} lists {u} but {u} does not list {v}")
-    # connectivity
-    if n > 1:
-        seen = bytearray(n)
-        seen[0] = 1
-        queue = deque([0])
-        count = 1
-        while queue:
-            v = queue.popleft()
-            for u in rot[v]:
-                if not seen[u]:
-                    seen[u] = 1
-                    count += 1
-                    queue.append(u)
-        if count != n:
-            raise Disconnected(f"only {count} of {n} vertices reachable from 0")
-    g = EmbeddedGraph(n, rot, tuple(adj), None)
+    reached = len(component(adj, 0, ()))
+    if reached != n:
+        raise Disconnected(f"only {reached} of {n} vertices reachable from 0")
+    g = EmbeddedGraph(n, rot, tuple(adj))
     m = g.m
     f = len(trace_faces(g))
     if n - m + f != 2:
@@ -173,30 +136,54 @@ def build(n, rotation):
 
 
 def trace_faces(g):
-    """Faces induced by the rotation system, in deterministic order."""
+    """Faces induced by the rotation system, in deterministic order.
+
+    The same walk fills the per-corner face index g._face_at: entry i of
+    g._face_at[v] is the face holding the corner (v -> rotation[v][i]).
+    A graph without edges has one face with no corners."""
     if g._faces is not None:
         return g._faces
-    succ = {}
-    for v, rot in enumerate(g.rotation):
-        k = len(rot)
-        for i, u in enumerate(rot):
-            succ[(v, u)] = rot[(i + 1) % k]
+    rot = g.rotation
+    pos = [{u: i for i, u in enumerate(r)} for r in rot]
+    face_at = [[None] * len(r) for r in rot]
     faces = []
-    visited = set()
     for v in range(g.n):
-        for u in g.rotation[v]:
-            if (v, u) in visited:
+        for i in range(len(rot[v])):
+            if face_at[v][i] is not None:
                 continue
+            fi = len(faces)
             corners = []
-            a, b = v, u
-            while (a, b) not in visited:
-                visited.add((a, b))
+            a, j = v, i
+            while face_at[a][j] is None:
+                b = rot[a][j]
+                face_at[a][j] = fi
                 corners.append((a, b))
-                a, b = b, succ[(b, a)]
+                a, j = b, (pos[b][a] + 1) % len(rot[b])
             faces.append(Face(corners))
-    fs = FaceSet(faces)
-    g._faces = fs
-    return fs
+    if not faces:
+        faces.append(Face(()))
+    g._faces = tuple(faces)
+    g._face_at = face_at
+    return g._faces
+
+
+def face_of_corner(g, u, v):
+    """Index of the face containing the directed edge (u, v)."""
+    return g._face_at[u][g.rotation[u].index(v)]
+
+
+def component(adj, start, removed):
+    """Vertices reachable from start in the graph with neighbor sets adj
+    once the vertices in `removed` are deleted (breadth-first)."""
+    seen = {start, *removed}
+    queue = [start]
+    for x in queue:  # the list grows while it is read
+        for y in adj[x]:
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
+    seen.difference_update(removed)
+    return seen
 
 
 class SquareGraph:
@@ -307,12 +294,13 @@ def induced_subgraph(g, vertices):
 
 
 def add_edge_any_face(g, u, v):
-    """Add uv inside the first face containing both endpoints."""
-    for i, f in enumerate(trace_faces(g)):
-        ends = [a for a, _ in f.corners]
-        if u in ends and v in ends:
-            return mutate_add_edge(g, u, v, i)
-    raise NotOnSameFace(f"{u} and {v} share no face")
+    """Add uv inside the lowest-numbered face containing both endpoints."""
+    g._check_vertex(u)
+    g._check_vertex(v)
+    shared = set(g._face_at[u]).intersection(g._face_at[v])
+    if not shared:
+        raise NotOnSameFace(f"{u} and {v} share no face")
+    return mutate_add_edge(g, u, v, min(shared))
 
 
 # -- text format -------------------------------------------------------------

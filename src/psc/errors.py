@@ -55,10 +55,6 @@ class ExhaustedAttempts(PscError):
 
 # -- solvers -----------------------------------------------------------------
 
-class PartialColoring(PscError):
-    pass
-
-
 class BadColoring(PscError):
     """A coloring file that is not {"palette": int, "colors": {v: int}}."""
 

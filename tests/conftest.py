@@ -8,6 +8,7 @@ from psc import embedding as emb
 from psc import generators as gen
 from psc import coloring as col
 from psc import reducer as red
+from psc.errors import NotOnSameFace, WouldDisconnect
 
 
 def glue_pocket(g, u, v):
@@ -76,6 +77,34 @@ def find_edge_separator_scan(g):
                 recipe={"op": "split", "u": u, "v": v,
                         "component": sorted(comp)})
     return None
+
+
+def add_edge_first_face_scan(g, u, v):
+    """Oracle for embedding.add_edge_any_face: add uv inside the first face,
+    in trace order, whose corners hold both endpoints, O(m)."""
+    for i, f in enumerate(emb.trace_faces(g)):
+        ends = [a for a, _ in f.corners]
+        if u in ends and v in ends:
+            return emb.mutate_add_edge(g, u, v, i)
+    raise NotOnSameFace(f"{u} and {v} share no face")
+
+
+def small_graphs():
+    """Twenty small seeded graphs, ten per budget regime."""
+    return (gen.gen_corpus(10, (8, 30), 3, 44, delta_max=6)
+            + gen.gen_corpus(10, (8, 30), 9, 45))
+
+
+def single_deletions(graphs):
+    """Every connected single-vertex deletion of the graphs."""
+    out = []
+    for g in graphs:
+        for v in range(g.n):
+            try:
+                out.append(emb.mutate_delete_vertex(g, v)[0])
+            except WouldDisconnect:
+                pass
+    return out
 
 
 @pytest.fixture(scope="session")

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (cube, double_pocket, find_edge_separator_scan,
-                      glue_pocket)
+                      glue_pocket, single_deletions, small_graphs)
 from psc import catalog as cat
 from psc import embedding as emb
 from psc import generators as gen
@@ -77,23 +77,6 @@ def test_edge_separator_witness_check():
     assert cat.check_witness(h, w)
 
 
-def _deletions(graphs):
-    """Every connected single-vertex deletion of the graphs."""
-    out = []
-    for g in graphs:
-        for v in range(g.n):
-            try:
-                out.append(emb.mutate_delete_vertex(g, v)[0])
-            except emb.WouldDisconnect:
-                pass
-    return out
-
-
-def _small_graphs():
-    return (gen.gen_corpus(10, (8, 30), 3, 44, delta_max=6)
-            + gen.gen_corpus(10, (8, 30), 9, 45))
-
-
 def test_edge_separator_matches_scan(corpus_large, corpus_small,
                                      forced_intermediates):
     pockets = [glue_pocket(gen.gen_stacked_triangulation(20, s), 0, 1)
@@ -102,7 +85,7 @@ def test_edge_separator_matches_scan(corpus_large, corpus_small,
                 glue_pocket(corpus_small[0], 0, corpus_small[0].rotation[0][0])]
     graphs = (corpus_large + corpus_small + pockets + [bowtie(), cube()]
               + [g for g, _ in forced_intermediates]
-              + _deletions(_small_graphs()))
+              + single_deletions(small_graphs()))
     hits = 0
     for g in graphs:
         w = cat.find_edge_separator(g)
@@ -152,8 +135,8 @@ def test_face_walk_cut_vertices():
               emb.build(2, [[1], [0]]),
               emb.from_pg("n 7\n0: 1 2\n1: 3 4 0\n2: 0 5 6\n3: 4 1\n"
                           "4: 1 3\n5: 6 2\n6: 2 5\n")]
-    small = _small_graphs()
-    graphs += small + _deletions(small + graphs[:4])
+    small = small_graphs()
+    graphs += small + single_deletions(small + graphs[:4])
     cuts = 0
     for g in graphs:
         _, cut = cat._faces_at(g)
@@ -167,10 +150,16 @@ def test_c6_no_face_two_small():
 
 
 def test_face_two_small_square_face():
-    # 4-face with two opposite low-degree corners inside a Delta>=9 graph
-    g = gen.gen_stacked_triangulation(30, 2)
     # stacked triangulations have no 4+ faces at all
+    g = gen.gen_stacked_triangulation(30, 2)
     assert cat.find_face_two_small(g) is None
+    # a 4+ face with two non-adjacent degree-2 corners inside a Delta>=9 graph
+    g = gen.gen_wegner(9)
+    assert g.max_degree() >= 9
+    w = cat.find_face_two_small(g)
+    assert w is not None and [g.degree(a) for a in w.actors] == [2, 2]
+    assert emb.trace_faces(g)[w.faces[0]].degree >= 4
+    assert cat.check_witness(g, w)
 
 
 def test_wegner_deg2_witnesses():

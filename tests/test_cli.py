@@ -149,12 +149,23 @@ def test_verify_bad_color_exit_1(tmp_path, capsys):
     assert "vertex 2 has color 0" in capsys.readouterr().out
 
 
-def test_verify_partial(tmp_path):
+def test_verify_partial(tmp_path, capsys):
+    # a coloring that misses a vertex is a failed check, not an input error
     p3 = tmp_path / "p3.pg"
     p3.write_text("n 3\n0: 1\n1: 0 2\n2: 1\n")
     part = tmp_path / "part.json"
-    part.write_text('{"palette": 2, "colors": {"0": 1, "1": 2}}')
-    assert run(["verify", str(p3), str(part)]) == 2
+    part.write_text('{"palette": 3, "colors": {"0": 1, "1": 2}}')
+    assert run(["verify", str(p3), str(part)]) == 1
+    assert capsys.readouterr().out == "invalid: vertex 2 has no color\n"
+
+
+def test_one_vertex_graph(tmp_path, capsys):
+    k1 = tmp_path / "k1.pg"
+    k1.write_text("n 1\n0:\n")
+    assert run(["color", str(k1)]) == 0
+    assert capsys.readouterr().out.startswith("palette=1\nverified=yes\n")
+    assert run(["audit", str(k1)]) == 0
+    assert capsys.readouterr().out.startswith("sum=-12/1\n")
 
 
 @pytest.mark.parametrize("text", [

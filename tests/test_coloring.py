@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 from psc import coloring as col
 from psc import embedding as emb
 from psc import generators as gen
-from psc.errors import PartialColoring
 
 
 def test_verify_c5_distinct():
@@ -30,10 +29,10 @@ def test_verify_rejects_bad_colors(colors, bad):
     assert col.verify(g, col.SquareColoring(3, colors)) == (False, (bad, bad))
 
 
-def test_verify_partial_raises():
+def test_verify_partial_fails_at_missing_vertex():
     g = gen.gen_cycle(4)
-    with pytest.raises(PartialColoring):
-        col.verify(g, col.SquareColoring(4, {0: 1, 1: 2, 2: 3}))
+    c = col.SquareColoring(4, {0: 1, 1: 2, 2: 3})
+    assert col.verify(g, c) == (False, (3, 3))
 
 
 def test_greedy_k4():

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import add_edge_first_face_scan, single_deletions, small_graphs
 from psc import embedding as emb
 from psc import generators as gen
 from psc import errors as err
@@ -11,6 +12,19 @@ def test_build_k4():
     assert g.n == 4 and g.m == 6
     assert g.degree(0) == 3
     assert g.adjacent(0, 1) and not g.adjacent(0, 0)
+
+
+def test_build_one_vertex():
+    # an edgeless graph has one face without corners
+    g = emb.from_pg("n 1\n0:\n")
+    assert (g.n, g.m) == (1, 0)
+    assert [f.degree for f in emb.trace_faces(g)] == [0]
+
+
+def test_delete_vertex_to_one_vertex():
+    g2, id_map = emb.mutate_delete_vertex(emb.build(2, [[1], [0]]), 0)
+    assert g2 == emb.from_pg("n 1\n0:\n")
+    assert id_map == {1: 0}
 
 
 def test_build_rejects_asymmetry():
@@ -80,6 +94,39 @@ def test_euler_formula_corpus(corpus_large, corpus_small):
 def test_face_incidence_sum(corpus_small):
     for g in corpus_small:
         assert sum(f.degree for f in emb.trace_faces(g)) == 2 * g.m
+
+
+def _graphs_with_cut_vertices():
+    small = small_graphs()[::4]  # both regimes
+    return small + single_deletions(small)
+
+
+def test_face_index_covers_every_corner_once():
+    for g in _graphs_with_cut_vertices():
+        faces = emb.trace_faces(g)
+        walked = sorted(c for f in faces for c in f.corners)
+        assert walked == sorted((u, v) for u in range(g.n)
+                                for v in g.rotation[u])
+        for i, f in enumerate(faces):
+            assert all(emb.face_of_corner(g, u, v) == i for u, v in f.corners)
+
+
+def test_add_edge_any_face_matches_scan():
+    shared = 0
+    for g in _graphs_with_cut_vertices():
+        for u in range(g.n):
+            for v in range(u + 1, g.n):
+                if g.adjacent(u, v):
+                    continue
+                try:
+                    want = add_edge_first_face_scan(g, u, v)
+                except err.NotOnSameFace:
+                    with pytest.raises(err.NotOnSameFace):
+                        emb.add_edge_any_face(g, u, v)
+                    continue
+                assert emb.add_edge_any_face(g, u, v) == want
+                shared += 1
+    assert shared >= 1000
 
 
 def test_square_c5_is_k5():
