@@ -142,9 +142,9 @@ def find_face_two_small(g, delta_cap=None):
     cap = delta_cap if delta_cap is not None else g.max_degree()
     faces = emb.trace_faces(g)
     for fi, face in enumerate(faces):
-        if face.degree < 4:
+        if len(face) < 4:
             continue
-        small = [v for v in face.vertices() if g.degree(v) < cap]
+        small = [v for v in dict.fromkeys(face) if g.degree(v) < cap]
         if len(small) < 2:
             continue
         for i, u in enumerate(small):
@@ -157,14 +157,8 @@ def find_face_two_small(g, delta_cap=None):
     return None
 
 
-def _faces_around(g, v):
-    """Face index between each pair of rotation-consecutive neighbors:
-    entry i is the face holding the corner (v -> rotation[v][i])."""
-    return g._face_at[v]
-
-
 def _is_triangulated(g, faces, v):
-    return all(faces[i].degree == 3 for i in _faces_around(g, v))
+    return all(len(faces[i]) == 3 for i in g._face_at[v])
 
 
 def _low_degree_configs(g):
@@ -211,8 +205,8 @@ def _deg3_configs(g, faces, v, cap):
             kind="Deg3SmallNbr", actors=(v, u, v1, v2),
             recipe={"op": "delete_and_add", "v": v, "anchor": u,
                     "edges": [[u, v1], [u, v2]]}))
-    around = _faces_around(g, v)
-    tri = [i for i, fi in enumerate(around) if faces[fi].degree == 3]
+    around = g._face_at[v]
+    tri = [i for i, fi in enumerate(around) if len(faces[fi]) == 3]
     threshold = min(10, cap)
     if len(tri) >= 2 and any(g.degree(u) <= threshold for u in g.neighbors(v)):
         # two incident 3-faces always share a middle neighbor when deg(v)=3
@@ -225,7 +219,7 @@ def _deg3_configs(g, faces, v, cap):
             faces=(around[i], around[j]),
             recipe={"op": "delete", "v": v}))
     if cap <= 10:
-        degs = sorted(faces[fi].degree for fi in around)
+        degs = sorted(len(faces[fi]) for fi in around)
         if degs == [3, 4, 4]:
             out.append(ConfigWitness(
                 kind="Deg3TriTwoSquares", actors=(v,), faces=tuple(sorted(around)),
@@ -282,8 +276,8 @@ def find_weak_configs_delta6(g):
             found.append(ConfigWitness(
                 kind="W_Tri5", actors=(v,), recipe={"op": "delete", "v": v}))
         elif d == 4:
-            around = _faces_around(g, v)
-            tri = [i for i, fi in enumerate(around) if faces[fi].degree == 3]
+            around = g._face_at[v]
+            tri = [i for i, fi in enumerate(around) if len(faces[fi]) == 3]
             if len(tri) == 4:
                 found.append(ConfigWitness(
                     kind="W_Deg4ThreeTriangles", actors=(v,),
@@ -300,8 +294,8 @@ def find_weak_configs_delta6(g):
                     recipe={"op": "delete_and_add", "v": v, "anchor": a,
                             "edges": edges}))
         elif d == 3:
-            around = _faces_around(g, v)
-            tri = [i for i, fi in enumerate(around) if faces[fi].degree == 3]
+            around = g._face_at[v]
+            tri = [i for i, fi in enumerate(around) if len(faces[fi]) == 3]
             if tri:
                 i = tri[0]
                 rot = g.rotation[v]
@@ -395,8 +389,7 @@ def check_witness(g, w, budget=None):
         u, v = a
         cap = budget.delta_context
         face = faces[w.faces[0]]
-        on_face = set(face.vertices())
-        return (face.degree >= 4 and u in on_face and v in on_face
+        return (len(face) >= 4 and u in face and v in face
                 and g.degree(u) < cap and g.degree(v) < cap
                 and not g.adjacent(u, v))
     if k == "Deg3SmallNbr":
@@ -406,13 +399,13 @@ def check_witness(g, w, budget=None):
         v, _, mid, _ = a
         if g.degree(v) != 3 or not g.adjacent(v, mid):
             return False
-        tri = [fi for fi in _faces_around(g, v) if faces[fi].degree == 3]
+        tri = [fi for fi in g._face_at[v] if len(faces[fi]) == 3]
         thr = min(10, budget.delta_context)
         return (len(tri) >= 2
                 and any(g.degree(u) <= thr for u in g.neighbors(v)))
     if k == "Deg3TriTwoSquares":
         v = a[0]
-        degs = sorted(faces[fi].degree for fi in _faces_around(g, v))
+        degs = sorted(len(faces[fi]) for fi in g._face_at[v])
         return g.degree(v) == 3 and degs == [3, 4, 4] and budget.delta_context <= 10
     if k == "Deg4Tri5Tri":
         v, five, low = a
@@ -426,10 +419,10 @@ def check_witness(g, w, budget=None):
         return g.degree(a[0]) == 5 and _is_triangulated(g, faces, a[0])
     if k == "W_Deg4ThreeTriangles":
         v = a[0]
-        tri = [fi for fi in _faces_around(g, v) if faces[fi].degree == 3]
+        tri = [fi for fi in g._face_at[v] if len(faces[fi]) == 3]
         return g.degree(v) == 4 and len(tri) >= 3
     if k == "W_Deg3Triangle":
         v = a[0]
-        tri = [fi for fi in _faces_around(g, v) if faces[fi].degree == 3]
+        tri = [fi for fi in g._face_at[v] if len(faces[fi]) == 3]
         return g.degree(v) == 3 and bool(tri)
     raise ValueError(f"unknown witness kind {k}")

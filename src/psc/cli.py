@@ -79,7 +79,7 @@ def cmd_gen(args):
 def cmd_color(args):
     g = _read_graph(args.input)
     budget = args.budget
-    trace_text = None
+    trace = None
     if args.mode == "constructive":
         b = _budget(g, budget)
         try:
@@ -88,7 +88,6 @@ def cmd_color(args):
             print(f"error: {e}", file=sys.stderr)
             return 1
         budget = b.palette_size
-        trace_text = trace.to_jsonl()
     elif args.mode == "exact":
         res = col.exact_chi2(g, time_limit=args.timeout)
         coloring = res.witness
@@ -102,19 +101,18 @@ def cmd_color(args):
         budget = 5 * g.max_degree() + 1
     ok, pair = col.verify(g, coloring)
     if args.json:
-        obj = json.loads(coloring.to_json())
-        obj["verified"] = ok
-        if trace_text is not None:
-            obj["trace"] = [json.loads(s) for s in trace_text.splitlines()]
+        obj = {**coloring.to_obj(), "verified": ok}
+        if trace is not None:
+            obj["trace"] = trace.to_obj()
         _emit(json.dumps(obj) + "\n", args.output)
     else:
         lines = [f"palette={coloring.palette_size}",
                  f"verified={'yes' if ok else 'no (%s,%s)' % pair}"]
         if budget is not None:
             lines.append(f"budget={budget}")
-        if trace_text is not None:
+        if trace is not None:
             lines.append("trace:")
-            lines.append(trace_text.rstrip("\n"))
+            lines.append(trace.to_jsonl().rstrip("\n"))
         _emit("\n".join(lines) + "\n", args.output)
     if not ok or (budget is not None and coloring.palette_size > budget):
         return 1
@@ -192,6 +190,8 @@ def _corpus_member(task):
 
 
 def cmd_corpus(args):
+    if args.n < 1:
+        raise PscError("--n must be at least 1")
     delta_max = 6 if args.delta <= 6 else None
     graphs = gen.gen_corpus(args.n, (20, 200), args.delta, _seed(args),
                             delta_max=delta_max)
@@ -223,7 +223,8 @@ def make_parser():
 
     sp = sub.add_parser("gen", help="generate a graph")
     sp.add_argument("--family", required=True,
-                    help="wegner|stacked|cycle|grid|k4|octahedron|icosahedron")
+                    choices=["wegner", "stacked", "cycle", "grid", "k4",
+                             "octahedron", "icosahedron"])
     sp.add_argument("--delta", type=int, default=None)
     sp.add_argument("--n", type=int, default=None)
     sp.add_argument("--seed", type=int, default=None)

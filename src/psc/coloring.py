@@ -17,11 +17,12 @@ class SquareColoring:
     palette_size: int
     color_of: dict  # vertex -> color in 1..palette_size
 
+    def to_obj(self):
+        return {"palette": self.palette_size,
+                "colors": {str(v): c for v, c in sorted(self.color_of.items())}}
+
     def to_json(self):
-        return json.dumps(
-            {"palette": self.palette_size,
-             "colors": {str(v): c for v, c in sorted(self.color_of.items())}},
-            sort_keys=False)
+        return json.dumps(self.to_obj())
 
     @staticmethod
     def from_json(text):
@@ -173,16 +174,13 @@ def exact_chi2(g, time_limit=60.0):
         for i, v in enumerate(order):
             if v in clique:
                 colors[i] = clique.index(v) + 1
-        fixed = len(clique)
 
         def bt(i, max_used):
             if time.monotonic() > deadline:
                 raise _Timeout
             if i == g.n:
                 return True
-            if i < fixed:
-                return bt(i + 1, max(max_used, colors[i]))
-            forbidden = {colors[j] for j in nbr_pos[i] if j < i or j < fixed}
+            forbidden = {colors[j] for j in nbr_pos[i] if j < i}
             cap = min(k, max_used + 1)
             for c in range(1, cap + 1):
                 if c in forbidden:
@@ -193,7 +191,8 @@ def exact_chi2(g, time_limit=60.0):
             colors[i] = 0
             return False
 
-        if bt(0, 0):
+        # the clique holds positions 0..len-1, colored 1..len
+        if bt(len(clique), len(clique)):
             return {order[i]: colors[i] for i in range(g.n)}
         return None
 

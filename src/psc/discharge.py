@@ -65,7 +65,7 @@ def initial_charges(g):
     for v in range(g.n):
         charges[("v", v)] = Fraction(g.degree(v) - 6)
     for i, f in enumerate(emb.trace_faces(g)):
-        charges[("f", i)] = Fraction(2 * f.degree - 6)
+        charges[("f", i)] = Fraction(2 * len(f) - 6)
     return ChargeLedger(dict(charges), charges, [])
 
 
@@ -74,10 +74,10 @@ def apply_R1(ledger, g):
     once per incidence."""
     transfers = []
     for i, f in enumerate(emb.trace_faces(g)):
-        pay = Fraction(f.degree - 3)
+        pay = Fraction(len(f) - 3)
         if pay == 0:
             continue
-        for v, _ in f.corners:
+        for v in f:
             if g.degree(v) <= 5:
                 transfers.append(Transfer("R1", ("f", i), ("v", v), pay))
     transfers.sort(key=lambda t: (t.source, t.target))
@@ -215,7 +215,7 @@ def audit(g):
             ball = emb.dist2_neighborhood(g, el[1]) | {el[1]}
         else:
             ball = set()
-            for v in faces[el[1]].vertices():
+            for v in set(faces[el[1]]):
                 ball |= emb.dist2_neighborhood(g, v) | {v}
         cross[el] = [w for w in witnesses if ball.intersection(w.actors)]
     return AuditReport(ledger, ws, negatives, cross)

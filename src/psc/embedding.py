@@ -25,32 +25,6 @@ FNV_OFFSET = 0xCBF29CE484222325
 FNV_PRIME = 0x100000001B3
 
 
-class Face:
-    """A face as the cyclic list of its directed corners (u, v)."""
-
-    __slots__ = ("corners",)
-
-    def __init__(self, corners):
-        self.corners = tuple(corners)
-
-    @property
-    def degree(self):
-        return len(self.corners)
-
-    def vertices(self):
-        """Distinct vertices on the face boundary, in first-visit order."""
-        seen = set()
-        order = []
-        for u, _ in self.corners:
-            if u not in seen:
-                seen.add(u)
-                order.append(u)
-        return order
-
-    def __repr__(self):
-        return f"Face({list(self.corners)})"
-
-
 class EmbeddedGraph:
     """Immutable simple connected planar graph with a fixed embedding."""
 
@@ -138,9 +112,11 @@ def build(n, rotation):
 def trace_faces(g):
     """Faces induced by the rotation system, in deterministic order.
 
-    The same walk fills the per-corner face index g._face_at: entry i of
-    g._face_at[v] is the face holding the corner (v -> rotation[v][i]).
-    A graph without edges has one face with no corners."""
+    A face is the tuple of vertices its corner walk visits: corner i is
+    (f[i] -> f[i+1]), read cyclically, so a cut vertex appears once per
+    visit.  The same walk fills the per-corner face index g._face_at: entry
+    i of g._face_at[v] is the face holding the corner (v -> rotation[v][i]).
+    A graph without edges has one face, ()."""
     if g._faces is not None:
         return g._faces
     rot = g.rotation
@@ -152,24 +128,17 @@ def trace_faces(g):
             if face_at[v][i] is not None:
                 continue
             fi = len(faces)
-            corners = []
+            walk = []
             a, j = v, i
             while face_at[a][j] is None:
                 b = rot[a][j]
                 face_at[a][j] = fi
-                corners.append((a, b))
+                walk.append(a)
                 a, j = b, (pos[b][a] + 1) % len(rot[b])
-            faces.append(Face(corners))
-    if not faces:
-        faces.append(Face(()))
-    g._faces = tuple(faces)
+            faces.append(tuple(walk))
+    g._faces = tuple(faces) or ((),)
     g._face_at = face_at
     return g._faces
-
-
-def face_of_corner(g, u, v):
-    """Index of the face containing the directed edge (u, v)."""
-    return g._face_at[u][g.rotation[u].index(v)]
 
 
 def component(adj, start, removed):
@@ -213,38 +182,21 @@ def square(g):
     return SquareGraph(tuple(adj))
 
 
-def _face_corner_at(face, v):
-    """First corner (x, v), (v, y) of the face at vertex v, or None."""
-    corners = face.corners
-    k = len(corners)
-    for i in range(k):
-        if corners[i][0] == v:
-            x = corners[(i - 1) % k][0]
-            y = corners[i][1]
-            return x, y
-    return None
-
-
 def mutate_add_edge(g, u, v, face_index):
     """Add the chord uv inside the given face; returns the new graph."""
     g._check_vertex(u)
     g._check_vertex(v)
     if u == v or g.adjacent(u, v):
         raise AlreadyAdjacent(f"{u} and {v} are already adjacent")
-    faces = trace_faces(g)
-    face = faces[face_index]
-    cu = _face_corner_at(face, u)
-    cv = _face_corner_at(face, v)
-    if cu is None or cv is None:
+    face = trace_faces(g)[face_index]
+    if u not in face or v not in face:
         raise NotOnSameFace(f"{u} and {v} are not both on face {face_index}")
-    xu, yu = cu  # corner (xu -> u), (u -> yu)
-    xv, yv = cv
     rot = [list(r) for r in g.rotation]
-    # insert v between xu and yu around u: succ(xu)=v, succ(v)=yu
-    iu = rot[u].index(yu)
-    rot[u].insert(iu, v)
-    iv = rot[v].index(yv)
-    rot[v].insert(iv, u)
+    # each end x takes the other just before y, where (x -> y) is the
+    # first corner at x in the walk
+    for x, other in ((u, v), (v, u)):
+        y = face[(face.index(x) + 1) % len(face)]
+        rot[x].insert(rot[x].index(y), other)
     return build(g.n, rot)
 
 
@@ -338,8 +290,10 @@ def from_pg(text):
     for v in rows:
         if not (0 <= v < n):
             raise UnknownVertex(f"row for vertex {v} not in 0..{n - 1}")
-    rotation = [rows.get(v, []) for v in range(n)]
-    return build(n, rotation)
+    if len(rows) < n:  # checked before the n rotation lists are allocated
+        v = next(v for v in range(n) if v not in rows)
+        raise UnknownVertex(f"vertex {v} has no row")
+    return build(n, [rows[v] for v in range(n)])
 
 
 def graph_digest(g):

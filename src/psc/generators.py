@@ -244,7 +244,5 @@ def gen_corpus(count, n_range, delta_min, seed, delta_max=None):
             g = rb.build()
         if delta_max is not None and g.max_degree() > delta_max:
             continue
-        if g.max_degree() < delta_min:
-            continue
         out.append(g)
     return out

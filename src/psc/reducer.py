@@ -23,10 +23,12 @@ class ReductionTrace:
         self.steps = []
         self.terminal = None
 
+    def to_obj(self):
+        """The trace records: each step, then {"terminal": ...}."""
+        return [*self.steps, {"terminal": self.terminal}]
+
     def to_jsonl(self):
-        lines = [json.dumps(s) for s in self.steps]
-        lines.append(json.dumps({"terminal": self.terminal}))
-        return "\n".join(lines) + "\n"
+        return "".join(json.dumps(r) + "\n" for r in self.to_obj())
 
 
 def color_within_budget(g, budget=None):

@@ -79,12 +79,58 @@ def find_edge_separator_scan(g):
     return None
 
 
+def bowtie():
+    # two triangles sharing vertex 0
+    return emb.build(5, [[1, 2, 3, 4], [2, 0], [0, 1], [4, 0], [0, 3]])
+
+
+def bridge():
+    # two triangles joined by the path 1-0-2 through the cut vertex 0
+    return emb.from_pg("n 7\n0: 1 2\n1: 3 4 0\n2: 0 5 6\n3: 4 1\n"
+                       "4: 1 3\n5: 6 2\n6: 2 5\n")
+
+
+def face_corners_scan(g):
+    """Oracle for embedding.trace_faces: each face as the list of directed
+    corners (a, b) its walk takes, in trace order.  A walk starts at the
+    first corner, by vertex and then rotation position, that no earlier
+    walk took, and goes from (a, b) to (b, c), c the successor of a around
+    b."""
+    seen = set()
+    faces = []
+    for v in range(g.n):
+        for w in g.rotation[v]:
+            corners = []
+            a, b = v, w
+            while (a, b) not in seen:
+                seen.add((a, b))
+                corners.append((a, b))
+                r = g.rotation[b]
+                a, b = b, r[(r.index(a) + 1) % len(r)]
+            if corners:
+                faces.append(corners)
+    return faces
+
+
+def add_chord_first_visit(g, u, v, face_index):
+    """Oracle for embedding.mutate_add_edge: each end x of uv takes the
+    other end into its rotation just before y, where (x -> y) is the first
+    corner at x in the walk of the face.  A face visits a cut vertex more
+    than once, and the first visit in walk order need not be the first
+    corner in x's rotation order."""
+    corners = face_corners_scan(g)[face_index]
+    rot = [list(r) for r in g.rotation]
+    for x, other in ((u, v), (v, u)):
+        y = next(b for a, b in corners if a == x)
+        rot[x].insert(rot[x].index(y), other)
+    return emb.build(g.n, rot)
+
+
 def add_edge_first_face_scan(g, u, v):
     """Oracle for embedding.add_edge_any_face: add uv inside the first face,
-    in trace order, whose corners hold both endpoints, O(m)."""
+    in trace order, whose walk visits both endpoints, O(m)."""
     for i, f in enumerate(emb.trace_faces(g)):
-        ends = [a for a, _ in f.corners]
-        if u in ends and v in ends:
+        if u in f and v in f:
             return emb.mutate_add_edge(g, u, v, i)
     raise NotOnSameFace(f"{u} and {v} share no face")
 

@@ -3,18 +3,14 @@ import dataclasses
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (cube, double_pocket, find_edge_separator_scan,
-                      glue_pocket, single_deletions, small_graphs)
+from conftest import (bowtie, bridge, cube, double_pocket,
+                      find_edge_separator_scan, glue_pocket, single_deletions,
+                      small_graphs)
 from psc import catalog as cat
 from psc import embedding as emb
 from psc import generators as gen
 from psc.budgets import Budget
 from psc.errors import DeltaTooLarge
-
-
-def bowtie():
-    # two triangles sharing vertex 0
-    return emb.build(5, [[1, 2, 3, 4], [2, 0], [0, 1], [4, 0], [0, 3]])
 
 
 def test_c4_deg2_witnesses():
@@ -132,9 +128,7 @@ def test_face_walk_cut_vertices():
     """A vertex is visited twice by one face's corner walk exactly when it
     is a cut vertex."""
     graphs = [bowtie(), cube(), gen.gen_cycle(5), gen.named_graph("k4"),
-              emb.build(2, [[1], [0]]),
-              emb.from_pg("n 7\n0: 1 2\n1: 3 4 0\n2: 0 5 6\n3: 4 1\n"
-                          "4: 1 3\n5: 6 2\n6: 2 5\n")]
+              emb.build(2, [[1], [0]]), bridge()]
     small = small_graphs()
     graphs += small + single_deletions(small + graphs[:4])
     cuts = 0
@@ -158,7 +152,7 @@ def test_face_two_small_square_face():
     assert g.max_degree() >= 9
     w = cat.find_face_two_small(g)
     assert w is not None and [g.degree(a) for a in w.actors] == [2, 2]
-    assert emb.trace_faces(g)[w.faces[0]].degree >= 4
+    assert len(emb.trace_faces(g)[w.faces[0]]) >= 4
     assert cat.check_witness(g, w)
 
 

@@ -224,6 +224,9 @@ def test_detect_budget_override(tri, capsys):
     ["verify", "--json", "{g}", "{c}"],
     ["verify", "-o", "{out}", "{g}", "{c}"],
     ["corpus", "--mode", "bogus", "--n", "1"],
+    ["gen", "--family", "foo"],
+    ["corpus", "--n", "0"],
+    ["corpus", "--n", "-3", "--json"],
 ], ids=" ".join)
 def test_unsupported_flag_exit_2(tmp_path, argv):
     paths = {"{g}": tmp_path / "k4.pg", "{c}": tmp_path / "c.json",

@@ -1,7 +1,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import add_edge_first_face_scan, single_deletions, small_graphs
+from conftest import (add_chord_first_visit, add_edge_first_face_scan, bowtie,
+                      bridge, face_corners_scan, single_deletions,
+                      small_graphs)
 from psc import embedding as emb
 from psc import generators as gen
 from psc import errors as err
@@ -18,7 +20,7 @@ def test_build_one_vertex():
     # an edgeless graph has one face without corners
     g = emb.from_pg("n 1\n0:\n")
     assert (g.n, g.m) == (1, 0)
-    assert [f.degree for f in emb.trace_faces(g)] == [0]
+    assert emb.trace_faces(g) == ((),)
 
 
 def test_delete_vertex_to_one_vertex():
@@ -62,27 +64,27 @@ def test_faces_k4():
     g = gen.named_graph("k4")
     faces = emb.trace_faces(g)
     assert len(faces) == 4
-    assert all(f.degree == 3 for f in faces)
+    assert all(len(f) == 3 for f in faces)
 
 
 def test_faces_octahedron():
     g = gen.named_graph("octahedron")
     faces = emb.trace_faces(g)
     assert len(faces) == 8
-    assert all(f.degree == 3 for f in faces)
+    assert all(len(f) == 3 for f in faces)
 
 
 def test_faces_icosahedron():
     g = gen.named_graph("icosahedron")
     faces = emb.trace_faces(g)
     assert len(faces) == 20
-    assert all(f.degree == 3 for f in faces)
+    assert all(len(f) == 3 for f in faces)
 
 
 def test_faces_cycle():
     g = gen.gen_cycle(5)
     faces = emb.trace_faces(g)
-    assert sorted(f.degree for f in faces) == [5, 5]
+    assert sorted(len(f) for f in faces) == [5, 5]
 
 
 def test_euler_formula_corpus(corpus_large, corpus_small):
@@ -93,7 +95,7 @@ def test_euler_formula_corpus(corpus_large, corpus_small):
 
 def test_face_incidence_sum(corpus_small):
     for g in corpus_small:
-        assert sum(f.degree for f in emb.trace_faces(g)) == 2 * g.m
+        assert sum(len(f) for f in emb.trace_faces(g)) == 2 * g.m
 
 
 def _graphs_with_cut_vertices():
@@ -101,14 +103,41 @@ def _graphs_with_cut_vertices():
     return small + single_deletions(small)
 
 
+def _walk_corners(face):
+    """The corners (f[i] -> f[i+1]) of a face walk, read cyclically."""
+    return list(zip(face, face[1:] + face[:1]))
+
+
 def test_face_index_covers_every_corner_once():
     for g in _graphs_with_cut_vertices():
         faces = emb.trace_faces(g)
-        walked = sorted(c for f in faces for c in f.corners)
+        assert [_walk_corners(f) for f in faces] == face_corners_scan(g)
+        walked = sorted(c for f in faces for c in _walk_corners(f))
         assert walked == sorted((u, v) for u in range(g.n)
                                 for v in g.rotation[u])
         for i, f in enumerate(faces):
-            assert all(emb.face_of_corner(g, u, v) == i for u, v in f.corners)
+            assert all(g._face_at[u][g.rotation[u].index(v)] == i
+                       for u, v in _walk_corners(f))
+
+
+def test_add_edge_takes_first_visit_corner():
+    """On a face that visits some vertex twice, the chord between any two
+    non-adjacent vertices of the face goes in at each end's first corner in
+    walk order."""
+    checked = 0
+    for g in _graphs_with_cut_vertices() + [bowtie(), bridge()]:
+        for fi, corners in enumerate(face_corners_scan(g)):
+            walk = [a for a, _ in corners]
+            if len(set(walk)) == len(walk):
+                continue
+            on_face = sorted(set(walk))
+            for i, u in enumerate(on_face):
+                for v in on_face[i + 1:]:
+                    if not g.adjacent(u, v):
+                        assert (emb.mutate_add_edge(g, u, v, fi)
+                                == add_chord_first_visit(g, u, v, fi))
+                        checked += 1
+    assert checked >= 2000
 
 
 def test_add_edge_any_face_matches_scan():
@@ -189,7 +218,7 @@ def test_contract_edge_on_bridge():
 
 def test_induced_subgraph():
     g = gen.named_graph("octahedron")
-    tri = sorted(emb.trace_faces(g)[0].vertices())
+    tri = sorted(emb.trace_faces(g)[0])
     sub, id_map = emb.induced_subgraph(g, tri)
     assert sub.n == 3 and sub.m == 3
     assert set(id_map) == set(tri)
@@ -215,6 +244,9 @@ K3 = "n 3\n0: 1 2\n1: 2 0\n2: 0 1\n"
     (K3 + "1: 2 0\n", err.DuplicateRow),
     (K3.replace("n 3", "n 3 9"), err.UnknownVertex),
     (K3 + "n 3\n", err.DuplicateRow),
+    (K3.replace("n 3", "n 5"), err.UnknownVertex),
+    (K3.replace("n 3", "n 1000000000000"), err.UnknownVertex),
+    ("n 1\n", err.UnknownVertex),
 ])
 def test_from_pg_rejects_bad_rows(text, error):
     with pytest.raises(error):
@@ -239,4 +271,4 @@ def test_mutations_preserve_planarity(seed):
 @given(st.integers(3, 40))
 def test_cycle_faces(n):
     g = gen.gen_cycle(n)
-    assert [f.degree for f in emb.trace_faces(g)] == [n, n]
+    assert [len(f) for f in emb.trace_faces(g)] == [n, n]

@@ -35,7 +35,7 @@ def test_wegner_square_clique():
 def test_stacked_triangulation():
     g = gen.gen_stacked_triangulation(50, 7)
     assert g.n == 50 and g.m == 3 * 50 - 6
-    assert all(f.degree == 3 for f in emb.trace_faces(g))
+    assert all(len(f) == 3 for f in emb.trace_faces(g))
 
 
 def test_stacked_deterministic():

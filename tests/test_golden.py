@@ -17,7 +17,7 @@ from unittest import mock
 
 import pytest
 
-from conftest import cube, double_pocket, glue_pocket, stingy_dsatur
+from conftest import bridge, cube, double_pocket, glue_pocket, stingy_dsatur
 from psc import cli
 from psc import coloring as col
 from psc import embedding as emb
@@ -35,15 +35,13 @@ def golden_graphs():
     large = gen.gen_corpus(3, (20, 60), 9, 101)
     small = gen.gen_corpus(2, (12, 50), 3, 102, delta_max=6)
     pocket = glue_pocket(gen.gen_stacked_triangulation(22, 3), 0, 1)
-    bridge = emb.from_pg("n 7\n0: 1 2\n1: 3 4 0\n2: 0 5 6\n3: 4 1\n"
-                         "4: 1 3\n5: 6 2\n6: 2 5\n")
     rows = [f"{i}: {(i + 1) % 11} 11 {(i - 1) % 11} 12" for i in range(11)]
     rows += ["11: " + " ".join(map(str, range(11))),
              "12: " + " ".join(map(str, range(10, -1, -1)))]
     bipyramid11 = emb.from_pg("\n".join(["n 13", *rows, ""]))
     return {"large0": large[0], "large1": large[1], "large2": large[2],
             "small0": small[0], "small1": small[1], "pocket": pocket,
-            "cube": cube(), "bridge": bridge, "bipyramid11": bipyramid11,
+            "cube": cube(), "bridge": bridge(), "bipyramid11": bipyramid11,
             "double_pocket": double_pocket()}
 
 
