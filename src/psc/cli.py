@@ -34,6 +34,14 @@ def _seed(args):
     return DEFAULT_SEED
 
 
+def positive_int(text):
+    """argparse type for --budget: a palette needs at least one color."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _budget(g, palette):
     b = Budget.for_graph(g)
     return b if palette is None else dataclasses.replace(b, palette_size=palette)
@@ -234,7 +242,7 @@ def make_parser():
     sp = sub.add_parser("color", help="color the square of a graph")
     sp.add_argument("--mode", default="constructive",
                     choices=["greedy", "dsatur", "constructive", "exact"])
-    sp.add_argument("--budget", type=int, default=None)
+    sp.add_argument("--budget", type=positive_int, default=None)
     sp.add_argument("--timeout", type=float, default=60.0)
     sp.add_argument("--json", action="store_true")
     sp.add_argument("-o", "--output", default=None)
@@ -249,7 +257,7 @@ def make_parser():
 
     sp = sub.add_parser("detect", help="find reducible configurations")
     sp.add_argument("--all", action="store_true")
-    sp.add_argument("--budget", type=int, default=None)
+    sp.add_argument("--budget", type=positive_int, default=None)
     sp.add_argument("-o", "--output", default=None)
     sp.add_argument("input", help="input .pg graph file")
     sp.set_defaults(fn=cmd_detect)

@@ -3,6 +3,7 @@ exact branch-and-bound chi_2 oracle for desk-scale graphs."""
 
 from __future__ import annotations
 
+import heapq
 import json
 import re
 import time
@@ -62,7 +63,13 @@ def verify(g, coloring):
     """True iff exactly the vertices of g are colored, all in 1..palette,
     and all distance-<=2 pairs differ; on failure also returns one
     violating pair, or (v, v) for a vertex v without a color, or a key v
-    that is not a vertex of g or whose color is outside the palette."""
+    that is not a vertex of g or whose color is outside the palette.
+
+    Two vertices are at distance <= 2 exactly when both lie in one closed
+    neighborhood N[x], so the coloring is valid iff every N[x] is rainbow,
+    a test in O(sum of degrees).  Only when it fails does the
+    O(sum of squared degrees) scan over each vertex's distance-2 ball run,
+    to name a violating pair: the first (v, u), u > v, that it meets."""
     col = coloring.color_of
     for v in range(g.n):
         if v not in col:
@@ -70,27 +77,35 @@ def verify(g, coloring):
     for v, c in col.items():
         if not (0 <= v < g.n and 1 <= c <= coloring.palette_size):
             return False, (v, v)
-    for v in range(g.n):
-        for u in emb.dist2_neighborhood(g, v):
-            if u > v and col[u] == col[v]:
-                return False, (v, u)
-    return True, None
+    if all(len({col[x], *(col[u] for u in g.neighbors(x))}) == g.degree(x) + 1
+           for x in range(g.n)):
+        return True, None
+    return False, next((v, u) for v in range(g.n)
+                       for u in emb.dist2_neighborhood(g, v)
+                       if u > v and col[u] == col[v])
 
 
 def smallest_last_order(g):
     """Degeneracy (smallest-last) order of the base graph: reversed removal
-    order by repeatedly deleting a minimum-degree vertex."""
+    order by repeatedly deleting a vertex of minimum (degree, id).  A lazy
+    min-heap of (degree, id) gets one push per degree decrement, O(m log n).
+    Degrees only fall, so a vertex's first pop carries its current degree
+    and its later, stale entries are skipped as removed."""
     deg = [g.degree(v) for v in range(g.n)]
+    heap = [(d, v) for v, d in enumerate(deg)]
+    heapq.heapify(heap)
     removed = [False] * g.n
     order = []
-    for _ in range(g.n):
-        v = min((x for x in range(g.n) if not removed[x]),
-                key=lambda x: (deg[x], x))
+    while heap:
+        _, v = heapq.heappop(heap)
+        if removed[v]:
+            continue
         removed[v] = True
         order.append(v)
         for u in g.neighbors(v):
             if not removed[u]:
                 deg[u] -= 1
+                heapq.heappush(heap, (deg[u], u))
     order.reverse()
     return order
 
@@ -110,24 +125,59 @@ def greedy_color(g):
 
 def dsatur_color(sq, budget=None):
     """DSATUR on the square graph; ties broken by higher square degree then
-    lower id.  Returns None when the palette budget is exceeded."""
-    n = len(sq.adj)
+    lower id.  Returns None when the palette budget is exceeded.
+
+    Brelaz's bucket queue: the vertices are ranked once by (-degree, id),
+    so the tie-break is the lowest rank, and buckets[s] holds the ranks of
+    the uncolored vertices of saturation s.  A color new to an uncolored
+    neighbor moves its rank up one bucket, so a square of m edges costs
+    O(n + m) set operations plus one min() over the top bucket per vertex.
+    A bucket that empties is replaced by a fresh set: a set never shrinks
+    its table, and on dense squares every bucket fills to about n before it
+    drains."""
+    adj = sq.adj
+    n = len(adj)
+    by_rank = sorted(range(n), key=lambda v: (-len(adj[v]), v))
+    rank = [0] * n
+    for r, v in enumerate(by_rank):
+        rank[v] = r
+    sat = [set() for _ in range(n)]  # None once the vertex is colored
+    buckets = [set(range(n))]  # one per saturation 0..palette
     col = {}
-    sat = [set() for _ in range(n)]
-    uncolored = set(range(n))
-    palette = 0
-    while uncolored:
-        v = max(uncolored, key=lambda x: (len(sat[x]), len(sq.adj[x]), -x))
+    palette = top = 0
+    for _ in range(n):
+        while not buckets[top]:
+            top -= 1
+        b = buckets[top]
+        r = min(b)
+        b.discard(r)
+        if not b:
+            buckets[top] = set()
+        v = by_rank[r]
         c = 1
         while c in sat[v]:
             c += 1
         if budget is not None and c > budget:
             return None
         col[v] = c
-        palette = max(palette, c)
-        uncolored.discard(v)
-        for u in sq.adj[v]:
-            sat[u].add(c)
+        if c > palette:
+            palette = c
+            buckets.append(set())
+        sat[v] = None
+        for u in adj[v]:
+            su = sat[u]
+            if su is None or c in su:
+                continue
+            s = len(su)
+            su.add(c)
+            r = rank[u]
+            b = buckets[s]
+            b.discard(r)
+            if not b:
+                buckets[s] = set()
+            buckets[s + 1].add(r)
+            if s >= top:
+                top = s + 1
     return SquareColoring(palette, col)
 
 

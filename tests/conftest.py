@@ -8,6 +8,7 @@ from psc import embedding as emb
 from psc import generators as gen
 from psc import coloring as col
 from psc import reducer as red
+from psc.coloring import SquareColoring
 from psc.errors import NotOnSameFace, WouldDisconnect
 
 
@@ -77,6 +78,72 @@ def find_edge_separator_scan(g):
                 recipe={"op": "split", "u": u, "v": v,
                         "component": sorted(comp)})
     return None
+
+
+def verify_scan(g, coloring):
+    """Oracle for coloring.verify: the distance-2 ball of every vertex is
+    scanned, O(sum of squared degrees).  True iff exactly the vertices of g
+    are colored, all in 1..palette, and all distance-<=2 pairs differ; on
+    failure also returns one violating pair, or (v, v) for a vertex v
+    without a color, or a key v that is not a vertex of g or whose color is
+    outside the palette."""
+    col = coloring.color_of
+    for v in range(g.n):
+        if v not in col:
+            return False, (v, v)
+    for v, c in col.items():
+        if not (0 <= v < g.n and 1 <= c <= coloring.palette_size):
+            return False, (v, v)
+    for v in range(g.n):
+        for u in emb.dist2_neighborhood(g, v):
+            if u > v and col[u] == col[v]:
+                return False, (v, u)
+    return True, None
+
+
+def smallest_last_order_scan(g):
+    """Oracle for coloring.smallest_last_order: each removal scans every
+    remaining vertex, O(n^2).  Degeneracy (smallest-last) order of the base
+    graph: reversed removal order by repeatedly deleting a minimum-degree
+    vertex."""
+    deg = [g.degree(v) for v in range(g.n)]
+    removed = [False] * g.n
+    order = []
+    for _ in range(g.n):
+        v = min((x for x in range(g.n) if not removed[x]),
+                key=lambda x: (deg[x], x))
+        removed[v] = True
+        order.append(v)
+        for u in g.neighbors(v):
+            if not removed[u]:
+                deg[u] -= 1
+    order.reverse()
+    return order
+
+
+def dsatur_color_scan(sq, budget=None):
+    """Oracle for coloring.dsatur_color: each step scans every uncolored
+    vertex, O(n^2).  DSATUR on the square graph; ties broken by higher
+    square degree then lower id.  Returns None when the palette budget is
+    exceeded."""
+    n = len(sq.adj)
+    col = {}
+    sat = [set() for _ in range(n)]
+    uncolored = set(range(n))
+    palette = 0
+    while uncolored:
+        v = max(uncolored, key=lambda x: (len(sat[x]), len(sq.adj[x]), -x))
+        c = 1
+        while c in sat[v]:
+            c += 1
+        if budget is not None and c > budget:
+            return None
+        col[v] = c
+        palette = max(palette, c)
+        uncolored.discard(v)
+        for u in sq.adj[v]:
+            sat[u].add(c)
+    return SquareColoring(palette, col)
 
 
 def bowtie():

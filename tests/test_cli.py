@@ -213,7 +213,8 @@ def test_detect_budget_override(tri, capsys):
     assert capsys.readouterr().out == cat.report_json(ws) + "\n"
 
 
-# flags a subcommand does not read are rejected, not ignored
+# flags a subcommand does not read, and values out of range (a budget
+# below 1), are rejected, not ignored
 @pytest.mark.parametrize("argv", [
     ["gen", "--family", "k4", "--json"],
     ["color", "--seed", "1", "{g}"],
@@ -227,6 +228,10 @@ def test_detect_budget_override(tri, capsys):
     ["gen", "--family", "foo"],
     ["corpus", "--n", "0"],
     ["corpus", "--n", "-3", "--json"],
+    ["color", "--budget", "0", "{g}"],
+    ["color", "--mode", "greedy", "--budget", "0", "{g}"],
+    ["color", "--budget", "x", "{g}"],
+    ["detect", "--budget", "-5", "{g}"],
 ], ids=" ".join)
 def test_unsupported_flag_exit_2(tmp_path, argv):
     paths = {"{g}": tmp_path / "k4.pg", "{c}": tmp_path / "c.json",

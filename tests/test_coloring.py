@@ -1,4 +1,5 @@
 import pytest
+from conftest import dsatur_color_scan, smallest_last_order_scan, verify_scan
 from hypothesis import given, settings, strategies as st
 
 from psc import coloring as col
@@ -57,6 +58,83 @@ def test_dsatur_budget_overflow():
     g = gen.gen_cycle(5)  # square is K5
     assert col.dsatur_color(emb.square(g), budget=4) is None
     assert col.dsatur_color(emb.square(g), budget=5) is not None
+
+
+def test_dsatur_tie_break_pinned():
+    # the path 0-1-2-3-4: square degrees 2, 3, 4, 3, 2.  At equal saturation
+    # 2 goes first on degree, 1 before 3 on id, then 3 (degree 3) before 0
+    # (degree 2, lower id), then 0 before 4 on id
+    g = emb.from_pg("n 5\n0: 1\n1: 0 2\n2: 1 3\n3: 2 4\n4: 3\n")
+    c = col.dsatur_color(emb.square(g))
+    assert list(c.color_of.items()) == [(2, 1), (1, 2), (3, 3), (0, 3), (4, 2)]
+
+
+def _color_large_families(n=600, seed=7):
+    """One graph per Delta >= 9 family of the color-large benchmark."""
+    p = n // 3 - 1
+    return [gen.gen_hub_triple(p, p, p, True),
+            gen.gen_stacked_triangulation(n, seed),
+            gen._gen_dense_mixed(n, seed), gen._gen_grown_sparse(n, seed)]
+
+
+def _planted_clashes(g, coloring):
+    """Copies of the coloring in which a vertex v passes its color to one
+    neighbour and to one vertex at distance exactly 2, for a spread of v."""
+    out = []
+    for v in range(0, g.n, max(1, g.n // 6)):
+        near = g.neighbors(v)
+        far = emb.dist2_neighborhood(g, v) - near
+        for u in (min(near, default=None), min(far, default=None)):
+            if u is not None:
+                colors = dict(coloring.color_of)
+                colors[u] = colors[v]
+                out.append(col.SquareColoring(coloring.palette_size, colors))
+    return out
+
+
+def _in_order(c):
+    """The palette and the (vertex, color) pairs in the order DSATUR chose
+    them, or None for a refused budget."""
+    return c and (c.palette_size, list(c.color_of.items()))
+
+
+def _assert_matches_scans(g):
+    """The near-linear coloring functions give exactly the scan oracles'
+    results: the same order, the same colors chosen in the same sequence
+    under every budget, and the same (ok, pair) from verify."""
+    assert col.smallest_last_order(g) == smallest_last_order_scan(g)
+    sq = emb.square(g)
+    for budget in (None, 2 * g.max_degree() + 7, 12, 5, 1):
+        assert (_in_order(col.dsatur_color(sq, budget))
+                == _in_order(dsatur_color_scan(sq, budget)))
+    valid = [col.dsatur_color(sq), col.greedy_color(g)]
+    for c in valid:
+        assert col.verify(g, c) == verify_scan(g, c) == (True, None)
+    for c in _planted_clashes(g, valid[0]):
+        got = col.verify(g, c)
+        assert not got[0] and got == verify_scan(g, c)
+
+
+def test_coloring_matches_scans_corpora(corpus_large, corpus_small):
+    for g in corpus_large + corpus_small:
+        _assert_matches_scans(g)
+
+
+def test_coloring_matches_scans_families():
+    graphs = (_color_large_families()
+              + [gen.gen_wegner(d) for d in range(3, 16, 2)]
+              + [gen.gen_grid(r, c) for r, c in ((2, 2), (3, 5), (7, 7))]
+              + [gen.gen_cycle(n) for n in (3, 4, 5, 9)])
+    for g in graphs:
+        _assert_matches_scans(g)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 10**6), st.booleans())
+def test_coloring_matches_scans_hypothesis(seed, large):
+    g = gen.gen_corpus(1, (5, 150), 9 if large else 3, seed,
+                       delta_max=None if large else 6)[0]
+    _assert_matches_scans(g)
 
 
 def test_exact_known_values():
