@@ -10,6 +10,7 @@ import argparse
 import concurrent.futures
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -35,10 +36,21 @@ def _seed(args):
 
 
 def positive_int(text):
-    """argparse type for --budget: a palette needs at least one color."""
+    """argparse type for --budget (a palette needs at least one color) and
+    --base-limit (a base case has at least one vertex)."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def positive_seconds(text):
+    """argparse type for --timeout: a positive finite number of seconds.
+    A nan deadline never passes, so it would disable the limit."""
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive finite number, got {text}")
     return value
 
 
@@ -85,13 +97,16 @@ def cmd_gen(args):
 
 
 def cmd_color(args):
+    if args.base_limit is not None and args.mode != "constructive":
+        raise PscError("--base-limit needs --mode constructive")
     g = _read_graph(args.input)
     budget = args.budget
     trace = None
     if args.mode == "constructive":
         b = _budget(g, budget)
         try:
-            coloring, trace = red.color_within_budget(g, b)
+            coloring, trace = red.color_within_budget(
+                g, b, base_limit=args.base_limit)
         except (ExtensionStuck, MergeInfeasible) as e:
             print(f"error: {e}", file=sys.stderr)
             return 1
@@ -243,7 +258,10 @@ def make_parser():
     sp.add_argument("--mode", default="constructive",
                     choices=["greedy", "dsatur", "constructive", "exact"])
     sp.add_argument("--budget", type=positive_int, default=None)
-    sp.add_argument("--timeout", type=float, default=60.0)
+    sp.add_argument("--base-limit", type=positive_int, default=None,
+                    help="try DSATUR only on graphs of at most this many "
+                         "vertices; reduce larger ones (constructive only)")
+    sp.add_argument("--timeout", type=positive_seconds, default=60.0)
     sp.add_argument("--json", action="store_true")
     sp.add_argument("-o", "--output", default=None)
     sp.add_argument("input", help="input .pg graph file")

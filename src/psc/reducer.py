@@ -3,8 +3,10 @@
 The graph is repeatedly reduced (vertex deletions, chord additions, or an
 edge-separator split) following the first catalog witness in priority order,
 until DSATUR on the square fits the palette budget; colorings are then
-extended back step by step.  Every run is deterministic and produces a
-replayable trace.
+extended back step by step.  A base limit makes the base case explicit:
+DSATUR is tried only on graphs of at most that many vertices, and larger
+ones are always reduced, as in the paper's induction.  Every run is
+deterministic and produces a replayable trace.
 """
 
 from __future__ import annotations
@@ -31,13 +33,15 @@ class ReductionTrace:
         return "".join(json.dumps(r) + "\n" for r in self.to_obj())
 
 
-def color_within_budget(g, budget=None):
+def color_within_budget(g, budget=None, base_limit=None):
     """Verified square coloring within the proven palette budget, plus the
-    reduction trace that produced it."""
+    reduction trace that produced it.  With a base_limit, DSATUR colors
+    only graphs of at most base_limit vertices; the default tries it on
+    every graph."""
     if budget is None:
         budget = Budget.for_graph(g)
     trace = ReductionTrace()
-    mapping = _solve(g, budget, trace.steps, trace)
+    mapping = _solve(g, budget, base_limit, trace.steps, trace)
     palette = max(mapping.values(), default=1)
     coloring = col.SquareColoring(palette, mapping)
     ok, pair = col.verify(g, coloring)
@@ -49,7 +53,7 @@ def color_within_budget(g, budget=None):
     return coloring, trace
 
 
-def _solve(g, budget, steps, trace):
+def _solve(g, budget, base_limit, steps, trace):
     """Color one connected graph within the budget; returns vertex -> color.
 
     Chain reductions (delete / add edge) are handled iteratively; only
@@ -60,7 +64,9 @@ def _solve(g, budget, steps, trace):
     digest = f"{emb.graph_digest(g):016x}"
     mapping = None
     while True:
-        base = col.dsatur_color(emb.square(current), budget.palette_size)
+        base = None
+        if base_limit is None or current.n <= base_limit:
+            base = col.dsatur_color(emb.square(current), budget.palette_size)
         if base is not None:
             trace.terminal = {"n": current.n, "palette": base.palette_size,
                               "digest": digest}
@@ -77,7 +83,8 @@ def _solve(g, budget, steps, trace):
             step["after"] = None
             step["extension"] = "merge"
             steps.append(step)
-            mapping = _merge_separator(current, w, budget, steps, trace)
+            mapping = _merge_separator(current, w, budget, base_limit,
+                                       steps, trace)
             break
         if op == "add_edge":
             nxt = emb.mutate_add_edge(
@@ -134,7 +141,7 @@ def _extend(before, v, id_map, mapping, budget, step):
         f"{budget.palette_size} (witness {step['witness']['kind']})")
 
 
-def _merge_separator(g, w, budget, steps, trace):
+def _merge_separator(g, w, budget, base_limit, steps, trace):
     u, v = w.recipe["u"], w.recipe["v"]
     comp = w.recipe["component"]
     part1 = sorted(set(comp) | {u, v})
@@ -142,8 +149,8 @@ def _merge_separator(g, w, budget, steps, trace):
     g1, map1 = emb.induced_subgraph(g, part1)
     g2, map2 = emb.induced_subgraph(g, part2)
     sub1, sub2 = [], []
-    m1 = _solve(g1, budget, sub1, trace)
-    m2 = _solve(g2, budget, sub2, trace)
+    m1 = _solve(g1, budget, base_limit, sub1, trace)
+    m2 = _solve(g2, budget, base_limit, sub2, trace)
     steps.append({"split_parts": [sub1, sub2]})
     col1 = _normalize_uv({x: m1[map1[x]] for x in part1}, u, v)
     col2 = _normalize_uv({x: m2[map2[x]] for x in part2}, u, v)

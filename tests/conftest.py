@@ -6,7 +6,6 @@ import pytest
 from psc import catalog as cat
 from psc import embedding as emb
 from psc import generators as gen
-from psc import coloring as col
 from psc import reducer as red
 from psc.coloring import SquareColoring
 from psc.errors import NotOnSameFace, WouldDisconnect
@@ -49,19 +48,6 @@ def cube():
     """The 3-cube: cubic, all faces 4-faces, no vertex of degree 1 or 2."""
     return emb.build(8, [[1, 3, 4], [2, 0, 5], [3, 1, 6], [0, 2, 7],
                          [7, 5, 0], [4, 6, 1], [5, 7, 2], [6, 4, 3]])
-
-
-_real_dsatur = col.dsatur_color
-
-
-def stingy_dsatur(limit):
-    """A DSATUR stand-in that refuses graphs above `limit` vertices, forcing
-    the reducer down the reduction path with the true palette budget."""
-    def f(sq, budget=None):
-        if len(sq.adj) > limit:
-            return None
-        return _real_dsatur(sq, budget)
-    return f
 
 
 def find_edge_separator_scan(g):
@@ -223,7 +209,7 @@ def single_deletions(graphs):
 @pytest.fixture(scope="session")
 def forced_intermediates(corpus_small):
     """(graph, budget) for every graph the reducer searched for a witness
-    in two forced reductions (DSATUR refused above 6 vertices)."""
+    in two forced reductions (base case of at most 6 vertices)."""
     seen = []
     real = cat.find_first_witness
 
@@ -232,9 +218,8 @@ def forced_intermediates(corpus_small):
         return real(g, budget)
 
     for g in (gen.gen_stacked_triangulation(40, 5), corpus_small[0]):
-        with mock.patch.object(col, "dsatur_color", stingy_dsatur(6)), \
-                mock.patch.object(cat, "find_first_witness", recording):
-            red.color_within_budget(g)
+        with mock.patch.object(cat, "find_first_witness", recording):
+            red.color_within_budget(g, base_limit=6)
     return seen
 
 

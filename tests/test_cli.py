@@ -4,10 +4,8 @@ from unittest import mock
 
 import pytest
 
-from conftest import stingy_dsatur
 from psc import catalog as cat
 from psc import cli
-from psc import coloring as col
 from psc import discharge as dis
 from psc import embedding as emb
 from psc import generators as gen
@@ -195,9 +193,8 @@ def test_color_budget_not_met_exit_1(tmp_path, capsys):
 
 
 def test_no_witness_dumps_graph(tri, capsys):
-    with mock.patch.object(col, "dsatur_color", stingy_dsatur(6)), \
-            mock.patch.object(cat, "find_first_witness", lambda g, b: None):
-        assert run(["color", str(tri)]) == 2
+    with mock.patch.object(cat, "find_first_witness", lambda g, b: None):
+        assert run(["color", "--base-limit", "6", str(tri)]) == 2
     err = capsys.readouterr().err
     head, _, dump = err.partition("\n")
     assert head.startswith("error: no reducible configuration")
@@ -213,8 +210,9 @@ def test_detect_budget_override(tri, capsys):
     assert capsys.readouterr().out == cat.report_json(ws) + "\n"
 
 
-# flags a subcommand does not read, and values out of range (a budget
-# below 1), are rejected, not ignored
+# flags a subcommand does not read, and values out of range (a budget or
+# base limit below 1, a timeout that is not a positive finite number), are
+# rejected, not ignored
 @pytest.mark.parametrize("argv", [
     ["gen", "--family", "k4", "--json"],
     ["color", "--seed", "1", "{g}"],
@@ -232,6 +230,12 @@ def test_detect_budget_override(tri, capsys):
     ["color", "--mode", "greedy", "--budget", "0", "{g}"],
     ["color", "--budget", "x", "{g}"],
     ["detect", "--budget", "-5", "{g}"],
+    ["color", "--base-limit", "0", "{g}"],
+    ["color", "--mode", "dsatur", "--base-limit", "3", "{g}"],
+    ["color", "--mode", "exact", "--timeout", "nan", "{g}"],
+    ["color", "--mode", "exact", "--timeout", "inf", "{g}"],
+    ["color", "--mode", "exact", "--timeout", "0", "{g}"],
+    ["color", "--mode", "exact", "--timeout", "-1", "{g}"],
 ], ids=" ".join)
 def test_unsupported_flag_exit_2(tmp_path, argv):
     paths = {"{g}": tmp_path / "k4.pg", "{c}": tmp_path / "c.json",

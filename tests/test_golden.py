@@ -1,7 +1,7 @@
 """Golden digests of the catalog-driven CLI outputs.
 
 The sha256 of `detect`, `detect --all`, `audit --json` and a forced
-constructive run (DSATUR refused above 6 vertices) is pinned for seeded
+constructive run (`--base-limit 6`) is pinned for seeded
 graphs from both regimes, so any change to detection order, witness
 content or reduction traces shows up as a digest mismatch.  The bridge
 graph is the one input whose reduction contracts an edge, because deleting
@@ -13,13 +13,11 @@ components, so its split component is a union of two of them.
 """
 
 import hashlib
-from unittest import mock
 
 import pytest
 
-from conftest import bridge, cube, double_pocket, glue_pocket, stingy_dsatur
+from conftest import bridge, cube, double_pocket, glue_pocket
 from psc import cli
-from psc import coloring as col
 from psc import embedding as emb
 from psc import generators as gen
 
@@ -27,7 +25,7 @@ COMMANDS = (
     ["detect"],
     ["detect", "--all"],
     ["audit", "--json"],
-    ["color", "--mode", "constructive"],
+    ["color", "--mode", "constructive", "--base-limit", "6"],
 )
 
 
@@ -51,8 +49,7 @@ def digests(g, tmp_path):
     out = []
     for i, argv in enumerate(COMMANDS):
         dest = tmp_path / f"{i}.out"
-        with mock.patch.object(col, "dsatur_color", stingy_dsatur(6)):
-            code = cli.main([*argv, str(path), "-o", str(dest)])
+        code = cli.main([*argv, str(path), "-o", str(dest)])
         body = dest.read_bytes() if dest.exists() else b""
         out.append(hashlib.sha256(f"exit={code}\n".encode() + body).hexdigest())
     return tuple(out)

@@ -1,11 +1,10 @@
 import itertools
 import json
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import glue_pocket, stingy_dsatur
+from conftest import bridge, cube, double_pocket, glue_pocket
 from psc import coloring as col
 from psc import embedding as emb
 from psc import generators as gen
@@ -14,12 +13,28 @@ from psc.budgets import SMALL, Budget
 from psc.errors import MergeInfeasible
 
 
-def collect_kinds(steps, out):
+def applied_kinds(steps):
+    """The witness kinds of the steps, split parts included."""
+    out = set()
     for s in steps:
         if "witness" in s:
             out.add(s["witness"]["kind"])
         for part in s.get("split_parts", []):
-            collect_kinds(part, out)
+            out |= applied_kinds(part)
+    return out
+
+
+def forced(g, base_limit):
+    """Color g with DSATUR tried only on graphs of at most base_limit
+    vertices.  Checks that g was reduced at least once, that the run ended
+    at a base case, and that the coloring is valid within the budget;
+    returns the trace."""
+    c, tr = red.color_within_budget(g, base_limit=base_limit)
+    assert col.verify(g, c)[0]
+    assert c.palette_size <= Budget.for_graph(g).palette_size
+    assert tr.steps
+    assert tr.terminal["n"] <= base_limit
+    return tr
 
 
 def test_base_case_named():
@@ -41,22 +56,14 @@ def test_corpus_within_budget(corpus_large, corpus_small):
 def test_forced_reduction_large(corpus_large):
     kinds = set()
     for g in corpus_large[:12]:
-        with mock.patch.object(col, "dsatur_color", stingy_dsatur(6)):
-            c, tr = red.color_within_budget(g)
-        assert col.verify(g, c)[0]
-        assert c.palette_size <= Budget.for_graph(g).palette_size
-        collect_kinds(tr.steps, kinds)
-    assert tr.steps  # reductions actually happened
+        kinds |= applied_kinds(forced(g, 6).steps)
+    assert {"Deg2", "Deg3SmallNbr", "Deg3TwoTriangles"} <= kinds
 
 
 def test_forced_reduction_small(corpus_small):
     kinds = set()
     for g in corpus_small[:12]:
-        with mock.patch.object(col, "dsatur_color", stingy_dsatur(4)):
-            c, tr = red.color_within_budget(g)
-        assert col.verify(g, c)[0]
-        assert c.palette_size <= 21
-        collect_kinds(tr.steps, kinds)
+        kinds |= applied_kinds(forced(g, 4).steps)
     assert kinds  # at least one catalog kind exercised
 
 
@@ -64,42 +71,54 @@ def test_forced_reduction_triangulations():
     kinds = set()
     for seed in range(6):
         g = gen.gen_stacked_triangulation(35 + seed, seed)
-        with mock.patch.object(col, "dsatur_color", stingy_dsatur(5)):
-            c, tr = red.color_within_budget(g)
-        assert col.verify(g, c)[0]
-        assert c.palette_size <= Budget.for_graph(g).palette_size
-        collect_kinds(tr.steps, kinds)
+        kinds |= applied_kinds(forced(g, 5).steps)
     assert "Deg3SmallNbr" in kinds
 
 
 def test_split_and_merge():
     g = glue_pocket(gen.gen_stacked_triangulation(22, 3), 0, 1)
-    with mock.patch.object(col, "dsatur_color", stingy_dsatur(5)):
-        c, tr = red.color_within_budget(g)
-    assert col.verify(g, c)[0]
-    kinds = set()
-    collect_kinds(tr.steps, kinds)
-    assert "EdgeSeparator" in kinds
+    assert "EdgeSeparator" in applied_kinds(forced(g, 5).steps)
 
 
 def test_small_split_and_merge():
-    g = glue_pocket(gen.named_graph("k4"), 0, 1)
-    with mock.patch.object(col, "dsatur_color", stingy_dsatur(3)):
-        c, tr = red.color_within_budget(g)
-    assert col.verify(g, c)[0] and c.palette_size <= 21
+    forced(glue_pocket(gen.named_graph("k4"), 0, 1), 3)
+
+
+def induction_graphs(corpus_large, corpus_small):
+    k1 = emb.from_pg("n 1\n0:\n")
+    k2 = emb.from_pg("n 2\n0: 1\n1: 0\n")
+    triangle = emb.from_pg("n 3\n0: 1 2\n1: 2 0\n2: 0 1\n")
+    return (corpus_large[:12] + corpus_small[:12]
+            + [k1, k2, triangle, bridge(), cube(), double_pocket()])
+
+
+def test_induction_without_dsatur(corpus_large, corpus_small):
+    # with base_limit=1 DSATUR only ever colors K1: every other graph is
+    # reduced, as in the paper's induction
+    kinds = set()
+    for g in induction_graphs(corpus_large, corpus_small):
+        c, tr = red.color_within_budget(g, base_limit=1)
+        assert tr.terminal["n"] == 1
+        assert col.verify(g, c)[0]
+        assert c.palette_size <= Budget.for_graph(g).palette_size
+        kinds |= applied_kinds(tr.steps)
+    assert "Deg1" in kinds
+
+
+def test_base_limit_at_n_is_default(corpus_large, corpus_small):
+    for g in induction_graphs(corpus_large, corpus_small):
+        c1, t1 = red.color_within_budget(g, base_limit=g.n)
+        c2, t2 = red.color_within_budget(g)
+        assert c1.to_json() == c2.to_json()
+        assert t1.to_jsonl() == t2.to_jsonl()
 
 
 def test_contraction_fallback_on_bridge():
     # vertex 0 bridges two triangles; deleting it would disconnect the
     # graph, so the reduction contracts it into its anchor instead
-    g = emb.from_pg("n 7\n0: 1 2\n1: 3 4 0\n2: 0 5 6\n3: 4 1\n4: 1 3\n"
-                    "5: 6 2\n6: 2 5\n")
+    g = bridge()
     assert min(g.degree(v) for v in range(g.n)) == 2
-    with mock.patch.object(col, "dsatur_color", stingy_dsatur(2)):
-        c, tr = red.color_within_budget(g)
-    assert col.verify(g, c)[0]
-    assert c.palette_size <= 21
-    assert tr.steps
+    forced(g, 2)
 
 
 def test_avoiding_permutation_exhaustive():
@@ -132,18 +151,11 @@ def test_four_regular_quadrangulation():
            "16: 9 17 19 15\n17: 10 18 20 16\n18: 11 12 20 17\n"
            "19: 16 20 14 15\n20: 17 18 13 19\n")
     g = emb.from_pg(txt)
-    with mock.patch.object(col, "dsatur_color", stingy_dsatur(4)):
-        c, tr = red.color_within_budget(g)
-    assert col.verify(g, c)[0] and c.palette_size <= 21
-    kinds = set()
-    collect_kinds(tr.steps, kinds)
-    assert "FaceTwoSmall" in kinds
+    assert "FaceTwoSmall" in applied_kinds(forced(g, 4).steps)
 
 
 def test_trace_jsonl_format(corpus_large):
-    g = corpus_large[0]
-    with mock.patch.object(col, "dsatur_color", stingy_dsatur(6)):
-        _, tr = red.color_within_budget(g)
+    tr = forced(corpus_large[0], 6)
     lines = tr.to_jsonl().splitlines()
     assert json.loads(lines[-1])["terminal"]["palette"] >= 1
     for line in lines[:-1]:
@@ -153,9 +165,7 @@ def test_trace_jsonl_format(corpus_large):
 
 
 def test_trace_digests_chain(corpus_large):
-    g = corpus_large[1]
-    with mock.patch.object(col, "dsatur_color", stingy_dsatur(6)):
-        _, tr = red.color_within_budget(g)
+    tr = forced(corpus_large[1], 6)
     chain = [s for s in tr.steps if s.get("after")]
     for a, b in zip(chain, chain[1:]):
         assert a["after"] == b["before"]
@@ -194,7 +204,4 @@ def test_small_regime_degree_bound_is_six():
 @settings(max_examples=10, deadline=None)
 @given(st.integers(0, 10_000))
 def test_forced_reduction_sampled(seed):
-    g = gen.gen_corpus(1, (15, 50), 3, seed, delta_max=6)[0]
-    with mock.patch.object(col, "dsatur_color", stingy_dsatur(4)):
-        c, _ = red.color_within_budget(g)
-    assert col.verify(g, c)[0] and c.palette_size <= 21
+    forced(gen.gen_corpus(1, (15, 50), 3, seed, delta_max=6)[0], 4)
