@@ -14,50 +14,31 @@ from . import embedding as emb
 from .budgets import LARGE, SMALL, Budget
 from .errors import DeltaTooLarge
 
-AUDIT = "audit"   # both catalogs at once, for the discharging audit
 
-
-def _no_args(budget, found):
+def _no_args(budget):
     return ()
-
-
-def _face_cap_small(budget, found):
-    # the face argument applies once 1-/2-vertices are ruled out
-    if any(w.kind in ("Deg1", "Deg2") for w in found):
-        return None
-    return (budget.delta_context,)
 
 
 # The catalog: one row per detector, ordered by the lowest rank it emits.
 # A row holds the detector's name (looked up in this module at call time),
-# the kinds it emits with their reducer priority, and for each context it
-# runs in a function (budget, witnesses found so far) -> the detector's
-# arguments after g, or None to skip it.  The contexts are the two budget
-# regimes and AUDIT, which is run with the graph's own budget.
+# the kinds it emits with their reducer priority, the regimes it runs in,
+# and a function budget -> the detector's arguments after g.
 CATALOG = (
-    ("_low_degree_configs", {"Deg1": 0, "Deg2": 1},
-     {LARGE: _no_args, SMALL: _no_args, AUDIT: _no_args}),
-    ("find_edge_separator", {"EdgeSeparator": 2},
-     {LARGE: _no_args, SMALL: _no_args, AUDIT: _no_args}),
-    ("find_face_two_small", {"FaceTwoSmall": 3},
-     {LARGE: lambda b, found: (b.delta_context,), SMALL: _face_cap_small,
-      AUDIT: _no_args}),
+    ("_low_degree_configs", {"Deg1": 0, "Deg2": 1}, (LARGE, SMALL), _no_args),
+    ("find_edge_separator", {"EdgeSeparator": 2}, (LARGE, SMALL), _no_args),
+    ("find_face_two_small", {"FaceTwoSmall": 3}, (LARGE, SMALL),
+     lambda b: (b.delta_context,)),
     ("find_small_vertex_configs",
      {"Deg3SmallNbr": 4, "Deg3TwoTriangles": 5, "Deg3TriTwoSquares": 6,
-      "Deg4Tri5Tri": 7},
-     {LARGE: lambda b, found: (b.delta_context,), AUDIT: _no_args}),
+      "Deg4Tri5Tri": 7}, (LARGE,), lambda b: (b.delta_context,)),
     ("find_weak_configs_delta6",
-     {"W_Deg3Triangle": 4, "W_Deg4ThreeTriangles": 5, "W_Tri5": 6},
-     {SMALL: _no_args,
-      AUDIT: lambda b, found: () if b.regime == SMALL else None}),
-    ("find_generic_deletable",
-     {"GenericDeletable": 8, "W_GenericDeletable21": 8},
-     {LARGE: lambda b, found: (b.palette_size,),
-      SMALL: lambda b, found: (b.palette_size, "W_GenericDeletable21"),
-      AUDIT: lambda b, found: (b.palette_size,)}),
+     {"W_Deg3Triangle": 4, "W_Deg4ThreeTriangles": 5, "W_Tri5": 6}, (SMALL,),
+     _no_args),
+    ("find_generic_deletable", {"GenericDeletable": 8}, (LARGE, SMALL),
+     lambda b: (b.palette_size,)),
 )
 
-KIND_RANK = {kind: rank for _, kinds, _ in CATALOG
+KIND_RANK = {kind: rank for _, kinds, _, _ in CATALOG
              for kind, rank in kinds.items()}
 
 
@@ -136,10 +117,9 @@ def _smallest_component_without(g, u, v):
     return comp if len(comp) <= len(other) else other
 
 
-def find_face_two_small(g, delta_cap=None):
-    """A 4+ face carrying two non-adjacent vertices of degree below the
-    maximum degree, with the chord recipe."""
-    cap = delta_cap if delta_cap is not None else g.max_degree()
+def find_face_two_small(g, cap):
+    """A 4+ face carrying two non-adjacent vertices of degree below cap,
+    with the chord recipe."""
     faces = emb.trace_faces(g)
     for fi, face in enumerate(faces):
         if len(face) < 4:
@@ -178,10 +158,10 @@ def _low_degree_configs(g):
     return out
 
 
-def find_small_vertex_configs(g, delta_cap=None):
+def find_small_vertex_configs(g, cap):
     """All matches of the degree-3 and degree-4 forbidden configurations
-    (the degree-1/2 ones come from _low_degree_configs)."""
-    cap = delta_cap if delta_cap is not None else g.max_degree()
+    for maximum degree cap (the degree-1/2 ones come from
+    _low_degree_configs)."""
     faces = emb.trace_faces(g)
     found = []
     for v in range(g.n):
@@ -256,11 +236,11 @@ def deletable_vertex_check(g, v, budget):
     return True
 
 
-def find_generic_deletable(g, budget, kind="GenericDeletable"):
+def find_generic_deletable(g, budget):
     for v in range(g.n):
         if deletable_vertex_check(g, v, budget):
             return ConfigWitness(
-                kind=kind, actors=(v,), recipe={"op": "delete", "v": v})
+                kind="GenericDeletable", actors=(v,), recipe={"op": "delete", "v": v})
     return None
 
 
@@ -318,34 +298,34 @@ def find_weak_configs_delta6(g):
 # -- aggregation -------------------------------------------------------------
 
 def _run_row(detector, g, args):
-    """A row's witnesses as a list; args None skips the row."""
-    if args is None:
-        return []
+    """A row's witnesses as a list."""
     out = globals()[detector](g, *args)
     if isinstance(out, list):
         return out
     return [] if out is None else [out]
 
 
-def _detect(g, budget, context):
+def _detect(g, budget, regimes):
     found = []
-    for detector, _, args in CATALOG:
-        if context in args:
-            found += _run_row(detector, g, args[context](budget, found))
+    for detector, _, in_regimes, args in CATALOG:
+        if not regimes.isdisjoint(in_regimes):
+            found += _run_row(detector, g, args(budget))
     return sorted(found, key=_sort_key)
 
 
 def detect_all(g, budget=None):
-    """All witnesses of the catalog matching the budget context, sorted by
+    """All witnesses of the catalog rows of the budget's regime, sorted by
     reducer priority (kind rank, then smallest actors)."""
     if budget is None:
         budget = Budget.for_graph(g)
-    return _detect(g, budget, budget.regime)
+    return _detect(g, budget, {budget.regime})
 
 
 def detect_for_audit(g):
-    """Union of both catalogs' detectors, for audit cross-referencing."""
-    return _detect(g, Budget.for_graph(g), AUDIT)
+    """All witnesses of the rows of the graph's regime and of the large
+    regime, at the graph's own budget, for audit cross-referencing."""
+    budget = Budget.for_graph(g)
+    return _detect(g, budget, {LARGE, budget.regime})
 
 
 def find_first_witness(g, budget):
@@ -353,12 +333,12 @@ def find_first_witness(g, budget):
     Rows run in rank order and the search stops once no later row can emit
     a kind ranked below the best witness so far."""
     best = []
-    for detector, kinds, args in CATALOG:
-        if budget.regime not in args:
+    for detector, kinds, regimes, args in CATALOG:
+        if budget.regime not in regimes:
             continue
         if best and KIND_RANK[best[0].kind] < min(kinds.values()):
             break
-        found = best + _run_row(detector, g, args[budget.regime](budget, best))
+        found = best + _run_row(detector, g, args(budget))
         best = [min(found, key=_sort_key)] if found else []
     return best[0] if best else None
 
@@ -413,7 +393,7 @@ def check_witness(g, w, budget=None):
                 and g.degree(five) == 5 and _is_triangulated(g, faces, five)
                 and g.adjacent(v, five)
                 and g.adjacent(v, low) and g.degree(low) < 12)
-    if k in ("GenericDeletable", "W_GenericDeletable21"):
+    if k == "GenericDeletable":
         return deletable_vertex_check(g, a[0], budget.palette_size)
     if k == "W_Tri5":
         return g.degree(a[0]) == 5 and _is_triangulated(g, faces, a[0])

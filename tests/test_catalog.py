@@ -19,9 +19,13 @@ def test_c4_deg2_witnesses():
     assert len(deg2) == 4
 
 
-def test_c5_deg2_only():
-    ws = cat.detect_all(gen.gen_cycle(5))
-    assert ws and {w.kind for w in ws} == {"Deg2"}
+def test_c5_deg2_and_chord():
+    # every vertex has degree 2, below the small regime's cap 6, so each
+    # face also offers a chord between two non-adjacent corners
+    g = gen.gen_cycle(5)
+    ws = cat.detect_all(g)
+    assert {w.kind for w in ws} == {"Deg2", "FaceTwoSmall"}
+    assert all(cat.check_witness(g, w) for w in ws)
 
 
 def test_k4_small_catalog():
@@ -140,17 +144,18 @@ def test_face_walk_cut_vertices():
 
 
 def test_c6_no_face_two_small():
-    assert cat.find_face_two_small(gen.gen_cycle(6)) is None
+    g = gen.gen_cycle(6)
+    assert cat.find_face_two_small(g, g.max_degree()) is None
 
 
 def test_face_two_small_square_face():
     # stacked triangulations have no 4+ faces at all
     g = gen.gen_stacked_triangulation(30, 2)
-    assert cat.find_face_two_small(g) is None
+    assert cat.find_face_two_small(g, g.max_degree()) is None
     # a 4+ face with two non-adjacent degree-2 corners inside a Delta>=9 graph
     g = gen.gen_wegner(9)
     assert g.max_degree() >= 9
-    w = cat.find_face_two_small(g)
+    w = cat.find_face_two_small(g, g.max_degree())
     assert w is not None and [g.degree(a) for a in w.actors] == [2, 2]
     assert len(emb.trace_faces(g)[w.faces[0]]) >= 4
     assert cat.check_witness(g, w)
@@ -192,8 +197,20 @@ def test_priority_order():
               "GenericDeletable")]
     assert ranks == sorted(ranks)
     # find_first_witness relies on rows ordered by their lowest rank
-    lowest = [min(kinds.values()) for _, kinds, _ in cat.CATALOG]
+    lowest = [min(kinds.values()) for _, kinds, _, _ in cat.CATALOG]
     assert lowest == sorted(lowest)
+
+
+def test_audit_lists_every_detect_witness(corpus_large, corpus_small):
+    """The audit runs the rows of both regimes at the graph's own budget, so
+    it lists every witness detect_all does, and each passes check_witness."""
+    graphs = (corpus_large + corpus_small
+              + gen.gen_corpus(40, (12, 80), 7, 47)
+              + [cube(), bridge(), double_pocket()])
+    for g in graphs:
+        audit = cat.detect_for_audit(g)
+        assert all(w in audit for w in cat.detect_all(g)), emb.to_pg(g)
+        assert all(cat.check_witness(g, w) for w in audit), emb.to_pg(g)
 
 
 def test_detect_all_sorted(corpus_large):

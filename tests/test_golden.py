@@ -65,14 +65,14 @@ GOLDEN = {
     ),
     "bridge": (
         "d01041f61681bb7ff09d601f608f6aa68ad4aac4da983acf8bbdf8f81c804ecd",
-        "c5fefd0576e8308d4fd40a5cf6a63b1c89194ebf420030570928f655daf79755",
+        "33fdc53af042e0eef8a96efeee0f183301589800741e9ecca53f9521d0a87b25",
         "69129e7aba0f68f12d569f22efd1074f0af35d911cdbc4407e5d81ffb778084c",
         "58eb0b80185d3e35aabfeeb72b6840771905e78037d943c9912426ff90763c3f",
     ),
     "cube": (
         "74ba2f2f2155c342f00cf7d8fb96493fedf9c64cd889e9e94d372edd97f59891",
-        "4b99784400b668f6d81a34d6e29478f4845306b13ac22e98414529ad891b35ad",
-        "d1069f7002e369ccd1229c5a9d2c4fe7435c57107b6c9747b95e1d9a958d6925",
+        "44411337573cc5269c9fad03568f892dd7e97f371c38a95c40a63c5da7084392",
+        "7fb3c9b8251d51a173c1a5ed32f7ba123b3b144d9bec7793d54d1dff7cdcc9ed",
         "507d7a376ee07d82f0c5bad141c0f671ba5fe2dd0a5c50e9576446658333701c",
     ),
     "double_pocket": (
@@ -107,13 +107,13 @@ GOLDEN = {
     ),
     "small0": (
         "297779fd6eb75b3e2755dda4e3592cf118264a6edea7ac1e9ed88d1772336e3a",
-        "91bfa9ceba732b815b5bad6a4d20c44ffd88cee7b673e14aba06d786d1533fcd",
+        "be848a33e318c657d9f1a15fff37049a7f9230cc3e7474a2aa6248c918c2f49e",
         "51cc43f8be326f9aeae2ae4157ee6627478bd012775c58174a88215d75eaa803",
         "59ccd8b1b63e2b35bdcccc89f4b2b6bf2621b92c2e2466a8138a5679956709ed",
     ),
     "small1": (
         "82faa61b19d87e1073e24ae062ec051e8867114677a7b8e1bbd4715c5fabce4c",
-        "43acf5a516ce7a1ce18b314342515bb46ffe6c76370c6895a085be588f00ebb7",
+        "a9222e25d9d30919f58a5876fccb5cae6239db0af6fb2eb9bb50e6dec874fcf4",
         "27cf94171ff612d66337e223ced90ff2e97129950e3fb5d0ccc6825c0777968f",
         "4015ff96c693a134fc26f9b0e36233ef0b10908a71a36fc4809a6e9c3f8d5c4b",
     ),
