@@ -153,7 +153,8 @@ def cmd_audit(args):
                  f"transfers={len(led.transfers)}",
                  f"weak={sorted(v for v, s in report.weak_strong.items() if s == dis.WEAK)}"]
         for el, c in report.negatives:
-            kinds = sorted({w.kind for w in report.cross_refs[el]})
+            kinds = sorted({report.witnesses[i].kind
+                            for i in report.cross_refs[el]})
             lines.append(f"negative {el[0]}{el[1]} {dis.fmt(c)} witnesses={kinds}")
         _emit("\n".join(lines) + "\n", args.output)
     return 0

@@ -182,7 +182,8 @@ class AuditReport:
     ledger: ChargeLedger
     weak_strong: dict
     negatives: list          # (element, final charge)
-    cross_refs: dict         # element -> list of ConfigWitness
+    witnesses: list          # ConfigWitness, as detect_for_audit lists them
+    cross_refs: dict         # element -> indices into witnesses
 
     def to_obj(self):
         led = self.ledger
@@ -193,9 +194,10 @@ class AuditReport:
             "final": {f"{k[0]}{k[1]}": fmt(c) for k, c in sorted(led.final.items())},
             "weak": sorted(v for v, s in self.weak_strong.items() if s == WEAK),
             "transfers": [t.to_obj() for t in led.transfers],
+            "witnesses": [w.to_obj() for w in self.witnesses],
             "negatives": [
                 {"element": list(el), "final": fmt(c),
-                 "witnesses": [w.to_obj() for w in self.cross_refs[el]]}
+                 "witnesses": self.cross_refs[el]}
                 for el, c in self.negatives],
         }
 
@@ -204,7 +206,9 @@ class AuditReport:
 
 
 def audit(g):
-    """Full discharging pipeline plus negative-element cross-referencing."""
+    """Full discharging pipeline plus negative-element cross-referencing:
+    each negative element cites, by index, the witnesses with an actor in
+    its distance-2 ball."""
     faces = emb.trace_faces(g)
     ledger, ws = charges(g)
     negatives = sorted((el, c) for el, c in ledger.final.items() if c < 0)
@@ -217,5 +221,6 @@ def audit(g):
             ball = set()
             for v in set(faces[el[1]]):
                 ball |= emb.dist2_neighborhood(g, v) | {v}
-        cross[el] = [w for w in witnesses if ball.intersection(w.actors)]
-    return AuditReport(ledger, ws, negatives, cross)
+        cross[el] = [i for i, w in enumerate(witnesses)
+                     if ball.intersection(w.actors)]
+    return AuditReport(ledger, ws, negatives, witnesses, cross)

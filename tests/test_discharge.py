@@ -4,6 +4,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
+from psc import catalog as cat
 from psc import discharge as dis
 from psc import generators as gen
 
@@ -63,14 +64,16 @@ def test_audit_k4():
     obj = report.to_obj()
     assert obj["sum_final"] == "-12/1"
     assert len(obj["negatives"]) == 4
-    kinds = {w["kind"] for neg in obj["negatives"] for w in neg["witnesses"]}
+    kinds = {obj["witnesses"][i]["kind"]
+             for neg in obj["negatives"] for i in neg["witnesses"]}
     assert "Deg3SmallNbr" in kinds
 
 
 def test_audit_icosahedron():
     report = dis.audit(gen.named_graph("icosahedron"))
     assert len(report.negatives) == 12
-    kinds = {w.kind for ws in report.cross_refs.values() for w in ws}
+    kinds = {report.witnesses[i].kind
+             for refs in report.cross_refs.values() for i in refs}
     assert "W_Tri5" in kinds
 
 
@@ -79,6 +82,16 @@ def test_audit_json_stable():
     b = dis.audit(gen.named_graph("octahedron")).to_json()
     assert a == b
     json.loads(a)  # well-formed
+
+
+def test_audit_json_lists_each_witness_once(corpus_small):
+    g = corpus_small[0]
+    obj = json.loads(dis.audit(g).to_json())
+    assert obj["witnesses"] == [w.to_obj() for w in cat.detect_for_audit(g)]
+    cited = [i for neg in obj["negatives"] for i in neg["witnesses"]]
+    assert cited and all(0 <= i < len(obj["witnesses"]) for i in cited)
+    for neg in obj["negatives"]:
+        assert neg["witnesses"] == sorted(set(neg["witnesses"]))
 
 
 def test_transfer_serialization():

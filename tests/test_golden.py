@@ -60,61 +60,61 @@ GOLDEN = {
     "bipyramid11": (
         "b940c5ab504eb04e6467575468dc9e76a3a3f49545a0aaf05db0b45913bcd397",
         "b940c5ab504eb04e6467575468dc9e76a3a3f49545a0aaf05db0b45913bcd397",
-        "386e26513763836ad8c0f6dbdc2f2d61033409b6389d94a5bb9109e4a0b5b20f",
+        "c4019eea3f9b25edfa932a6dcef4a26ef630fe2247a7e382693ece0823b3ce27",
         "97cde0c52dfdb0294d9942a6b3a8179f9bc946c79d87a40a97a517afe39c75c7",
     ),
     "bridge": (
         "d01041f61681bb7ff09d601f608f6aa68ad4aac4da983acf8bbdf8f81c804ecd",
         "33fdc53af042e0eef8a96efeee0f183301589800741e9ecca53f9521d0a87b25",
-        "69129e7aba0f68f12d569f22efd1074f0af35d911cdbc4407e5d81ffb778084c",
+        "cc00cb87300cee169b8cee887f337ec53c07cc3902ea2026fc3dbbedc09e4404",
         "58eb0b80185d3e35aabfeeb72b6840771905e78037d943c9912426ff90763c3f",
     ),
     "cube": (
         "74ba2f2f2155c342f00cf7d8fb96493fedf9c64cd889e9e94d372edd97f59891",
         "44411337573cc5269c9fad03568f892dd7e97f371c38a95c40a63c5da7084392",
-        "7fb3c9b8251d51a173c1a5ed32f7ba123b3b144d9bec7793d54d1dff7cdcc9ed",
+        "d4f8959eab62885d23c166df174bdfc4c2d19f81f1825d68f75d327c0a7960eb",
         "507d7a376ee07d82f0c5bad141c0f671ba5fe2dd0a5c50e9576446658333701c",
     ),
     "double_pocket": (
         "1060f1018cdcf93e80f53c18470170451f2e8cb2402d4c275efc0fc6f3ddb534",
         "cb43ef77d12ba914b222cf54c0a4d046ba735e144a00b03e1cbf9e3caef00da9",
-        "a79a90e4023091e7a51b3a308bf1a4782b7cc1c85f0b5674b3f85e7016f1bed5",
+        "e395d9f2b1f5485de3c91c1e70f0b3739f8bcc00f4aac37ff0c74537f1efb8e7",
         "5c46a65461c33672e613f6f32dc7f8af252799753b59b3d1c6b9fea151058b4d",
     ),
     "large0": (
         "be0c31b25023f5843da2097173c6b4394fab7491ae922273a3c0dff390ac8a35",
         "25f54b69f78dc8da998db692c4dd01fb007abd28e882710ce86f5406932ebe2d",
-        "e4824020dc67399494a0b7b0d7c3ecb954105ff69867e10508005e2e0d3142cc",
+        "3db154b84eb2db617439e9bd4d8fcc80be96241c83d365594c1c1cfaa2356508",
         "8ef00f384dead5202e7f9575aebd18fd3f3a2a3922f5a10bcfac01b688d49aac",
     ),
     "large1": (
         "185582d855e1b21530af95a3c571c77bc45c620ededb7872a5771f6407c87c20",
         "ea5ef02fa76aabc53eea320e2733b8fffddc0679d23570e014fac60ff86ffb63",
-        "a9d94ebbbddb7cefb2fcc3a6106471916248e493f997c650af942667bda4942c",
+        "567ce53c506e10ebd6c0d18b8a90670ffb51798cb8db24aa2d9b58209b286c4a",
         "28095c24126105d41738ee4acfce2e508822b5a05d6c4c3aea8d1869ab0dc038",
     ),
     "large2": (
         "07763bf47aa88e6eec65d5b3c2602493a0de98594af367e55bc263a963d88dca",
         "a93b2baa10b60423f6781a177ffa94ba474d30cdb2bd28b65481e52706c40bfb",
-        "c6cd112c724f1a65a56139cde5c82368e54ae007e66a7b53ea07d0b06c47037f",
+        "0b95b69f9f7e5966767a1aff23e303fd5a57f4e01fac77e0c3aab249d88c271a",
         "fa10b0101d30f39d54c0f1fa96a8feff830bd4995a36872fb754ce76d47a2539",
     ),
     "pocket": (
         "7a1b68c3151ecae149fe66b99f55e5c60ea7837a15028f42325e4cc3ccf1f212",
         "403df506ac7e4e10a5a1658dcabd5fde0ad26e981cc734ddc085569e6c00fc0a",
-        "cc53d0593d90fde014a437e836042e741490bbb981814159d9eecdb0c0c49dac",
+        "5f686ae9b31b68863a16735349e12e341886470714e857c3694efb6ee2585675",
         "47b0754eea3e4fb03ec763ded9f530c9e567d61ed72fb67eb3ca9348337e79db",
     ),
     "small0": (
         "297779fd6eb75b3e2755dda4e3592cf118264a6edea7ac1e9ed88d1772336e3a",
         "be848a33e318c657d9f1a15fff37049a7f9230cc3e7474a2aa6248c918c2f49e",
-        "51cc43f8be326f9aeae2ae4157ee6627478bd012775c58174a88215d75eaa803",
+        "394e356c8768f3345a9dfce10efb7181589b1980daabca62f3c6777aa8a27ddf",
         "59ccd8b1b63e2b35bdcccc89f4b2b6bf2621b92c2e2466a8138a5679956709ed",
     ),
     "small1": (
         "82faa61b19d87e1073e24ae062ec051e8867114677a7b8e1bbd4715c5fabce4c",
         "a9222e25d9d30919f58a5876fccb5cae6239db0af6fb2eb9bb50e6dec874fcf4",
-        "27cf94171ff612d66337e223ced90ff2e97129950e3fb5d0ccc6825c0777968f",
+        "0925c7f918bbcc1454410e2132d9d3f4b33325f4aeb9c589c3fa46b779c1d3d6",
         "4015ff96c693a134fc26f9b0e36233ef0b10908a71a36fc4809a6e9c3f8d5c4b",
     ),
 }
