@@ -26,7 +26,8 @@ class ReductionTrace:
         self.terminal = None
 
     def to_obj(self):
-        """The trace records: each step, then {"terminal": ...}."""
+        """The trace records: each step, then {"terminal": ...}.  Each part
+        of a split ends with its own terminal record in the same way."""
         return [*self.steps, {"terminal": self.terminal}]
 
     def to_jsonl(self):
@@ -150,7 +151,9 @@ def _merge_separator(g, w, budget, base_limit, steps, trace):
     g2, map2 = emb.induced_subgraph(g, part2)
     sub1, sub2 = [], []
     m1 = _solve(g1, budget, base_limit, sub1, trace)
+    sub1.append({"terminal": trace.terminal})
     m2 = _solve(g2, budget, base_limit, sub2, trace)
+    sub2.append({"terminal": trace.terminal})
     steps.append({"split_parts": [sub1, sub2]})
     col1 = _normalize_uv({x: m1[map1[x]] for x in part1}, u, v)
     col2 = _normalize_uv({x: m2[map2[x]] for x in part2}, u, v)

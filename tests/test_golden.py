@@ -79,7 +79,7 @@ GOLDEN = {
         "1060f1018cdcf93e80f53c18470170451f2e8cb2402d4c275efc0fc6f3ddb534",
         "cb43ef77d12ba914b222cf54c0a4d046ba735e144a00b03e1cbf9e3caef00da9",
         "e395d9f2b1f5485de3c91c1e70f0b3739f8bcc00f4aac37ff0c74537f1efb8e7",
-        "5c46a65461c33672e613f6f32dc7f8af252799753b59b3d1c6b9fea151058b4d",
+        "6c2ee6b467cd4a495c2f6e3752e1e1520ad6e0036c57451dfa66e71a9039c210",
     ),
     "large0": (
         "be0c31b25023f5843da2097173c6b4394fab7491ae922273a3c0dff390ac8a35",
@@ -103,7 +103,7 @@ GOLDEN = {
         "7a1b68c3151ecae149fe66b99f55e5c60ea7837a15028f42325e4cc3ccf1f212",
         "403df506ac7e4e10a5a1658dcabd5fde0ad26e981cc734ddc085569e6c00fc0a",
         "5f686ae9b31b68863a16735349e12e341886470714e857c3694efb6ee2585675",
-        "47b0754eea3e4fb03ec763ded9f530c9e567d61ed72fb67eb3ca9348337e79db",
+        "a4bc908acc8db468dbd3a9c44689087de0f2d7a15156ea268355aaa47a5e20df",
     ),
     "small0": (
         "297779fd6eb75b3e2755dda4e3592cf118264a6edea7ac1e9ed88d1772336e3a",

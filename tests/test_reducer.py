@@ -77,7 +77,14 @@ def test_forced_reduction_triangulations():
 
 def test_split_and_merge():
     g = glue_pocket(gen.gen_stacked_triangulation(22, 3), 0, 1)
-    assert "EdgeSeparator" in applied_kinds(forced(g, 5).steps)
+    tr = forced(g, 5)
+    assert "EdgeSeparator" in applied_kinds(tr.steps)
+    # each part's trace ends with the base case that colored it
+    part1, part2 = next(s["split_parts"] for s in tr.steps
+                        if "split_parts" in s)
+    assert part1[-1]["terminal"]["n"] == 4
+    assert part2[-1]["terminal"]["n"] == 5
+    assert tr.to_obj()[-1] == {"terminal": tr.terminal} == part2[-1]
 
 
 def test_small_split_and_merge():
