@@ -99,6 +99,8 @@ def cmd_gen(args):
 def cmd_color(args):
     if args.base_limit is not None and args.mode != "constructive":
         raise PscError("--base-limit needs --mode constructive")
+    if args.timeout is not None and args.mode != "exact":
+        raise PscError("--timeout needs --mode exact")
     g = _read_graph(args.input)
     budget = args.budget
     trace = None
@@ -112,7 +114,7 @@ def cmd_color(args):
             return 1
         budget = b.palette_size
     elif args.mode == "exact":
-        res = col.exact_chi2(g, time_limit=args.timeout)
+        res = col.exact_chi2(g, time_limit=args.timeout or 60.0)
         coloring = res.witness
         if not res.exact:
             print(f"chi2 <= {res.chi2} (timeout, not exact)", file=sys.stderr)
@@ -262,7 +264,9 @@ def make_parser():
     sp.add_argument("--base-limit", type=positive_int, default=None,
                     help="try DSATUR only on graphs of at most this many "
                          "vertices; reduce larger ones (constructive only)")
-    sp.add_argument("--timeout", type=positive_seconds, default=60.0)
+    sp.add_argument("--timeout", type=positive_seconds, default=None,
+                    help="seconds for the exact search (default 60; "
+                         "exact only)")
     sp.add_argument("--json", action="store_true")
     sp.add_argument("-o", "--output", default=None)
     sp.add_argument("input", help="input .pg graph file")

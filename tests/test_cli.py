@@ -63,6 +63,11 @@ def test_color_exact_wegner(w11, capsys):
     assert "palette=17" in capsys.readouterr().out
 
 
+def test_color_exact_timeout(w11, capsys):
+    assert run(["color", "--mode", "exact", "--timeout", "30", str(w11)]) == 0
+    assert "palette=17" in capsys.readouterr().out
+
+
 def test_color_constructive(tri, capsys):
     assert run(["color", "--mode", "constructive", str(tri)]) == 0
     out = capsys.readouterr().out
@@ -210,8 +215,9 @@ def test_detect_budget_override(tri, capsys):
     assert capsys.readouterr().out == cat.report_json(ws) + "\n"
 
 
-# flags a subcommand does not read, and values out of range (a budget or
-# base limit below 1, a timeout that is not a positive finite number), are
+# flags a subcommand does not read (also --base-limit and --timeout with a
+# mode that does not read them), and values out of range (a budget or base
+# limit below 1, a timeout that is not a positive finite number), are
 # rejected, not ignored
 @pytest.mark.parametrize("argv", [
     ["gen", "--family", "k4", "--json"],
@@ -236,6 +242,8 @@ def test_detect_budget_override(tri, capsys):
     ["color", "--mode", "exact", "--timeout", "inf", "{g}"],
     ["color", "--mode", "exact", "--timeout", "0", "{g}"],
     ["color", "--mode", "exact", "--timeout", "-1", "{g}"],
+    ["color", "--mode", "greedy", "--timeout", "5", "{g}"],
+    ["color", "--timeout", "5", "{g}"],
 ], ids=" ".join)
 def test_unsupported_flag_exit_2(tmp_path, argv):
     paths = {"{g}": tmp_path / "k4.pg", "{c}": tmp_path / "c.json",
