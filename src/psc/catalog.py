@@ -239,8 +239,8 @@ def deletable_vertex_check(g, v, budget):
 def find_generic_deletable(g, budget):
     for v in range(g.n):
         if deletable_vertex_check(g, v, budget):
-            return ConfigWitness(
-                kind="GenericDeletable", actors=(v,), recipe={"op": "delete", "v": v})
+            return ConfigWitness(kind="GenericDeletable", actors=(v,),
+                                 recipe={"op": "delete", "v": v})
     return None
 
 

@@ -61,9 +61,6 @@ def test_gen_seed_env(tmp_path, monkeypatch):
 def test_color_exact_wegner(w11, capsys):
     assert run(["color", "--mode", "exact", str(w11)]) == 0
     assert "palette=17" in capsys.readouterr().out
-
-
-def test_color_exact_timeout(w11, capsys):
     assert run(["color", "--mode", "exact", "--timeout", "30", str(w11)]) == 0
     assert "palette=17" in capsys.readouterr().out
 
