@@ -141,6 +141,12 @@ def _is_triangulated(g, faces, v):
     return all(len(faces[i]) == 3 for i in g._face_at[v])
 
 
+def _triangle_corners(g, faces, v):
+    """The rotation positions i around v whose corner face, the one between
+    neighbours i-1 and i, is a triangle."""
+    return [i for i, fi in enumerate(g._face_at[v]) if len(faces[fi]) == 3]
+
+
 def _low_degree_configs(g):
     """A Deg1 or Deg2 witness for every vertex of degree 1 or 2."""
     out = []
@@ -186,7 +192,7 @@ def _deg3_configs(g, faces, v, cap):
             recipe={"op": "delete_and_add", "v": v, "anchor": u,
                     "edges": [[u, v1], [u, v2]]}))
     around = g._face_at[v]
-    tri = [i for i, fi in enumerate(around) if len(faces[fi]) == 3]
+    tri = _triangle_corners(g, faces, v)
     threshold = min(10, cap)
     if len(tri) >= 2 and any(g.degree(u) <= threshold for u in g.neighbors(v)):
         # two incident 3-faces always share a middle neighbor when deg(v)=3
@@ -244,6 +250,14 @@ def find_generic_deletable(g, budget):
     return None
 
 
+def _missing_edge(g, *pairs):
+    """[[a, b]] for the first non-adjacent pair (a, b), else []."""
+    for a, b in pairs:
+        if not g.adjacent(a, b):
+            return [[a, b]]
+    return []
+
+
 def find_weak_configs_delta6(g):
     """Small-degree catalog for maximum degree at most 6."""
     if g.max_degree() > 6:
@@ -256,8 +270,7 @@ def find_weak_configs_delta6(g):
             found.append(ConfigWitness(
                 kind="W_Tri5", actors=(v,), recipe={"op": "delete", "v": v}))
         elif d == 4:
-            around = g._face_at[v]
-            tri = [i for i, fi in enumerate(around) if len(faces[fi]) == 3]
+            tri = _triangle_corners(g, faces, v)
             if len(tri) == 4:
                 found.append(ConfigWitness(
                     kind="W_Deg4ThreeTriangles", actors=(v,),
@@ -268,28 +281,22 @@ def find_weak_configs_delta6(g):
                 rot = g.rotation[v]
                 gap = next(i for i in range(4) if i not in tri)
                 a, dd = rot[gap - 1], rot[gap]
-                edges = [] if g.adjacent(a, dd) else [[a, dd]]
+                edges = _missing_edge(g, (a, dd))
                 found.append(ConfigWitness(
                     kind="W_Deg4ThreeTriangles", actors=(v, a, dd),
                     recipe={"op": "delete_and_add", "v": v, "anchor": a,
                             "edges": edges}))
         elif d == 3:
-            around = g._face_at[v]
-            tri = [i for i, fi in enumerate(around) if len(faces[fi]) == 3]
+            tri = _triangle_corners(g, faces, v)
             if tri:
                 i = tri[0]
                 rot = g.rotation[v]
                 x, y = sorted((rot[i - 1], rot[i]))
                 z = next(u for u in g.neighbors(v) if u != x and u != y)
-                if not g.adjacent(x, z):
-                    edges = [[x, z]]
-                elif not g.adjacent(y, z):
-                    edges = [[y, z]]
-                else:
-                    edges = []
+                edges = _missing_edge(g, (x, z), (y, z))
                 found.append(ConfigWitness(
                     kind="W_Deg3Triangle", actors=(v, x, y, z),
-                    faces=(around[i],),
+                    faces=(g._face_at[v][i],),
                     recipe={"op": "delete_and_add", "v": v, "anchor": z,
                             "edges": edges}))
     return sorted(found, key=_sort_key)
@@ -345,64 +352,117 @@ def find_first_witness(g, budget):
 
 # -- independent predicate checkers (used by tests) --------------------------
 
+def _delete(v):
+    return {"op": "delete", "v": v}
+
+
+def _delete_and_add(v, anchor, edges):
+    return {"op": "delete_and_add", "v": v, "anchor": anchor, "edges": edges}
+
+
 def check_witness(g, w, budget=None):
-    """Re-evaluate the defining predicate of a witness kind on g."""
+    """Re-evaluate the defining predicate of a witness kind on g.  The
+    actors must name the vertices in the positions the detector gives them,
+    and the recipe and faces must be the ones it derives from them."""
     if budget is None:
         budget = Budget.for_graph(g)
     faces = emb.trace_faces(g)
-    k, a = w.kind, w.actors
+    k, a, r = w.kind, w.actors, w.recipe
+    if not a or not all(0 <= x < g.n for x in a):
+        return False
+    v = a[0]
+    d = g.degree(v)
     if k == "Deg1":
-        return g.degree(a[0]) == 1
+        return a == (v,) and not w.faces and r == _delete(v) and d == 1
     if k == "Deg2":
-        return g.degree(a[0]) == 2 and set(a[1:]) == set(g.neighbors(a[0]))
+        nb = tuple(sorted(g.neighbors(v)))
+        return (d == 2 and a == (v, *nb) and not w.faces
+                and r == _delete_and_add(v, nb[0], [list(nb)]))
     if k == "EdgeSeparator":
         # component: a non-empty proper union of components of G - {u, v}
+        if len(a) != 2 or w.faces:
+            return False
         u, v = a
-        r = w.recipe
-        comp = set(r["component"])
+        comp = set(r.get("component", ()))
         rest = set(range(g.n)) - {u, v}
-        return (r["op"] == "split" and r["u"] == u and r["v"] == v
+        return (r == {"op": "split", "u": u, "v": v,
+                      "component": sorted(comp)}
                 and g.adjacent(u, v)
                 and bool(comp) and comp < rest
                 and all(g.neighbors(x) <= comp | {u, v} for x in comp))
     if k == "FaceTwoSmall":
+        if len(a) != 2 or len(w.faces) != 1 or not 0 <= w.faces[0] < len(faces):
+            return False
         u, v = a
+        fi = w.faces[0]
+        face = faces[fi]
         cap = budget.delta_context
-        face = faces[w.faces[0]]
-        return (len(face) >= 4 and u in face and v in face
+        return (u < v and r == {"op": "add_edge", "u": u, "v": v, "face": fi}
+                and len(face) >= 4 and u in face and v in face
                 and g.degree(u) < cap and g.degree(v) < cap
                 and not g.adjacent(u, v))
     if k == "Deg3SmallNbr":
-        v, u = a[0], a[1]
-        return g.degree(v) == 3 and g.adjacent(v, u) and g.degree(u) <= 5
-    if k == "Deg3TwoTriangles":
-        v, _, mid, _ = a
-        if g.degree(v) != 3 or not g.adjacent(v, mid):
+        # the small neighbour u, then the other two in increasing order
+        if len(a) != 4 or d != 3 or w.faces:
             return False
-        tri = [fi for fi in g._face_at[v] if len(faces[fi]) == 3]
+        u = a[1]
+        rest = tuple(sorted(g.neighbors(v) - {u}))
+        return (g.adjacent(v, u) and g.degree(u) <= 5 and a[2:] == rest
+                and r == _delete_and_add(v, u, [[u, x] for x in rest]))
+    if k == "Deg3TwoTriangles":
+        # the two outer neighbours in increasing order flank the middle one,
+        # which lies on both named triangles at v
+        if len(a) != 4 or d != 3 or len(w.faces) != 2:
+            return False
+        _, x, mid, y = a
         thr = min(10, budget.delta_context)
-        return (len(tri) >= 2
+        return (x < y and {x, mid, y} == g.neighbors(v) and r == _delete(v)
+                and w.faces[0] != w.faces[1]
+                and all(fi in g._face_at[v] and len(faces[fi]) == 3
+                        and mid in faces[fi] for fi in w.faces)
                 and any(g.degree(u) <= thr for u in g.neighbors(v)))
     if k == "Deg3TriTwoSquares":
-        v = a[0]
         degs = sorted(len(faces[fi]) for fi in g._face_at[v])
-        return g.degree(v) == 3 and degs == [3, 4, 4] and budget.delta_context <= 10
+        return (a == (v,) and w.faces == tuple(sorted(g._face_at[v]))
+                and r == _delete(v) and d == 3 and degs == [3, 4, 4]
+                and budget.delta_context <= 10)
     if k == "Deg4Tri5Tri":
-        v, five, low = a
-        return (g.degree(v) == 4 and _is_triangulated(g, faces, v)
+        if len(a) != 3 or w.faces or r != _delete(v):
+            return False
+        _, five, low = a
+        return (d == 4 and _is_triangulated(g, faces, v)
                 and g.degree(five) == 5 and _is_triangulated(g, faces, five)
                 and g.adjacent(v, five)
                 and g.adjacent(v, low) and g.degree(low) < 12)
     if k == "GenericDeletable":
-        return deletable_vertex_check(g, a[0], budget.palette_size)
+        return (a == (v,) and not w.faces and r == _delete(v)
+                and deletable_vertex_check(g, v, budget.palette_size))
     if k == "W_Tri5":
-        return g.degree(a[0]) == 5 and _is_triangulated(g, faces, a[0])
+        return (a == (v,) and not w.faces and r == _delete(v) and d == 5
+                and _is_triangulated(g, faces, v))
     if k == "W_Deg4ThreeTriangles":
-        v = a[0]
-        tri = [fi for fi in g._face_at[v] if len(faces[fi]) == 3]
-        return g.degree(v) == 4 and len(tri) >= 3
+        if d != 4 or w.faces:
+            return False
+        tri = _triangle_corners(g, faces, v)
+        if len(tri) == 4:
+            return a == (v,) and r == _delete(v)
+        if len(tri) != 3:
+            return False
+        # the ends flank the single non-triangle face, as in the detector
+        rot = g.rotation[v]
+        gap = next(i for i in range(4) if i not in tri)
+        x, y = rot[gap - 1], rot[gap]
+        return (a == (v, x, y)
+                and r == _delete_and_add(v, x, _missing_edge(g, (x, y))))
     if k == "W_Deg3Triangle":
-        v = a[0]
-        tri = [fi for fi in g._face_at[v] if len(faces[fi]) == 3]
-        return g.degree(v) == 3 and bool(tri)
+        # x < y flank the named triangle at v, z is the third neighbour
+        if len(a) != 4 or d != 3 or len(w.faces) != 1:
+            return False
+        _, x, y, z = a
+        fi = w.faces[0]
+        return (x < y and {x, y, z} == g.neighbors(v)
+                and fi in g._face_at[v] and len(faces[fi]) == 3
+                and x in faces[fi] and y in faces[fi]
+                and r == _delete_and_add(
+                    v, z, _missing_edge(g, (x, z), (y, z))))
     raise ValueError(f"unknown witness kind {k}")

@@ -9,6 +9,7 @@ total charge of a connected planar embedding is -12 throughout.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -45,19 +46,36 @@ class ChargeLedger:
     transfers: list = field(default_factory=list)
 
     def total_initial(self):
-        return sum(self.initial.values(), Fraction(0))
+        return _exact_sum(self.initial.values())
 
     def total_final(self):
-        return sum(self.final.values(), Fraction(0))
+        return _exact_sum(self.final.values())
 
     def applied(self, new_transfers):
-        """New ledger with the given transfers applied on top of `final`."""
-        charges = dict(self.final)
+        """New ledger with the given transfers applied on top of `final`.
+        Each element's net flow is summed as an integer multiple of 1/L, L
+        the lcm of the batch's denominators, and added to its charge once."""
+        new_transfers = list(new_transfers)
+        lcm = math.lcm(*{t.amount.denominator for t in new_transfers})
+        net = {}
         for t in new_transfers:
-            charges[t.source] -= t.amount
-            charges[t.target] += t.amount
+            k = t.amount.numerator * (lcm // t.amount.denominator)
+            net[t.source] = net.get(t.source, 0) - k
+            net[t.target] = net.get(t.target, 0) + k
+        charges = dict(self.final)
+        for el, k in net.items():
+            charges[el] += Fraction(k, lcm)
         return ChargeLedger(self.initial, charges,
-                            self.transfers + list(new_transfers))
+                            self.transfers + new_transfers)
+
+
+def _exact_sum(values):
+    """The exact sum of Fractions: numerators summed per denominator, then
+    one Fraction addition per distinct denominator."""
+    by_den = {}
+    for c in values:
+        by_den[c.denominator] = by_den.get(c.denominator, 0) + c.numerator
+    return sum((Fraction(k, d) for d, k in by_den.items()), Fraction(0))
 
 
 def initial_charges(g):
@@ -208,11 +226,17 @@ class AuditReport:
 def audit(g):
     """Full discharging pipeline plus negative-element cross-referencing:
     each negative element cites, by index, the witnesses with an actor in
-    its distance-2 ball."""
+    its distance-2 ball.  The witnesses are indexed by actor once, so the
+    cost is linear in the balls and the citations, not negatives times
+    witnesses."""
     faces = emb.trace_faces(g)
     ledger, ws = charges(g)
     negatives = sorted((el, c) for el, c in ledger.final.items() if c < 0)
     witnesses = cat.detect_for_audit(g)
+    by_actor = {}
+    for i, w in enumerate(witnesses):
+        for x in w.actors:
+            by_actor.setdefault(x, []).append(i)
     cross = {}
     for el, _ in negatives:
         if el[0] == "v":
@@ -221,6 +245,6 @@ def audit(g):
             ball = set()
             for v in set(faces[el[1]]):
                 ball |= emb.dist2_neighborhood(g, v) | {v}
-        cross[el] = [i for i, w in enumerate(witnesses)
-                     if ball.intersection(w.actors)]
+        cross[el] = sorted(set().union(
+            *(by_actor[x] for x in ball if x in by_actor)))
     return AuditReport(ledger, ws, negatives, witnesses, cross)

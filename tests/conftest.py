@@ -4,6 +4,7 @@ from unittest import mock
 import pytest
 
 from psc import catalog as cat
+from psc import discharge as dis
 from psc import embedding as emb
 from psc import generators as gen
 from psc import reducer as red
@@ -130,6 +131,39 @@ def dsatur_color_scan(sq, budget=None):
         for u in sq.adj[v]:
             sat[u].add(c)
     return SquareColoring(palette, col)
+
+
+def audit_cross_refs_scan(g):
+    """Oracle for the cross-reference of discharge.audit: every negative
+    element's distance-2 ball is tested against every witness,
+    O(negatives x witnesses).  Element -> indices into detect_for_audit."""
+    faces = emb.trace_faces(g)
+    ledger, _ = dis.charges(g)
+    witnesses = cat.detect_for_audit(g)
+    cross = {}
+    for el, c in sorted(ledger.final.items()):
+        if c >= 0:
+            continue
+        if el[0] == "v":
+            ball = emb.dist2_neighborhood(g, el[1]) | {el[1]}
+        else:
+            ball = set()
+            for v in set(faces[el[1]]):
+                ball |= emb.dist2_neighborhood(g, v) | {v}
+        cross[el] = [i for i, w in enumerate(witnesses)
+                     if ball.intersection(w.actors)]
+    return cross
+
+
+def applied_scan(ledger, new_transfers):
+    """Oracle for discharge.ChargeLedger.applied: one Fraction subtraction
+    and one addition per transfer."""
+    charges = dict(ledger.final)
+    for t in new_transfers:
+        charges[t.source] -= t.amount
+        charges[t.target] += t.amount
+    return dis.ChargeLedger(ledger.initial, charges,
+                            ledger.transfers + list(new_transfers))
 
 
 def bowtie():

@@ -260,3 +260,55 @@ def test_completeness_sampled(seed):
     assert cat.detect_all(g), emb.to_pg(g)
     h = gen.gen_corpus(1, (10, 60), 3, seed, delta_max=6)[0]
     assert cat.detect_all(h), emb.to_pg(h)
+
+
+def _forgeries(g, w):
+    """Altered copies of w that no detector emits: each recipe field, the
+    faces and the actors in turn."""
+    r, a = w.recipe, w.actors
+    nf = len(emb.trace_faces(g))
+    changes = [{"op": "delete_and_add" if r["op"] == "delete" else "delete"}]
+    changes += [{key: (r[key] + 1) % g.n} for key in ("v", "anchor", "u")
+                if key in r]
+    if "face" in r and nf > 1:
+        changes.append({"face": (r["face"] + 1) % nf})
+    if "edges" in r:
+        changes.append({"edges": [] if r["edges"] else [list(a[:2])]})
+    out = [dataclasses.replace(w, recipe={**r, **c}) for c in changes]
+    out.append(dataclasses.replace(
+        w, faces=() if w.faces else (0,)))
+    if w.faces and nf > 1:
+        out.append(dataclasses.replace(
+            w, faces=((w.faces[0] + 1) % nf,) + w.faces[1:]))
+    fill = [a[0]]
+    if w.kind != "Deg4Tri5Tri":
+        # any neighbour of degree 5 or below 12 may fill Deg4Tri5Tri's
+        # places; every other kind fixes who stands where
+        fill += [x for x in range(g.n) if x not in a][:1]
+        if len(a) >= 3 and a[1] != a[-1]:
+            out.append(dataclasses.replace(
+                w, actors=(a[0], a[-1]) + a[2:-1] + (a[1],)))
+    out += [dataclasses.replace(w, actors=(a[0],) + (x,) * max(1, len(a) - 1))
+            for x in fill]
+    return out
+
+
+def test_check_witness_rejects_forgeries(corpus_large, corpus_small,
+                                         forced_intermediates):
+    # gen_corpus(30, ..., seed 5) holds W_Deg3Triangle (11, 0, 9, 23), whose
+    # forgeries include actors (11, 1, 1, 1) and recipe v = 12
+    pendant = emb.build(5, [[1, 3, 4], [2, 0], [3, 1], [0, 2], [0]])
+    seen = [(g, Budget.for_graph(g)) for g in corpus_large + corpus_small
+            + gen.gen_corpus(30, (20, 40), 3, 5, delta_max=6) + [pendant]]
+    seen += forced_intermediates
+    kinds = set()
+    for g, b in seen:
+        found = [(w, b) for w in cat.detect_all(g, b)]
+        found += [(w, Budget.for_graph(g)) for w in cat.detect_for_audit(g)]
+        for w, wb in found:
+            assert cat.check_witness(g, w, wb), (w.kind, w.actors)
+            kinds.add(w.kind)
+            for bad in _forgeries(g, w):
+                assert not cat.check_witness(g, bad, wb), (w, bad)
+    assert kinds == set(cat.KIND_RANK)
+

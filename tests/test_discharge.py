@@ -6,7 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from psc import catalog as cat
 from psc import discharge as dis
+from psc import embedding as emb
 from psc import generators as gen
+
+from conftest import (applied_scan, audit_cross_refs_scan, bowtie, bridge,
+                      double_pocket)
 
 
 def test_k4_charges():
@@ -106,3 +110,85 @@ def test_conservation_sampled(seed):
     g = gen.gen_corpus(1, (8, 50), 3, seed)[0]
     ledger, _ = dis.charges(g)
     assert ledger.total_final() == -12
+
+
+def _audit_graphs(corpus_large, corpus_small, forced_intermediates):
+    return (corpus_large + corpus_small
+            + [g for g, _ in forced_intermediates]
+            + [emb.from_pg("n 1\n0:\n"), emb.build(2, [[1], [0]]),
+               bowtie(), bridge(), double_pocket()])
+
+
+def test_audit_cross_refs_match_scan(corpus_large, corpus_small,
+                                     forced_intermediates):
+    # K1 has the empty face (), the bowtie and the bridge have cut
+    # vertices and faces that visit a vertex twice
+    for g in _audit_graphs(corpus_large, corpus_small, forced_intermediates):
+        assert dis.audit(g).cross_refs == audit_cross_refs_scan(g)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 10_000), st.booleans())
+def test_audit_cross_refs_match_scan_sampled(seed, small):
+    if small:
+        g = gen.gen_corpus(1, (8, 60), 3, seed, delta_max=6)[0]
+    else:
+        g = gen.gen_corpus(1, (8, 60), 9, seed)[0]
+    assert dis.audit(g).cross_refs == audit_cross_refs_scan(g)
+
+
+def _same_ledger(a, b):
+    assert a.initial == b.initial
+    assert a.final == b.final
+    assert a.transfers == b.transfers
+
+
+def test_applied_matches_scan(corpus_large, corpus_small,
+                              forced_intermediates):
+    for g in _audit_graphs(corpus_large, corpus_small, forced_intermediates):
+        init = dis.initial_charges(g)
+        r1 = dis.apply_R1(init, g)
+        _same_ledger(r1, applied_scan(init, r1.transfers))
+        ws = dis.classify(r1, g)
+        r4 = dis.apply_R2_R3_R4(r1, g, ws)
+        _same_ledger(r4, applied_scan(r1, r4.transfers[len(r1.transfers):]))
+        for led in (init, r1, r4):
+            assert led.total_initial() == sum(led.initial.values(), Fraction(0))
+            assert led.total_final() == sum(led.final.values(), Fraction(0))
+
+
+def test_applied_mixed_denominators():
+    a, b, c = ("v", 0), ("v", 1), ("f", 0)
+    led = dis.ChargeLedger({a: Fraction(1), b: Fraction(-2), c: Fraction(0)},
+                           {a: Fraction(1), b: Fraction(-2), c: Fraction(0)})
+    batch = [dis.Transfer("R", a, b, Fraction(1, 3)),
+             dis.Transfer("R", b, c, Fraction(5, 7)),
+             dis.Transfer("R", c, a, Fraction(13, 11))]
+    out = led.applied(batch)
+    _same_ledger(out, applied_scan(led, batch))
+    assert out.final == {a: Fraction(1) - Fraction(1, 3) + Fraction(13, 11),
+                         b: Fraction(-2) + Fraction(1, 3) - Fraction(5, 7),
+                         c: Fraction(5, 7) - Fraction(13, 11)}
+    assert out.total_final() == -1
+
+
+_fractions = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 60))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_fractions, min_size=1, max_size=8), st.data())
+def test_applied_arbitrary_amounts(start, data):
+    # amounts such as 1/3, 5/7 and 13/11, not only the rules' amounts, in
+    # two batches applied one after the other
+    keys = [("v", i) for i in range(len(start))]
+    led = dis.ChargeLedger(dict(zip(keys, start)), dict(zip(keys, start)))
+    ref = led
+    for _ in range(2):
+        batch = data.draw(st.lists(st.builds(
+            dis.Transfer, st.just("R"), st.sampled_from(keys),
+            st.sampled_from(keys), _fractions), max_size=12))
+        led, ref = led.applied(batch), applied_scan(ref, batch)
+        _same_ledger(led, ref)
+        assert led.total_initial() == sum(start, Fraction(0))
+        assert led.total_final() == sum(led.final.values(), Fraction(0))
+        assert led.total_final() == led.total_initial()
