@@ -98,8 +98,8 @@ def _faces_at(g):
     """For each vertex, the set of faces on whose boundary it lies, and
     whether one face's corner walk visits it twice; in a connected plane
     graph that happens exactly at the cut vertices."""
-    at = [set(fa) for fa in g._face_at]
-    return at, [len(s) < len(fa) for s, fa in zip(at, g._face_at)]
+    at = [set(fa) for fa in g.face_at]
+    return at, [len(s) < len(fa) for s, fa in zip(at, g.face_at)]
 
 
 def _smallest_component_without(g, u, v):
@@ -110,7 +110,7 @@ def _smallest_component_without(g, u, v):
     rest = [x for x in range(g.n) if x != u and x != v]
     if not rest:
         return None
-    comp = emb.component(g._adj, rest[0], (u, v))
+    comp = emb.component(g.adj, rest[0], (u, v))
     if len(comp) == len(rest):
         return None
     other = [x for x in rest if x not in comp]
@@ -120,8 +120,7 @@ def _smallest_component_without(g, u, v):
 def find_face_two_small(g, cap):
     """A 4+ face carrying two non-adjacent vertices of degree below cap,
     with the chord recipe."""
-    faces = emb.trace_faces(g)
-    for fi, face in enumerate(faces):
+    for fi, face in enumerate(g.faces):
         if len(face) < 4:
             continue
         small = [v for v in dict.fromkeys(face) if g.degree(v) < cap]
@@ -137,14 +136,14 @@ def find_face_two_small(g, cap):
     return None
 
 
-def _is_triangulated(g, faces, v):
-    return all(len(faces[i]) == 3 for i in g._face_at[v])
+def _is_triangulated(g, v):
+    return all(len(g.faces[i]) == 3 for i in g.face_at[v])
 
 
-def _triangle_corners(g, faces, v):
+def _triangle_corners(g, v):
     """The rotation positions i around v whose corner face, the one between
     neighbours i-1 and i, is a triangle."""
-    return [i for i, fi in enumerate(g._face_at[v]) if len(faces[fi]) == 3]
+    return [i for i, fi in enumerate(g.face_at[v]) if len(g.faces[fi]) == 3]
 
 
 def _low_degree_configs(g):
@@ -168,20 +167,19 @@ def find_small_vertex_configs(g, cap):
     """All matches of the degree-3 and degree-4 forbidden configurations
     for maximum degree cap (the degree-1/2 ones come from
     _low_degree_configs)."""
-    faces = emb.trace_faces(g)
     found = []
     for v in range(g.n):
         d = g.degree(v)
         if d == 3:
-            found.extend(_deg3_configs(g, faces, v, cap))
+            found.extend(_deg3_configs(g, v, cap))
         elif d == 4:
-            w4 = _deg4_config(g, faces, v)
+            w4 = _deg4_config(g, v)
             if w4 is not None:
                 found.append(w4)
     return sorted(found, key=_sort_key)
 
 
-def _deg3_configs(g, faces, v, cap):
+def _deg3_configs(g, v, cap):
     out = []
     small_nbrs = sorted(u for u in g.neighbors(v) if g.degree(u) <= 5)
     if small_nbrs:
@@ -191,8 +189,8 @@ def _deg3_configs(g, faces, v, cap):
             kind="Deg3SmallNbr", actors=(v, u, v1, v2),
             recipe={"op": "delete_and_add", "v": v, "anchor": u,
                     "edges": [[u, v1], [u, v2]]}))
-    around = g._face_at[v]
-    tri = _triangle_corners(g, faces, v)
+    around = g.face_at[v]
+    tri = _triangle_corners(g, v)
     threshold = min(10, cap)
     if len(tri) >= 2 and any(g.degree(u) <= threshold for u in g.neighbors(v)):
         # two incident 3-faces always share a middle neighbor when deg(v)=3
@@ -205,7 +203,7 @@ def _deg3_configs(g, faces, v, cap):
             faces=(around[i], around[j]),
             recipe={"op": "delete", "v": v}))
     if cap <= 10:
-        degs = sorted(len(faces[fi]) for fi in around)
+        degs = sorted(len(g.faces[fi]) for fi in around)
         if degs == [3, 4, 4]:
             out.append(ConfigWitness(
                 kind="Deg3TriTwoSquares", actors=(v,), faces=tuple(sorted(around)),
@@ -213,11 +211,11 @@ def _deg3_configs(g, faces, v, cap):
     return out
 
 
-def _deg4_config(g, faces, v):
-    if not _is_triangulated(g, faces, v):
+def _deg4_config(g, v):
+    if not _is_triangulated(g, v):
         return None
     tri5 = sorted(u for u in g.neighbors(v)
-                  if g.degree(u) == 5 and _is_triangulated(g, faces, u))
+                  if g.degree(u) == 5 and _is_triangulated(g, u))
     low = sorted(u for u in g.neighbors(v) if g.degree(u) < 12)
     if tri5 and low:
         return ConfigWitness(
@@ -262,15 +260,14 @@ def find_weak_configs_delta6(g):
     """Small-degree catalog for maximum degree at most 6."""
     if g.max_degree() > 6:
         raise DeltaTooLarge(f"Delta = {g.max_degree()} > 6")
-    faces = emb.trace_faces(g)
     found = []
     for v in range(g.n):
         d = g.degree(v)
-        if d == 5 and _is_triangulated(g, faces, v):
+        if d == 5 and _is_triangulated(g, v):
             found.append(ConfigWitness(
                 kind="W_Tri5", actors=(v,), recipe={"op": "delete", "v": v}))
         elif d == 4:
-            tri = _triangle_corners(g, faces, v)
+            tri = _triangle_corners(g, v)
             if len(tri) == 4:
                 found.append(ConfigWitness(
                     kind="W_Deg4ThreeTriangles", actors=(v,),
@@ -287,7 +284,7 @@ def find_weak_configs_delta6(g):
                     recipe={"op": "delete_and_add", "v": v, "anchor": a,
                             "edges": edges}))
         elif d == 3:
-            tri = _triangle_corners(g, faces, v)
+            tri = _triangle_corners(g, v)
             if tri:
                 i = tri[0]
                 rot = g.rotation[v]
@@ -296,7 +293,7 @@ def find_weak_configs_delta6(g):
                 edges = _missing_edge(g, (x, z), (y, z))
                 found.append(ConfigWitness(
                     kind="W_Deg3Triangle", actors=(v, x, y, z),
-                    faces=(g._face_at[v][i],),
+                    faces=(g.face_at[v][i],),
                     recipe={"op": "delete_and_add", "v": v, "anchor": z,
                             "edges": edges}))
     return sorted(found, key=_sort_key)
@@ -366,7 +363,6 @@ def check_witness(g, w, budget=None):
     and the recipe and faces must be the ones it derives from them."""
     if budget is None:
         budget = Budget.for_graph(g)
-    faces = emb.trace_faces(g)
     k, a, r = w.kind, w.actors, w.recipe
     if not a or not all(0 <= x < g.n for x in a):
         return False
@@ -391,11 +387,11 @@ def check_witness(g, w, budget=None):
                 and bool(comp) and comp < rest
                 and all(g.neighbors(x) <= comp | {u, v} for x in comp))
     if k == "FaceTwoSmall":
-        if len(a) != 2 or len(w.faces) != 1 or not 0 <= w.faces[0] < len(faces):
+        if len(a) != 2 or len(w.faces) != 1 or not 0 <= w.faces[0] < len(g.faces):
             return False
         u, v = a
         fi = w.faces[0]
-        face = faces[fi]
+        face = g.faces[fi]
         cap = budget.delta_context
         return (u < v and r == {"op": "add_edge", "u": u, "v": v, "face": fi}
                 and len(face) >= 4 and u in face and v in face
@@ -418,20 +414,20 @@ def check_witness(g, w, budget=None):
         thr = min(10, budget.delta_context)
         return (x < y and {x, mid, y} == g.neighbors(v) and r == _delete(v)
                 and w.faces[0] != w.faces[1]
-                and all(fi in g._face_at[v] and len(faces[fi]) == 3
-                        and mid in faces[fi] for fi in w.faces)
+                and all(fi in g.face_at[v] and len(g.faces[fi]) == 3
+                        and mid in g.faces[fi] for fi in w.faces)
                 and any(g.degree(u) <= thr for u in g.neighbors(v)))
     if k == "Deg3TriTwoSquares":
-        degs = sorted(len(faces[fi]) for fi in g._face_at[v])
-        return (a == (v,) and w.faces == tuple(sorted(g._face_at[v]))
+        degs = sorted(len(g.faces[fi]) for fi in g.face_at[v])
+        return (a == (v,) and w.faces == tuple(sorted(g.face_at[v]))
                 and r == _delete(v) and d == 3 and degs == [3, 4, 4]
                 and budget.delta_context <= 10)
     if k == "Deg4Tri5Tri":
         if len(a) != 3 or w.faces or r != _delete(v):
             return False
         _, five, low = a
-        return (d == 4 and _is_triangulated(g, faces, v)
-                and g.degree(five) == 5 and _is_triangulated(g, faces, five)
+        return (d == 4 and _is_triangulated(g, v)
+                and g.degree(five) == 5 and _is_triangulated(g, five)
                 and g.adjacent(v, five)
                 and g.adjacent(v, low) and g.degree(low) < 12)
     if k == "GenericDeletable":
@@ -439,11 +435,11 @@ def check_witness(g, w, budget=None):
                 and deletable_vertex_check(g, v, budget.palette_size))
     if k == "W_Tri5":
         return (a == (v,) and not w.faces and r == _delete(v) and d == 5
-                and _is_triangulated(g, faces, v))
+                and _is_triangulated(g, v))
     if k == "W_Deg4ThreeTriangles":
         if d != 4 or w.faces:
             return False
-        tri = _triangle_corners(g, faces, v)
+        tri = _triangle_corners(g, v)
         if len(tri) == 4:
             return a == (v,) and r == _delete(v)
         if len(tri) != 3:
@@ -461,8 +457,8 @@ def check_witness(g, w, budget=None):
         _, x, y, z = a
         fi = w.faces[0]
         return (x < y and {x, y, z} == g.neighbors(v)
-                and fi in g._face_at[v] and len(faces[fi]) == 3
-                and x in faces[fi] and y in faces[fi]
+                and fi in g.face_at[v] and len(g.faces[fi]) == 3
+                and x in g.faces[fi] and y in g.faces[fi]
                 and r == _delete_and_add(
                     v, z, _missing_edge(g, (x, z), (y, z))))
     raise ValueError(f"unknown witness kind {k}")

@@ -72,27 +72,28 @@ def _emit(text, out):
         sys.stdout.write(text)
 
 
+# gen family -> (builder of the parsed arguments, the flags it reads);
+# every flag it reads but --seed is required
+GEN_FAMILIES = {
+    "wegner": (lambda a: gen.gen_wegner(a.delta), ("delta",)),
+    "stacked": (lambda a: gen.gen_stacked_triangulation(a.n, _seed(a)),
+                ("n", "seed")),
+    "cycle": (lambda a: gen.gen_cycle(a.n), ("n",)),
+    "grid": (lambda a: gen.gen_grid(a.n, a.n), ("n",)),
+    **{name: (lambda a: gen.named_graph(a.family), ())
+       for name in ("k4", "octahedron", "icosahedron")},
+}
+
+
 def cmd_gen(args):
-    family = args.family
-    if family == "wegner":
-        if args.delta is None:
-            raise PscError("--family wegner requires --delta")
-        g = gen.gen_wegner(args.delta)
-    elif family == "stacked":
-        if args.n is None:
-            raise PscError("--family stacked requires --n")
-        g = gen.gen_stacked_triangulation(args.n, _seed(args))
-    elif family == "cycle":
-        if args.n is None:
-            raise PscError("--family cycle requires --n")
-        g = gen.gen_cycle(args.n)
-    elif family == "grid":
-        if args.n is None:
-            raise PscError("--family grid requires --n (side length)")
-        g = gen.gen_grid(args.n, args.n)
-    else:
-        g = gen.named_graph(family)
-    _emit(emb.to_pg(g), args.output)
+    make, reads = GEN_FAMILIES[args.family]
+    for flag in ("delta", "n", "seed"):
+        given = getattr(args, flag) is not None
+        if given and flag not in reads:
+            raise PscError(f"--family {args.family} does not read --{flag}")
+        if not given and flag in reads and flag != "seed":
+            raise PscError(f"--family {args.family} requires --{flag}")
+    _emit(emb.to_pg(make(args)), args.output)
     return 0
 
 
@@ -248,9 +249,7 @@ def make_parser():
     sub = p.add_subparsers(dest="cmd", required=True)
 
     sp = sub.add_parser("gen", help="generate a graph")
-    sp.add_argument("--family", required=True,
-                    choices=["wegner", "stacked", "cycle", "grid", "k4",
-                             "octahedron", "icosahedron"])
+    sp.add_argument("--family", required=True, choices=list(GEN_FAMILIES))
     sp.add_argument("--delta", type=int, default=None)
     sp.add_argument("--n", type=int, default=None)
     sp.add_argument("--seed", type=int, default=None)

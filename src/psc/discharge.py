@@ -82,7 +82,7 @@ def initial_charges(g):
     charges = {}
     for v in range(g.n):
         charges[("v", v)] = Fraction(g.degree(v) - 6)
-    for i, f in enumerate(emb.trace_faces(g)):
+    for i, f in enumerate(g.faces):
         charges[("f", i)] = Fraction(2 * len(f) - 6)
     return ChargeLedger(dict(charges), charges, [])
 
@@ -91,7 +91,7 @@ def apply_R1(ledger, g):
     """Each d-face pays d-3 to every incident vertex of degree at most 5,
     once per incidence."""
     transfers = []
-    for i, f in enumerate(emb.trace_faces(g)):
+    for i, f in enumerate(g.faces):
         pay = Fraction(len(f) - 3)
         if pay == 0:
             continue
@@ -229,7 +229,6 @@ def audit(g):
     its distance-2 ball.  The witnesses are indexed by actor once, so the
     cost is linear in the balls and the citations, not negatives times
     witnesses."""
-    faces = emb.trace_faces(g)
     ledger, ws = charges(g)
     negatives = sorted((el, c) for el, c in ledger.final.items() if c < 0)
     witnesses = cat.detect_for_audit(g)
@@ -243,7 +242,7 @@ def audit(g):
             ball = emb.dist2_neighborhood(g, el[1]) | {el[1]}
         else:
             ball = set()
-            for v in set(faces[el[1]]):
+            for v in set(g.faces[el[1]]):
                 ball |= emb.dist2_neighborhood(g, v) | {v}
         cross[el] = sorted(set().union(
             *(by_actor[x] for x in ball if x in by_actor)))

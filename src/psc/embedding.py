@@ -16,6 +16,7 @@ from .errors import (
     DuplicateNeighbor,
     DuplicateRow,
     NonPlanarEmbedding,
+    NotAdjacent,
     NotOnSameFace,
     UnknownVertex,
     WouldDisconnect,
@@ -26,16 +27,18 @@ FNV_PRIME = 0x100000001B3
 
 
 class EmbeddedGraph:
-    """Immutable simple connected planar graph with a fixed embedding."""
+    """Immutable simple connected planar graph with a fixed embedding.
+    Only `build` makes one: it stores the neighbor sets `adj` and the
+    `faces` and `face_at` that `trace_faces` returns for the rotation."""
 
-    __slots__ = ("n", "rotation", "_adj", "_faces", "_face_at")
+    __slots__ = ("n", "rotation", "adj", "faces", "face_at")
 
-    def __init__(self, n, rotation, _adj):
+    def __init__(self, n, rotation, adj, faces, face_at):
         self.n = n
         self.rotation = rotation
-        self._adj = _adj
-        self._faces = None    # filled by trace_faces, with _face_at
-        self._face_at = None
+        self.adj = adj
+        self.faces = faces
+        self.face_at = face_at
 
     # -- accessors -----------------------------------------------------------
 
@@ -45,7 +48,7 @@ class EmbeddedGraph:
 
     def neighbors(self, v):
         self._check_vertex(v)
-        return self._adj[v]
+        return self.adj[v]
 
     def degree(self, v):
         self._check_vertex(v)
@@ -55,7 +58,7 @@ class EmbeddedGraph:
         return max((len(r) for r in self.rotation), default=0)
 
     def adjacent(self, u, v):
-        return v in self._adj[u]
+        return v in self.adj[u]
 
     def _check_vertex(self, v):
         if not (0 <= v < self.n):
@@ -101,29 +104,25 @@ def build(n, rotation):
     reached = len(component(adj, 0, ()))
     if reached != n:
         raise Disconnected(f"only {reached} of {n} vertices reachable from 0")
-    g = EmbeddedGraph(n, rot, tuple(adj))
-    m = g.m
-    f = len(trace_faces(g))
+    g = EmbeddedGraph(n, rot, tuple(adj), *trace_faces(rot))
+    m, f = g.m, len(g.faces)
     if n - m + f != 2:
         raise NonPlanarEmbedding(f"Euler count n-m+f = {n}-{m}+{f} = {n - m + f} != 2")
     return g
 
 
-def trace_faces(g):
-    """Faces induced by the rotation system, in deterministic order.
+def trace_faces(rot):
+    """(faces, face_at): the faces of a rotation system, in deterministic
+    order, and the per-corner face index, from one walk.
 
     A face is the tuple of vertices its corner walk visits: corner i is
     (f[i] -> f[i+1]), read cyclically, so a cut vertex appears once per
-    visit.  The same walk fills the per-corner face index g._face_at: entry
-    i of g._face_at[v] is the face holding the corner (v -> rotation[v][i]).
-    A graph without edges has one face, ()."""
-    if g._faces is not None:
-        return g._faces
-    rot = g.rotation
+    visit.  Entry i of face_at[v] is the face holding the corner
+    (v -> rot[v][i]).  A graph without edges has one face, ()."""
     pos = [{u: i for i, u in enumerate(r)} for r in rot]
     face_at = [[None] * len(r) for r in rot]
     faces = []
-    for v in range(g.n):
+    for v in range(len(rot)):
         for i in range(len(rot[v])):
             if face_at[v][i] is not None:
                 continue
@@ -136,9 +135,7 @@ def trace_faces(g):
                 walk.append(a)
                 a, j = b, (pos[b][a] + 1) % len(rot[b])
             faces.append(tuple(walk))
-    g._faces = tuple(faces) or ((),)
-    g._face_at = face_at
-    return g._faces
+    return tuple(faces) or ((),), face_at
 
 
 def component(adj, start, removed):
@@ -168,9 +165,9 @@ def dist2_neighborhood(g, v):
     """All vertices u != v with dist(u, v) <= 2."""
     g._check_vertex(v)
     out = set()
-    for u in g._adj[v]:
+    for u in g.adj[v]:
         out.add(u)
-        out.update(g._adj[u])
+        out.update(g.adj[u])
     out.discard(v)
     return out
 
@@ -188,7 +185,7 @@ def mutate_add_edge(g, u, v, face_index):
     g._check_vertex(v)
     if u == v or g.adjacent(u, v):
         raise AlreadyAdjacent(f"{u} and {v} are already adjacent")
-    face = trace_faces(g)[face_index]
+    face = g.faces[face_index] if 0 <= face_index < len(g.faces) else ()
     if u not in face or v not in face:
         raise NotOnSameFace(f"{u} and {v} are not both on face {face_index}")
     rot = [list(r) for r in g.rotation]
@@ -226,11 +223,14 @@ def mutate_contract_edge(g, v, anchor):
     The result is G - v plus edges from the anchor to v's other neighbors,
     so any coloring of it restricts to a coloring of G - v.
     """
+    g._check_vertex(anchor)
+    if anchor not in g.neighbors(v):
+        raise NotAdjacent(f"{v} and {anchor} are not adjacent")
     rot = list(g.rotation)
     rv, ra = rot[v], rot[anchor]
     i, j = rv.index(anchor), ra.index(v)
     inherited = rv[i + 1:] + rv[:i]  # v's neighbors after anchor, in order
-    gained = tuple(x for x in inherited if x not in g._adj[anchor])
+    gained = tuple(x for x in inherited if x not in g.adj[anchor])
     rot[anchor] = ra[:j] + gained + ra[j + 1:]
     for x in gained:
         rot[x] = [anchor if y == v else y for y in rot[x]]
@@ -242,6 +242,8 @@ def induced_subgraph(g, vertices):
 
     The subgraph must be connected.
     """
+    for v in vertices:
+        g._check_vertex(v)
     return _relabel(g.rotation, vertices)
 
 
@@ -249,7 +251,7 @@ def add_edge_any_face(g, u, v):
     """Add uv inside the lowest-numbered face containing both endpoints."""
     g._check_vertex(u)
     g._check_vertex(v)
-    shared = set(g._face_at[u]).intersection(g._face_at[v])
+    shared = set(g.face_at[u]).intersection(g.face_at[v])
     if not shared:
         raise NotOnSameFace(f"{u} and {v} share no face")
     return mutate_add_edge(g, u, v, min(shared))

@@ -35,6 +35,10 @@ class AlreadyAdjacent(PscError):
     pass
 
 
+class NotAdjacent(PscError):
+    pass
+
+
 class NotOnSameFace(PscError):
     pass
 

@@ -21,9 +21,9 @@ from .errors import ExtensionStuck, MergeInfeasible, NoWitnessFound
 
 
 class ReductionTrace:
-    def __init__(self):
-        self.steps = []
-        self.terminal = None
+    def __init__(self, steps, terminal):
+        self.steps = steps
+        self.terminal = terminal
 
     def to_obj(self):
         """The trace records: each step, then {"terminal": ...}.  Each part
@@ -41,8 +41,7 @@ def color_within_budget(g, budget=None, base_limit=None):
     every graph."""
     if budget is None:
         budget = Budget.for_graph(g)
-    trace = ReductionTrace()
-    mapping = _solve(g, budget, base_limit, trace.steps, trace)
+    mapping, steps, terminal = _solve(g, budget, base_limit)
     palette = max(mapping.values(), default=1)
     coloring = col.SquareColoring(palette, mapping)
     ok, pair = col.verify(g, coloring)
@@ -51,26 +50,27 @@ def color_within_budget(g, budget=None, base_limit=None):
     if palette > budget.palette_size:
         raise ExtensionStuck(
             f"palette {palette} exceeds budget {budget.palette_size}")
-    return coloring, trace
+    return coloring, ReductionTrace(steps, terminal)
 
 
-def _solve(g, budget, base_limit, steps, trace):
-    """Color one connected graph within the budget; returns vertex -> color.
+def _solve(g, budget, base_limit):
+    """Color one connected graph within the budget; returns (vertex ->
+    color, the trace steps, the terminal record of the last base case).
 
     Chain reductions (delete / add edge) are handled iteratively; only
     edge-separator splits recurse.
     """
+    steps = []
     pending = []  # extension records, unwound in reverse
     current = g
     digest = f"{emb.graph_digest(g):016x}"
-    mapping = None
     while True:
         base = None
         if base_limit is None or current.n <= base_limit:
             base = col.dsatur_color(emb.square(current), budget.palette_size)
         if base is not None:
-            trace.terminal = {"n": current.n, "palette": base.palette_size,
-                              "digest": digest}
+            terminal = {"n": current.n, "palette": base.palette_size,
+                        "digest": digest}
             mapping = dict(base.color_of)
             break
         w = cat.find_first_witness(current, budget)
@@ -83,9 +83,9 @@ def _solve(g, budget, base_limit, steps, trace):
         if op == "split":
             step["after"] = None
             step["extension"] = "merge"
-            steps.append(step)
-            mapping = _merge_separator(current, w, budget, base_limit,
-                                       steps, trace)
+            mapping, parts, terminal = _merge_separator(
+                current, w, budget, base_limit)
+            steps += [step, {"split_parts": parts}]
             break
         if op == "add_edge":
             nxt = emb.mutate_add_edge(
@@ -106,7 +106,7 @@ def _solve(g, budget, base_limit, steps, trace):
         current = nxt
     for before, v, id_map, step in reversed(pending):
         mapping = _extend(before, v, id_map, mapping, budget, step)
-    return mapping
+    return mapping, steps, terminal
 
 
 def _delete_with_edges(g, v, edges, anchor):
@@ -142,19 +142,17 @@ def _extend(before, v, id_map, mapping, budget, step):
         f"{budget.palette_size} (witness {step['witness']['kind']})")
 
 
-def _merge_separator(g, w, budget, base_limit, steps, trace):
+def _merge_separator(g, w, budget, base_limit):
+    """Returns (merged coloring, each part's records, part 2's terminal)."""
     u, v = w.recipe["u"], w.recipe["v"]
     comp = w.recipe["component"]
     part1 = sorted(set(comp) | {u, v})
     part2 = sorted(set(range(g.n)) - set(comp))
     g1, map1 = emb.induced_subgraph(g, part1)
     g2, map2 = emb.induced_subgraph(g, part2)
-    sub1, sub2 = [], []
-    m1 = _solve(g1, budget, base_limit, sub1, trace)
-    sub1.append({"terminal": trace.terminal})
-    m2 = _solve(g2, budget, base_limit, sub2, trace)
-    sub2.append({"terminal": trace.terminal})
-    steps.append({"split_parts": [sub1, sub2]})
+    m1, sub1, t1 = _solve(g1, budget, base_limit)
+    m2, sub2, t2 = _solve(g2, budget, base_limit)
+    parts = [[*sub1, {"terminal": t1}], [*sub2, {"terminal": t2}]]
     col1 = _normalize_uv({x: m1[map1[x]] for x in part1}, u, v)
     col2 = _normalize_uv({x: m2[map2[x]] for x in part2}, u, v)
     n1 = sorted((set(g.neighbors(u)) | set(g.neighbors(v))) & set(comp))
@@ -169,7 +167,7 @@ def _merge_separator(g, w, budget, base_limit, steps, trace):
         merged[x] = sigma[col2[x]]
     if merged[u] != col1[u] or merged[v] != col1[v]:
         raise MergeInfeasible("separator endpoints recolored by permutation")
-    return merged
+    return merged, parts, t2
 
 
 def _normalize_uv(mapping, u, v):

@@ -4,6 +4,7 @@ from unittest import mock
 import pytest
 
 from psc import catalog as cat
+from psc import coloring as col
 from psc import discharge as dis
 from psc import embedding as emb
 from psc import generators as gen
@@ -36,6 +37,18 @@ def glue_pocket(g, u, v):
                     except Exception:
                         pass
     raise RuntimeError("no embedding found for pocket")
+
+
+def exact_gap_graph():
+    """The first graph of a small seeded corpus on which DSATUR uses more
+    colors than the exact search's lower bound (n = 9, bounds 4 and 5), so
+    the search has work left to time out in."""
+    for g in gen.gen_corpus(30, (8, 14), 3, 11, delta_max=6):
+        sq = emb.square(g)
+        lb = max(len(col.greedy_clique(sq)), g.max_degree() + 1)
+        if col.dsatur_color(sq).palette_size > lb:
+            return g
+    raise RuntimeError("no graph with a gap between the bounds")
 
 
 def double_pocket():
@@ -137,7 +150,6 @@ def audit_cross_refs_scan(g):
     """Oracle for the cross-reference of discharge.audit: every negative
     element's distance-2 ball is tested against every witness,
     O(negatives x witnesses).  Element -> indices into detect_for_audit."""
-    faces = emb.trace_faces(g)
     ledger, _ = dis.charges(g)
     witnesses = cat.detect_for_audit(g)
     cross = {}
@@ -148,7 +160,7 @@ def audit_cross_refs_scan(g):
             ball = emb.dist2_neighborhood(g, el[1]) | {el[1]}
         else:
             ball = set()
-            for v in set(faces[el[1]]):
+            for v in set(g.faces[el[1]]):
                 ball |= emb.dist2_neighborhood(g, v) | {v}
         cross[el] = [i for i, w in enumerate(witnesses)
                      if ball.intersection(w.actors)]
@@ -216,7 +228,7 @@ def add_chord_first_visit(g, u, v, face_index):
 def add_edge_first_face_scan(g, u, v):
     """Oracle for embedding.add_edge_any_face: add uv inside the first face,
     in trace order, whose walk visits both endpoints, O(m)."""
-    for i, f in enumerate(emb.trace_faces(g)):
+    for i, f in enumerate(g.faces):
         if u in f and v in f:
             return emb.mutate_add_edge(g, u, v, i)
     raise NotOnSameFace(f"{u} and {v} share no face")

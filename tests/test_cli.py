@@ -3,6 +3,7 @@ import json
 from unittest import mock
 
 import pytest
+from conftest import exact_gap_graph
 
 from psc import catalog as cat
 from psc import cli
@@ -42,6 +43,15 @@ def test_gen_stacked(tri):
     assert g.n == 50 and g.m == 144
 
 
+@pytest.mark.parametrize("family, n, size", [
+    ("cycle", "5", (5, 5)), ("grid", "3", (9, 12))])
+def test_gen_cycle_grid(family, n, size, tmp_path):
+    path = tmp_path / "g.pg"
+    assert run(["gen", "--family", family, "--n", n, "-o", str(path)]) == 0
+    g = emb.from_pg(path.read_text())
+    assert (g.n, g.m) == size
+
+
 def test_gen_bad_delta(capsys):
     assert run(["gen", "--family", "wegner", "--delta", "8"]) == 2
     assert "delta" in capsys.readouterr().err
@@ -63,6 +73,16 @@ def test_color_exact_wegner(w11, capsys):
     assert "palette=17" in capsys.readouterr().out
     assert run(["color", "--mode", "exact", "--timeout", "30", str(w11)]) == 0
     assert "palette=17" in capsys.readouterr().out
+
+
+def test_color_exact_timeout(tmp_path, capsys):
+    path = tmp_path / "gap.pg"
+    path.write_text(emb.to_pg(exact_gap_graph()))
+    assert run(["color", "--mode", "exact", "--timeout", "1e-9",
+                str(path)]) == 0
+    out, err = capsys.readouterr()
+    assert "palette=5" in out and "verified=yes" in out
+    assert err == "chi2 <= 5 (timeout, not exact)\n"
 
 
 def test_color_constructive(tri, capsys):
@@ -213,9 +233,10 @@ def test_detect_budget_override(tri, capsys):
 
 
 # flags a subcommand does not read (also --base-limit and --timeout with a
-# mode that does not read them), and values out of range (a budget or base
-# limit below 1, a timeout that is not a positive finite number), are
-# rejected, not ignored
+# mode that does not read them, and gen's --delta, --n and --seed with a
+# family that does not read them), a gen family without the flag it needs,
+# and values out of range (a budget or base limit below 1, a timeout that
+# is not a positive finite number), are rejected, not ignored
 @pytest.mark.parametrize("argv", [
     ["gen", "--family", "k4", "--json"],
     ["color", "--seed", "1", "{g}"],
@@ -227,6 +248,16 @@ def test_detect_budget_override(tri, capsys):
     ["verify", "-o", "{out}", "{g}", "{c}"],
     ["corpus", "--mode", "bogus", "--n", "1"],
     ["gen", "--family", "foo"],
+    ["gen", "--family", "k4", "--n", "50", "--delta", "9", "--seed", "3"],
+    ["gen", "--family", "k4", "--n", "5"],
+    ["gen", "--family", "octahedron", "--seed", "3"],
+    ["gen", "--family", "stacked", "--n", "6", "--delta", "11"],
+    ["gen", "--family", "wegner", "--delta", "9", "--n", "5"],
+    ["gen", "--family", "wegner", "--delta", "9", "--seed", "3"],
+    ["gen", "--family", "cycle", "--n", "5", "--seed", "3"],
+    ["gen", "--family", "grid", "--n", "3", "--delta", "9"],
+    ["gen", "--family", "wegner"],
+    ["gen", "--family", "grid", "-o", "{out}"],
     ["corpus", "--n", "0"],
     ["corpus", "--n", "-3", "--json"],
     ["color", "--budget", "0", "{g}"],
@@ -267,6 +298,21 @@ def test_corpus(capsys):
     assert run(["corpus", "--n", "4", "--delta", "9", "--seed", "2"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+
+
+@pytest.mark.parametrize("delta", ["9", "3"])
+def test_corpus_all_modes_json(delta, capsys):
+    assert run(["corpus", "--mode", "all", "--n", "4", "--delta", delta]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [ln.split()[0] for ln in lines] == ["charges", "constructive",
+                                               "detect"]
+    assert all(ln.endswith("0 failures  PASS") for ln in lines)
+    assert run(["corpus", "--mode", "all", "--n", "4", "--delta", delta,
+                "--json"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert rows == [{"check": chk, "graphs": 4, "failures": 0,
+                     "status": "PASS"}
+                    for chk in ("charges", "constructive", "detect")]
 
 
 def test_corpus_charges_fail_on_broken_rule():

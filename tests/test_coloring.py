@@ -1,5 +1,6 @@
 import pytest
-from conftest import dsatur_color_scan, smallest_last_order_scan, verify_scan
+from conftest import (dsatur_color_scan, exact_gap_graph,
+                      smallest_last_order_scan, verify_scan)
 from hypothesis import given, settings, strategies as st
 
 from psc import coloring as col
@@ -148,6 +149,15 @@ def test_exact_witness_valid():
     assert res.exact
     assert res.witness.palette_size == res.chi2
     assert col.verify(gen.gen_wegner(5), res.witness)[0]
+
+
+def test_exact_timeout_keeps_dsatur_bound():
+    g = exact_gap_graph()
+    assert g.n == 9
+    res = col.exact_chi2(g, time_limit=1e-9)
+    assert not res.exact and res.chi2 == 5
+    assert res.witness.palette_size == 5 and col.verify(g, res.witness)[0]
+    assert col.exact_chi2(g).exact
 
 
 def test_exact_clique_lower_bound():

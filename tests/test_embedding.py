@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (add_chord_first_visit, add_edge_first_face_scan, bowtie,
-                      bridge, face_corners_scan, single_deletions,
+                      bridge, cube, face_corners_scan, single_deletions,
                       small_graphs)
 from psc import embedding as emb
 from psc import generators as gen
@@ -20,7 +20,7 @@ def test_build_one_vertex():
     # an edgeless graph has one face without corners
     g = emb.from_pg("n 1\n0:\n")
     assert (g.n, g.m) == (1, 0)
-    assert emb.trace_faces(g) == ((),)
+    assert g.faces == ((),) and g.face_at == [[]]
 
 
 def test_delete_vertex_to_one_vertex():
@@ -62,40 +62,40 @@ def test_build_rejects_nonplanar_rotation():
 
 def test_faces_k4():
     g = gen.named_graph("k4")
-    faces = emb.trace_faces(g)
+    faces = g.faces
     assert len(faces) == 4
     assert all(len(f) == 3 for f in faces)
 
 
 def test_faces_octahedron():
     g = gen.named_graph("octahedron")
-    faces = emb.trace_faces(g)
+    faces = g.faces
     assert len(faces) == 8
     assert all(len(f) == 3 for f in faces)
 
 
 def test_faces_icosahedron():
     g = gen.named_graph("icosahedron")
-    faces = emb.trace_faces(g)
+    faces = g.faces
     assert len(faces) == 20
     assert all(len(f) == 3 for f in faces)
 
 
 def test_faces_cycle():
     g = gen.gen_cycle(5)
-    faces = emb.trace_faces(g)
+    faces = g.faces
     assert sorted(len(f) for f in faces) == [5, 5]
 
 
 def test_euler_formula_corpus(corpus_large, corpus_small):
     for g in corpus_large + corpus_small:
-        f = len(emb.trace_faces(g))
+        f = len(g.faces)
         assert g.n - g.m + f == 2
 
 
 def test_face_incidence_sum(corpus_small):
     for g in corpus_small:
-        assert sum(len(f) for f in emb.trace_faces(g)) == 2 * g.m
+        assert sum(len(f) for f in g.faces) == 2 * g.m
 
 
 def _graphs_with_cut_vertices():
@@ -110,13 +110,15 @@ def _walk_corners(face):
 
 def test_face_index_covers_every_corner_once():
     for g in _graphs_with_cut_vertices():
-        faces = emb.trace_faces(g)
+        faces = g.faces
+        # build stores what the pure face walk returns for the rotation
+        assert emb.trace_faces(g.rotation) == (faces, g.face_at)
         assert [_walk_corners(f) for f in faces] == face_corners_scan(g)
         walked = sorted(c for f in faces for c in _walk_corners(f))
         assert walked == sorted((u, v) for u in range(g.n)
                                 for v in g.rotation[u])
         for i, f in enumerate(faces):
-            assert all(g._face_at[u][g.rotation[u].index(v)] == i
+            assert all(g.face_at[u][g.rotation[u].index(v)] == i
                        for u, v in _walk_corners(f))
 
 
@@ -172,11 +174,11 @@ def test_dist2_neighborhood_path():
 
 def test_add_edge_in_face():
     g = gen.gen_cycle(4)
-    faces = emb.trace_faces(g)
+    faces = g.faces
     g2 = emb.mutate_add_edge(g, 0, 2, 0)
     assert g2.adjacent(0, 2)
     assert g2.m == g.m + 1
-    assert len(emb.trace_faces(g2)) == len(faces) + 1
+    assert len(g2.faces) == len(faces) + 1
     assert emb.add_edge_any_face(g, 0, 2) == g2
 
 
@@ -192,6 +194,28 @@ def test_add_edge_not_on_same_face():
     v = next(x for x in range(1, 6) if not g.adjacent(0, x))
     with pytest.raises(err.NotOnSameFace):
         emb.add_edge_any_face(g, 0, v)
+
+
+# the mutations take their indices from recipes, so an index out of range
+# is an error, never a wrap-around or a bare IndexError
+@pytest.mark.parametrize("face", [-5, -1, 6, 99])
+def test_add_edge_face_out_of_range(face):
+    with pytest.raises(err.NotOnSameFace):
+        emb.mutate_add_edge(cube(), 0, 2, face)
+
+
+@pytest.mark.parametrize("vertices", [[0, 1, 2, 3, 8], [-1, 0, 1, 2, 3]])
+def test_induced_subgraph_unknown_vertex(vertices):
+    with pytest.raises(err.UnknownVertex):
+        emb.induced_subgraph(cube(), vertices)
+
+
+@pytest.mark.parametrize("v, anchor, error", [
+    (0, 6, err.NotAdjacent), (0, 0, err.NotAdjacent),
+    (0, -1, err.UnknownVertex), (8, 0, err.UnknownVertex)])
+def test_contract_non_edge(v, anchor, error):
+    with pytest.raises(error):
+        emb.mutate_contract_edge(cube(), v, anchor)
 
 
 def test_delete_vertex():
@@ -218,7 +242,7 @@ def test_contract_edge_on_bridge():
 
 def test_induced_subgraph():
     g = gen.named_graph("octahedron")
-    tri = sorted(emb.trace_faces(g)[0])
+    tri = sorted(g.faces[0])
     sub, id_map = emb.induced_subgraph(g, tri)
     assert sub.n == 3 and sub.m == 3
     assert set(id_map) == set(tri)
@@ -264,11 +288,11 @@ def test_digest_stable():
 def test_mutations_preserve_planarity(seed):
     g = gen.gen_stacked_triangulation(12, seed)
     g2, _ = emb.mutate_delete_vertex(g, g.n - 1)
-    assert g2.n - g2.m + len(emb.trace_faces(g2)) == 2
+    assert g2.n - g2.m + len(g2.faces) == 2
 
 
 @settings(max_examples=20, deadline=None)
 @given(st.integers(3, 40))
 def test_cycle_faces(n):
     g = gen.gen_cycle(n)
-    assert [len(f) for f in emb.trace_faces(g)] == [n, n]
+    assert [len(f) for f in g.faces] == [n, n]

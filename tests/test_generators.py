@@ -35,7 +35,7 @@ def test_wegner_square_clique():
 def test_stacked_triangulation():
     g = gen.gen_stacked_triangulation(50, 7)
     assert g.n == 50 and g.m == 3 * 50 - 6
-    assert all(len(f) == 3 for f in emb.trace_faces(g))
+    assert all(len(f) == 3 for f in g.faces)
 
 
 def test_stacked_deterministic():
@@ -80,4 +80,4 @@ def test_corpus_deterministic():
 def test_corpus_members_valid(seed):
     for g in gen.gen_corpus(2, (10, 40), 9, seed):
         # build() already validated; re-check Euler via faces
-        assert g.n - g.m + len(emb.trace_faces(g)) == 2
+        assert g.n - g.m + len(g.faces) == 2
