@@ -62,29 +62,25 @@ def test_build_rejects_nonplanar_rotation():
 
 def test_faces_k4():
     g = gen.named_graph("k4")
-    faces = g.faces
-    assert len(faces) == 4
-    assert all(len(f) == 3 for f in faces)
+    assert len(g.faces) == 4
+    assert all(len(f) == 3 for f in g.faces)
 
 
 def test_faces_octahedron():
     g = gen.named_graph("octahedron")
-    faces = g.faces
-    assert len(faces) == 8
-    assert all(len(f) == 3 for f in faces)
+    assert len(g.faces) == 8
+    assert all(len(f) == 3 for f in g.faces)
 
 
 def test_faces_icosahedron():
     g = gen.named_graph("icosahedron")
-    faces = g.faces
-    assert len(faces) == 20
-    assert all(len(f) == 3 for f in faces)
+    assert len(g.faces) == 20
+    assert all(len(f) == 3 for f in g.faces)
 
 
 def test_faces_cycle():
     g = gen.gen_cycle(5)
-    faces = g.faces
-    assert sorted(len(f) for f in faces) == [5, 5]
+    assert sorted(len(f) for f in g.faces) == [5, 5]
 
 
 def test_euler_formula_corpus(corpus_large, corpus_small):
