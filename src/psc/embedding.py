@@ -9,6 +9,8 @@ the rotation around v.  A connected simple rotation system is a genus-zero
 
 from __future__ import annotations
 
+import bisect
+
 from .errors import (
     AlreadyAdjacent,
     AsymmetricAdjacency,
@@ -27,9 +29,11 @@ FNV_PRIME = 0x100000001B3
 
 
 class EmbeddedGraph:
-    """Immutable simple connected planar graph with a fixed embedding.
-    Only `build` makes one: it stores the neighbor sets `adj` and the
-    `faces` and `face_at` that `trace_faces` returns for the rotation."""
+    """Immutable simple connected planar graph with a fixed embedding:
+    the rotation, the neighbor sets `adj`, and the `faces` and `face_at`
+    that `trace_faces` returns for the rotation.  `build` makes one from
+    a rotation; the deletion and chord mutations derive one from their
+    parent, equal to what `build` would make."""
 
     __slots__ = ("n", "rotation", "adj", "faces", "face_at")
 
@@ -112,8 +116,9 @@ def build(n, rotation):
 
 
 def trace_faces(rot):
-    """(faces, face_at): the faces of a rotation system, in deterministic
-    order, and the per-corner face index, from one walk.
+    """(faces, face_at): the faces of a rotation system, ordered by their
+    least corner (vertex, then rotation position), and the per-corner
+    face index, from one walk.
 
     A face is the tuple of vertices its corner walk visits: corner i is
     (f[i] -> f[i+1]), read cyclically, so a cut vertex appears once per
@@ -126,7 +131,7 @@ def trace_faces(rot):
         for i in range(len(rot[v])):
             if face_at[v][i] is not None:
                 continue
-            fi = len(faces)
+            fi = len(faces)  # (v, i) is this face's least corner
             walk = []
             a, j = v, i
             while face_at[a][j] is None:
@@ -179,8 +184,57 @@ def square(g):
     return SquareGraph(tuple(adj))
 
 
+def _walk_face(rot, a, j):
+    """The corners (vertex, rotation position) of the face walk of rot
+    through (a -> rot[a][j]), from its least corner on, which is where
+    trace_faces starts the walk."""
+    corners = []
+    start = (a, j)
+    while True:
+        corners.append((a, j))
+        b = rot[a][j]
+        a, j = b, (rot[b].index(a) + 1) % len(rot[b])
+        if (a, j) == start:
+            break
+    k = corners.index(min(corners))
+    return corners[k:] + corners[:k]
+
+
+def _derived(n, rot, adj, faces, rows, gone, starts):
+    """The graph a mutation derives from its parent without a rebuild.
+
+    faces are the parent's faces in the child's labels, and rows the
+    parent's face_at rows at the child's rotation positions.  The faces
+    whose indices are in `gone` were destroyed by the mutation, and an
+    entry of rows for a new corner may hold any of them.  Every other face
+    is kept, in order.  The faces through the corners in `starts` are
+    walked and each is inserted at its least corner, so the result equals
+    build(n, rot) field by field."""
+    order = [i for i in range(len(faces)) if i not in gone]
+    kept = [faces[i] for i in order]
+    walks = sorted(_walk_face(rot, a, j) for a, j in starts)
+    slots = []
+    for corners in walks:  # ascending, so each lands after the one before
+        i = bisect.bisect(kept, corners[0],
+                          key=lambda f: (f[0], rot[f[0]].index(f[1])))
+        kept.insert(i, tuple(a for a, _ in corners))
+        order.insert(i, None)
+        slots.append(i)
+    fmap = dict.fromkeys(gone)  # parent face index -> child face index
+    fmap.update(zip(order, range(len(order))))
+    remap = fmap.__getitem__
+    face_at = [list(map(remap, row)) for row in rows]
+    for corners, i in zip(walks, slots):
+        for a, j in corners:
+            face_at[a][j] = i
+    return EmbeddedGraph(n, rot, adj, tuple(kept) or ((),), face_at)
+
+
 def mutate_add_edge(g, u, v, face_index):
-    """Add the chord uv inside the given face; returns the new graph."""
+    """Add the chord uv inside the given face; returns the new graph.
+
+    The two faces the chord splits the face into are the only ones
+    walked; every other face keeps its index order and its corners."""
     g._check_vertex(u)
     g._check_vertex(v)
     if u == v or g.adjacent(u, v):
@@ -188,13 +242,19 @@ def mutate_add_edge(g, u, v, face_index):
     face = g.faces[face_index] if 0 <= face_index < len(g.faces) else ()
     if u not in face or v not in face:
         raise NotOnSameFace(f"{u} and {v} are not both on face {face_index}")
-    rot = [list(r) for r in g.rotation]
+    rot, rows, starts = list(g.rotation), list(g.face_at), []
     # each end x takes the other just before y, where (x -> y) is the
     # first corner at x in the walk
     for x, other in ((u, v), (v, u)):
         y = face[(face.index(x) + 1) % len(face)]
-        rot[x].insert(rot[x].index(y), other)
-    return build(g.n, rot)
+        j = rot[x].index(y)
+        rot[x] = rot[x][:j] + (other,) + rot[x][j:]
+        rows[x] = rows[x][:j] + [face_index] + rows[x][j:]
+        starts.append((x, j))
+    adj = list(g.adj)
+    adj[u], adj[v] = adj[u] | {v}, adj[v] | {u}
+    return _derived(g.n, tuple(rot), tuple(adj), g.faces, rows,
+                    {face_index}, starts)
 
 
 def _relabel(rotation, vertices):
@@ -207,12 +267,40 @@ def _relabel(rotation, vertices):
 
 
 def mutate_delete_vertex(g, v):
-    """Remove v; returns (new graph, mapping old id -> new dense id)."""
+    """Remove v; returns (new graph, mapping old id -> new dense id).
+
+    Each vertex u keeps its rotation and becomes u - (u > v).  The faces
+    around v merge into one face, the only one walked; every other face
+    keeps its index order and its corners.  v is a cut vertex, and deleting
+    it raises WouldDisconnect, exactly when a face visits it twice."""
     g._check_vertex(v)
-    try:
-        return _relabel(g.rotation, [u for u in range(g.n) if u != v])
-    except Disconnected:
-        raise WouldDisconnect(f"removing {v} disconnects the graph") from None
+    if g.n == 1:
+        raise UnknownVertex(f"deleting {v} leaves no vertex")
+    gone = set(g.face_at[v])
+    if len(gone) < len(g.face_at[v]):
+        raise WouldDisconnect(f"removing {v} disconnects the graph")
+    lab = [*range(v + 1), *range(v, g.n - 1)]  # u -> u - (u > v)
+    relabel = lab.__getitem__
+    old = g.rotation
+    rot, rows = list(old), list(g.face_at)
+    for x in old[v]:
+        j = old[x].index(v)
+        rot[x] = old[x][:j] + old[x][j + 1:]
+        rows[x] = rows[x][:j] + rows[x][j + 1:]
+    del rot[v], rows[v]
+    rot = tuple([tuple(map(relabel, r)) for r in rot])
+    faces = [tuple(map(relabel, f)) for f in g.faces]
+    # the corner after (v -> x) is (x -> the successor of v around x); it
+    # lies on the merged face, at v's old position in x's rotation
+    x = old[v][0]
+    j = old[x].index(v)
+    x = lab[x]
+    starts = [(x, j % len(rot[x]))] if rot[x] else []  # none for K2 - v
+    out = _derived(g.n - 1, rot, tuple(map(frozenset, rot)), faces, rows,
+                   gone, starts)
+    id_map = dict(enumerate(lab))
+    del id_map[v]
+    return out, id_map
 
 
 def mutate_contract_edge(g, v, anchor):

@@ -93,9 +93,10 @@ def _solve(g, budget, base_limit):
         else:
             v = w.recipe["v"]
             edges = w.recipe.get("edges", []) if op == "delete_and_add" else []
-            nxt, id_map = _delete_with_edges(current, v, edges,
-                                             w.recipe.get("anchor"))
-            pending.append((current, v, id_map, step))
+            # the extension reads only v's ball, so the graph is not kept
+            pending.append((v, emb.dist2_neighborhood(current, v), step))
+            nxt = _delete_with_edges(current, v, edges,
+                                     w.recipe.get("anchor"))
         if nxt.max_degree() > budget.delta_context:
             raise ExtensionStuck("reduction raised the maximum degree past "
                                  f"{budget.delta_context}")
@@ -104,8 +105,8 @@ def _solve(g, budget, base_limit):
         step["extension"] = None
         steps.append(step)
         current = nxt
-    for before, v, id_map, step in reversed(pending):
-        mapping = _extend(before, v, id_map, mapping, budget, step)
+    for v, ball, step in reversed(pending):
+        mapping = _extend(v, ball, mapping, budget, step)
     return mapping, steps, terminal
 
 
@@ -113,25 +114,27 @@ def _delete_with_edges(g, v, edges, anchor):
     """G - v plus the recipe's edges.  When deleting v alone would
     disconnect the graph, the same result is obtained by contracting the
     edge between v and the anchor endpoint of the added edges (by default
-    v's neighbor of smallest degree, then smallest id)."""
+    v's neighbor of smallest degree, then smallest id).  Either way vertex
+    u of the result is vertex u + (u >= v) of g."""
     try:
         out, id_map = emb.mutate_delete_vertex(g, v)
     except emb.WouldDisconnect:
         if anchor is None:
             anchor = min(g.neighbors(v), key=lambda x: (g.degree(x), x))
-        return emb.mutate_contract_edge(g, v, anchor)
+        return emb.mutate_contract_edge(g, v, anchor)[0]
     for a, b in edges:
         a2, b2 = id_map[a], id_map[b]
         if not out.adjacent(a2, b2):
             out = emb.add_edge_any_face(out, a2, b2)
-    return out, id_map
+    return out
 
 
-def _extend(before, v, id_map, mapping, budget, step):
-    """Color the deleted vertex with the smallest color absent from its
-    distance-2 ball in the pre-deletion graph."""
-    out = {old: mapping[new] for old, new in id_map.items()}
-    forbidden = {out[u] for u in emb.dist2_neighborhood(before, v)}
+def _extend(v, ball, mapping, budget, step):
+    """Color the deleted vertex v with the smallest color absent from its
+    distance-2 ball `ball` in the pre-deletion graph; mapping colors the
+    reduced graph, whose vertex u was u + (u >= v)."""
+    out = {u + (u >= v): c for u, c in mapping.items()}
+    forbidden = {out[u] for u in ball}
     for c in range(1, budget.palette_size + 1):
         if c not in forbidden:
             out[v] = c

@@ -10,7 +10,7 @@ from psc import embedding as emb
 from psc import generators as gen
 from psc import reducer as red
 from psc.coloring import SquareColoring
-from psc.errors import NotOnSameFace, WouldDisconnect
+from psc.errors import Disconnected, NotOnSameFace, WouldDisconnect
 
 
 def glue_pocket(g, u, v):
@@ -223,6 +223,52 @@ def add_chord_first_visit(g, u, v, face_index):
         y = next(b for a, b in corners if a == x)
         rot[x].insert(rot[x].index(y), other)
     return emb.build(g.n, rot)
+
+
+def assert_same_graph(a, b):
+    """Field-by-field equality of two embedded graphs: EmbeddedGraph's
+    == compares the rotations only."""
+    assert a.n == b.n
+    assert a.rotation == b.rotation
+    assert a.adj == b.adj
+    assert a.faces == b.faces
+    assert a.face_at == b.face_at
+
+
+def delete_by_build(g, v):
+    """Oracle for embedding.mutate_delete_vertex: G - v with every vertex u
+    relabelled u - (u > v), built from scratch.  Raises Disconnected when
+    v is a cut vertex."""
+    rot = [[u - (u > v) for u in g.rotation[x] if u != v]
+           for x in range(g.n) if x != v]
+    return emb.build(g.n - 1, rot)
+
+
+def assert_mutations_match_build(g):
+    """Every single deletion and every chord of g equals its build oracle
+    field by field, and a deletion raises WouldDisconnect exactly when the
+    rebuilt graph is disconnected; returns the number of mutations."""
+    count = 0
+    for v in range(g.n):
+        try:
+            want = delete_by_build(g, v)
+        except Disconnected:
+            with pytest.raises(WouldDisconnect):
+                emb.mutate_delete_vertex(g, v)
+            continue
+        got, id_map = emb.mutate_delete_vertex(g, v)
+        assert_same_graph(got, want)
+        assert id_map == {u: u - (u > v) for u in range(g.n) if u != v}
+        count += 1
+    for fi, face in enumerate(g.faces):
+        on_face = sorted(set(face))
+        for i, u in enumerate(on_face):
+            for v in on_face[i + 1:]:
+                if not g.adjacent(u, v):
+                    assert_same_graph(emb.mutate_add_edge(g, u, v, fi),
+                                      add_chord_first_visit(g, u, v, fi))
+                    count += 1
+    return count
 
 
 def add_edge_first_face_scan(g, u, v):

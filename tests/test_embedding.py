@@ -1,9 +1,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (add_chord_first_visit, add_edge_first_face_scan, bowtie,
-                      bridge, cube, face_corners_scan, single_deletions,
-                      small_graphs)
+from conftest import (add_chord_first_visit, add_edge_first_face_scan,
+                      assert_mutations_match_build, assert_same_graph,
+                      bowtie, bridge, cube, delete_by_build, double_pocket,
+                      face_corners_scan, single_deletions, small_graphs)
 from psc import embedding as emb
 from psc import generators as gen
 from psc import errors as err
@@ -24,9 +25,16 @@ def test_build_one_vertex():
 
 
 def test_delete_vertex_to_one_vertex():
-    g2, id_map = emb.mutate_delete_vertex(emb.build(2, [[1], [0]]), 0)
-    assert g2 == emb.from_pg("n 1\n0:\n")
-    assert id_map == {1: 0}
+    k2 = emb.build(2, [[1], [0]])
+    for v in (0, 1):
+        g2, id_map = emb.mutate_delete_vertex(k2, v)
+        assert_same_graph(g2, emb.from_pg("n 1\n0:\n"))
+        assert id_map == {1 - v: 0}
+
+
+def test_delete_only_vertex():
+    with pytest.raises(err.UnknownVertex):
+        emb.mutate_delete_vertex(emb.from_pg("n 1\n0:\n"), 0)
 
 
 def test_build_rejects_asymmetry():
@@ -132,8 +140,8 @@ def test_add_edge_takes_first_visit_corner():
             for i, u in enumerate(on_face):
                 for v in on_face[i + 1:]:
                     if not g.adjacent(u, v):
-                        assert (emb.mutate_add_edge(g, u, v, fi)
-                                == add_chord_first_visit(g, u, v, fi))
+                        assert_same_graph(emb.mutate_add_edge(g, u, v, fi),
+                                          add_chord_first_visit(g, u, v, fi))
                         checked += 1
     assert checked >= 2000
 
@@ -151,7 +159,7 @@ def test_add_edge_any_face_matches_scan():
                     with pytest.raises(err.NotOnSameFace):
                         emb.add_edge_any_face(g, u, v)
                     continue
-                assert emb.add_edge_any_face(g, u, v) == want
+                assert_same_graph(emb.add_edge_any_face(g, u, v), want)
                 shared += 1
     assert shared >= 1000
 
@@ -175,7 +183,8 @@ def test_add_edge_in_face():
     assert g2.adjacent(0, 2)
     assert g2.m == g.m + 1
     assert len(g2.faces) == len(faces) + 1
-    assert emb.add_edge_any_face(g, 0, 2) == g2
+    assert_same_graph(emb.add_edge_any_face(g, 0, 2), g2)
+    assert_same_graph(g2, emb.build(g.n, g2.rotation))
 
 
 def test_add_edge_already_adjacent():
@@ -219,6 +228,7 @@ def test_delete_vertex():
     g2, id_map = emb.mutate_delete_vertex(g, 0)
     assert g2.n == 3 and g2.m == 3
     assert id_map == {1: 0, 2: 1, 3: 2}
+    assert_same_graph(g2, delete_by_build(g, 0))
 
 
 def test_delete_would_disconnect():
@@ -285,6 +295,58 @@ def test_mutations_preserve_planarity(seed):
     g = gen.gen_stacked_triangulation(12, seed)
     g2, _ = emb.mutate_delete_vertex(g, g.n - 1)
     assert g2.n - g2.m + len(g2.faces) == 2
+    assert_same_graph(g2, delete_by_build(g, g.n - 1))
+    # a vertex of degree d >= 4 leaves a d-face with a non-adjacent pair
+    # (else its link and it would form K5); add a chord there
+    v = max(range(g.n), key=g.degree)
+    g2, _ = emb.mutate_delete_vertex(g, v)
+    fi = max(range(len(g2.faces)), key=lambda i: len(g2.faces[i]))
+    face = g2.faces[fi]
+    u, v = next((a, b) for a in face for b in face
+                if a != b and not g2.adjacent(a, b))
+    g3 = emb.mutate_add_edge(g2, u, v, fi)
+    assert g3.n - g3.m + len(g3.faces) == 2
+    assert_same_graph(g3, emb.build(g3.n, g3.rotation))
+
+
+def test_mutations_match_build():
+    count = 0
+    for g in (small_graphs() + _graphs_with_cut_vertices()
+              + [bowtie(), bridge(), double_pocket(),
+                 emb.build(2, [[1], [0]])]):
+        count += assert_mutations_match_build(g)
+    assert count >= 10_000
+
+
+def test_forced_intermediates_match_build(forced_intermediates):
+    # the reducer's graphs are all derived by mutations; each equals its
+    # rebuild and derives its own mutations correctly
+    for g, _ in forced_intermediates:
+        assert_same_graph(g, emb.build(g.n, g.rotation))
+        assert_mutations_match_build(g)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from([3, 9]))
+def test_mutations_match_build_sampled(seed, delta_min):
+    delta_max = 6 if delta_min == 3 else None
+    g = gen.gen_corpus(1, (8, 40), delta_min, seed, delta_max=delta_max)[0]
+    assert assert_mutations_match_build(g)
+
+
+def test_would_disconnect_iff_build_disconnected(corpus_large, corpus_small):
+    cut = 0
+    for g in corpus_large + corpus_small + _graphs_with_cut_vertices():
+        for v in range(g.n):
+            try:
+                delete_by_build(g, v)
+            except err.Disconnected:
+                with pytest.raises(err.WouldDisconnect):
+                    emb.mutate_delete_vertex(g, v)
+                cut += 1
+            else:
+                emb.mutate_delete_vertex(g, v)
+    assert cut >= 50
 
 
 @settings(max_examples=20, deadline=None)

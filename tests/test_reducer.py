@@ -1,5 +1,6 @@
 import itertools
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -212,3 +213,18 @@ def test_small_regime_degree_bound_is_six():
 @given(st.integers(0, 10_000))
 def test_forced_reduction_sampled(seed):
     forced(gen.gen_corpus(1, (15, 50), 3, seed, delta_max=6)[0], 4)
+
+
+def test_forced_reduction_memory():
+    # each deletion keeps only the deleted vertex's distance-2 ball for the
+    # extension, not the graph it was deleted from.  On this grid, keeping
+    # every intermediate graph peaked at about 4.3 MB and keeping the
+    # balls at under 1 MB; 2 MB lies between the two.
+    g = gen.gen_grid(10, 10)
+    tracemalloc.start()
+    try:
+        red.color_within_budget(g, base_limit=12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
