@@ -80,7 +80,7 @@ def find_edge_separator(g):
     if g.n < 4:
         return None
     at, cut = _faces_at(g)
-    for u in range(g.n):
+    for u in g.vertices:
         for v in sorted(x for x in g.neighbors(u) if x > u):
             # both faces beside uv hold u and v; when they are one face,
             # uv is a bridge and has a cut-vertex end
@@ -95,11 +95,11 @@ def find_edge_separator(g):
 
 
 def _faces_at(g):
-    """For each vertex, the set of faces on whose boundary it lies, and
+    """Per vertex (dicts), the set of faces on whose boundary it lies, and
     whether one face's corner walk visits it twice; in a connected plane
     graph that happens exactly at the cut vertices."""
-    at = [set(fa) for fa in g.face_at]
-    return at, [len(s) < len(fa) for s, fa in zip(at, g.face_at)]
+    at = {v: set(g.face_at[v]) for v in g.vertices}
+    return at, {v: len(s) < len(g.face_at[v]) for v, s in at.items()}
 
 
 def _smallest_component_without(g, u, v):
@@ -107,7 +107,7 @@ def _smallest_component_without(g, u, v):
     its first vertex or the union of all the other components, whichever
     is smaller (the first on a tie); with three or more components the
     union is not itself a component."""
-    rest = [x for x in range(g.n) if x != u and x != v]
+    rest = [x for x in g.vertices if x != u and x != v]
     if not rest:
         return None
     comp = emb.component(g.adj, rest[0], (u, v))
@@ -149,7 +149,7 @@ def _triangle_corners(g, v):
 def _low_degree_configs(g):
     """A Deg1 or Deg2 witness for every vertex of degree 1 or 2."""
     out = []
-    for v in range(g.n):
+    for v in g.vertices:
         d = g.degree(v)
         if d == 1:
             out.append(ConfigWitness(
@@ -168,7 +168,7 @@ def find_small_vertex_configs(g, cap):
     for maximum degree cap (the degree-1/2 ones come from
     _low_degree_configs)."""
     found = []
-    for v in range(g.n):
+    for v in g.vertices:
         d = g.degree(v)
         if d == 3:
             found.extend(_deg3_configs(g, v, cap))
@@ -241,7 +241,7 @@ def deletable_vertex_check(g, v, budget):
 
 
 def find_generic_deletable(g, budget):
-    for v in range(g.n):
+    for v in g.vertices:
         if deletable_vertex_check(g, v, budget):
             return ConfigWitness(kind="GenericDeletable", actors=(v,),
                                  recipe={"op": "delete", "v": v})
@@ -261,7 +261,7 @@ def find_weak_configs_delta6(g):
     if g.max_degree() > 6:
         raise DeltaTooLarge(f"Delta = {g.max_degree()} > 6")
     found = []
-    for v in range(g.n):
+    for v in g.vertices:
         d = g.degree(v)
         if d == 5 and _is_triangulated(g, v):
             found.append(ConfigWitness(
@@ -364,7 +364,7 @@ def check_witness(g, w, budget=None):
     if budget is None:
         budget = Budget.for_graph(g)
     k, a, r = w.kind, w.actors, w.recipe
-    if not a or not all(0 <= x < g.n for x in a):
+    if not a or not all(x in g for x in a):
         return False
     v = a[0]
     d = g.degree(v)
@@ -380,7 +380,7 @@ def check_witness(g, w, budget=None):
             return False
         u, v = a
         comp = set(r.get("component", ()))
-        rest = set(range(g.n)) - {u, v}
+        rest = set(g.vertices) - {u, v}
         return (r == {"op": "split", "u": u, "v": v,
                       "component": sorted(comp)}
                 and g.adjacent(u, v)

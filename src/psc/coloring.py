@@ -71,16 +71,16 @@ def verify(g, coloring):
     O(sum of squared degrees) scan over each vertex's distance-2 ball run,
     to name a violating pair: the first (v, u), u > v, that it meets."""
     col = coloring.color_of
-    for v in range(g.n):
+    for v in g.vertices:
         if v not in col:
             return False, (v, v)
     for v, c in col.items():
-        if not (0 <= v < g.n and 1 <= c <= coloring.palette_size):
+        if not (v in g and 1 <= c <= coloring.palette_size):
             return False, (v, v)
     if all(len({col[x], *(col[u] for u in g.neighbors(x))}) == g.degree(x) + 1
-           for x in range(g.n)):
+           for x in g.vertices):
         return True, None
-    return False, next((v, u) for v in range(g.n)
+    return False, next((v, u) for v in g.vertices
                        for u in emb.dist2_neighborhood(g, v)
                        if u > v and col[u] == col[v])
 
@@ -91,19 +91,19 @@ def smallest_last_order(g):
     min-heap of (degree, id) gets one push per degree decrement, O(m log n).
     Degrees only fall, so a vertex's first pop carries its current degree
     and its later, stale entries are skipped as removed."""
-    deg = [g.degree(v) for v in range(g.n)]
-    heap = [(d, v) for v, d in enumerate(deg)]
+    deg = {v: g.degree(v) for v in g.vertices}
+    heap = [(d, v) for v, d in deg.items()]
     heapq.heapify(heap)
-    removed = [False] * g.n
+    removed = set()
     order = []
     while heap:
         _, v = heapq.heappop(heap)
-        if removed[v]:
+        if v in removed:
             continue
-        removed[v] = True
+        removed.add(v)
         order.append(v)
         for u in g.neighbors(v):
-            if not removed[u]:
+            if u not in removed:
                 deg[u] -= 1
                 heapq.heappush(heap, (deg[u], u))
     order.reverse()
@@ -137,11 +137,11 @@ def dsatur_color(sq, budget=None):
     drains."""
     adj = sq.adj
     n = len(adj)
-    by_rank = sorted(range(n), key=lambda v: (-len(adj[v]), v))
-    rank = [0] * n
+    by_rank = sorted(adj, key=lambda v: (-len(adj[v]), v))
+    rank = [0] * (max(adj, default=-1) + 1)
     for r, v in enumerate(by_rank):
         rank[v] = r
-    sat = [set() for _ in range(n)]  # None once the vertex is colored
+    sat = [set() for _ in rank]  # None once the vertex is colored
     buckets = [set(range(n))]  # one per saturation 0..palette
     col = {}
     palette = top = 0
@@ -183,10 +183,9 @@ def dsatur_color(sq, budget=None):
 
 def greedy_clique(sq):
     """Greedy clique in the square: grow from the highest-degree vertex."""
-    n = len(sq.adj)
-    if n == 0:
+    if not sq.adj:
         return ()
-    start = max(range(n), key=lambda v: (len(sq.adj[v]), -v))
+    start = max(sq.adj, key=lambda v: (len(sq.adj[v]), -v))
     clique = [start]
     cand = set(sq.adj[start])
     while cand:
@@ -214,7 +213,7 @@ def exact_chi2(g, time_limit=60.0):
     best = dsatur_color(sq)
     ub = best.palette_size
     deadline = time.monotonic() + time_limit
-    order = sorted(range(g.n),
+    order = sorted(g.vertices,
                    key=lambda v: (v not in clique, -len(sq.adj[v]), v))
     pos = {v: i for i, v in enumerate(order)}
     nbr_pos = [sorted(pos[u] for u in sq.adj[v]) for v in order]
@@ -258,30 +257,3 @@ def exact_chi2(g, time_limit=60.0):
         best = SquareColoring(ub - 1, sol)
         ub -= 1
     return ExactResult(ub, best, clique, exact)
-
-
-def naive_chi2(g):
-    """Independent brute-force oracle: enumerate set partitions of the
-    vertices (restricted growth strings) and keep the smallest number of
-    blocks that are all independent in the square.  Exponential; n <= ~10."""
-    sq = emb.square(g)
-    best = g.n
-
-    def rec(v, blocks):
-        nonlocal best
-        if len(blocks) >= best:
-            return
-        if v == g.n:
-            best = len(blocks)
-            return
-        for b in blocks:
-            if not (sq.adj[v] & b):
-                b.add(v)
-                rec(v + 1, blocks)
-                b.discard(v)
-        blocks.append({v})
-        rec(v + 1, blocks)
-        blocks.pop()
-
-    rec(0, [])
-    return best

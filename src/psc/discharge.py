@@ -80,7 +80,7 @@ def _exact_sum(values):
 
 def initial_charges(g):
     charges = {}
-    for v in range(g.n):
+    for v in g.vertices:
         charges[("v", v)] = Fraction(g.degree(v) - 6)
     for i, f in enumerate(g.faces):
         charges[("f", i)] = Fraction(2 * len(f) - 6)
@@ -105,7 +105,7 @@ def apply_R1(ledger, g):
 def classify(ledger_after_r1, g):
     """Weak vertices are those negative after the face rule."""
     out = {}
-    for v in range(g.n):
+    for v in g.vertices:
         weak = ledger_after_r1.final[("v", v)] < 0
         if weak and g.degree(v) > 5:
             raise WeakHighDegree(f"vertex {v} weak with degree {g.degree(v)}")
@@ -160,7 +160,7 @@ def apply_R2_R3_R4(ledger, g, ws):
     """The vertex rules of `vertex_rule`, computed simultaneously from the
     post-face-rule state and ordered by (rule, source, target, via)."""
     transfers = []
-    for u in range(g.n):
+    for u in g.vertices:
         rot = g.rotation[u]
         weak = tuple(ws[w] == WEAK for w in rot)
         for rule, i, amount, j in vertex_rule(len(rot), weak):
@@ -188,7 +188,7 @@ def lemma_violations(ledger, g):
                         ("final", ledger.total_final())):
         if total != -12:
             out.append(f"{name} total {fmt(total)}")
-    for v in range(g.n):
+    for v in g.vertices:
         d, c = g.degree(v), ledger.final[("v", v)]
         if (d >= 7 and c < 0) or (d == 6 and c != 0):
             out.append(f"vertex {v} of degree {d} ends at {fmt(c)}")

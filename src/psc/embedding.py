@@ -4,7 +4,8 @@ A graph is stored as, for every vertex, the cyclic clockwise order of its
 neighbors.  Faces are traced with the fixed convention: from the directed
 corner (u -> v) the next corner is (v -> w) where w is the successor of u in
 the rotation around v.  A connected simple rotation system is a genus-zero
-(planar) embedding exactly when n - m + f = 2.
+(planar) embedding exactly when n - m + f = 2.  Ids are stable: no vertex
+is renumbered; a removed id keeps a None row in `rotation`, `adj`, `face_at`.
 """
 
 from __future__ import annotations
@@ -29,16 +30,16 @@ FNV_PRIME = 0x100000001B3
 
 
 class EmbeddedGraph:
-    """Immutable simple connected planar graph with a fixed embedding:
-    the rotation, the neighbor sets `adj`, and the `faces` and `face_at`
-    that `trace_faces` returns for the rotation.  `build` makes one from
-    a rotation; the deletion and chord mutations derive one from their
-    parent, equal to what `build` would make."""
+    """Immutable simple connected planar graph with a fixed embedding: live
+    ids `vertices` (increasing) and their count `n`, the rotation, neighbor
+    sets `adj`, and the `faces` and `face_at` of `trace_faces`.  `build`
+    makes one; deletions and chords derive one equal to what it makes."""
 
-    __slots__ = ("n", "rotation", "adj", "faces", "face_at")
+    __slots__ = ("vertices", "n", "rotation", "adj", "faces", "face_at")
 
-    def __init__(self, n, rotation, adj, faces, face_at):
-        self.n = n
+    def __init__(self, vertices, rotation, adj, faces, face_at):
+        self.vertices = vertices
+        self.n = len(vertices)
         self.rotation = rotation
         self.adj = adj
         self.faces = faces
@@ -48,7 +49,7 @@ class EmbeddedGraph:
 
     @property
     def m(self):
-        return sum(len(r) for r in self.rotation) // 2
+        return sum(map(len, filter(None, self.rotation))) // 2  # None: removed
 
     def neighbors(self, v):
         self._check_vertex(v)
@@ -59,14 +60,17 @@ class EmbeddedGraph:
         return len(self.rotation[v])
 
     def max_degree(self):
-        return max((len(r) for r in self.rotation), default=0)
+        return max(map(len, filter(None, self.rotation)), default=0)
 
     def adjacent(self, u, v):
         return v in self.adj[u]
 
-    def _check_vertex(self, v):
-        if not (0 <= v < self.n):
-            raise UnknownVertex(f"vertex {v} not in 0..{self.n - 1}")
+    def __contains__(self, v):
+        return 0 <= v < len(self.rotation) and self.rotation[v] is not None
+
+    def _check_vertex(self, v):  # `v in self`, inlined: it runs per access
+        if not (0 <= v < len(self.rotation) and self.rotation[v] is not None):
+            raise UnknownVertex(f"vertex {v} is not a vertex of the graph")
 
     def __eq__(self, other):
         return isinstance(other, EmbeddedGraph) and self.rotation == other.rotation
@@ -79,39 +83,44 @@ class EmbeddedGraph:
 
 
 def build(n, rotation):
-    """Validate a rotation system and return the embedded graph.
+    """Validate a rotation system of n rows and return the embedded graph.
+    A None row marks a removed id, which no row may list.
 
     Raises AsymmetricAdjacency, DuplicateNeighbor, Disconnected or
     NonPlanarEmbedding when the input is not a simple connected genus-zero
     embedding.
     """
-    if n <= 0:
-        raise UnknownVertex("vertex count must be positive")
     if len(rotation) != n:
         raise UnknownVertex(f"expected {n} rotation lists, got {len(rotation)}")
-    rot = tuple(tuple(r) for r in rotation)
-    adj = []
-    for v, r in enumerate(rot):
+    rot = tuple(None if r is None else tuple(r) for r in rotation)
+    live = [v for v, r in enumerate(rot) if r is not None]
+    if not live:
+        raise UnknownVertex("vertex count must be positive")
+    ids = frozenset(live)
+    adj = [None] * n
+    for v in live:
+        r = rot[v]
         s = set(r)
         if len(s) != len(r):
             raise DuplicateNeighbor(f"vertex {v} lists a neighbor twice")
         if v in s:
             raise DuplicateNeighbor(f"vertex {v} lists itself")
-        for u in r:
-            if not (0 <= u < n):
-                raise UnknownVertex(f"vertex {v} lists out-of-range neighbor {u}")
-        adj.append(frozenset(s))
-    for v in range(n):
+        if not s <= ids:
+            raise UnknownVertex(f"vertex {v} lists unknown ids {sorted(s - ids)}")
+        adj[v] = frozenset(s)
+    for v in live:
         for u in rot[v]:
             if v not in adj[u]:
                 raise AsymmetricAdjacency(f"{v} lists {u} but {u} does not list {v}")
-    reached = len(component(adj, 0, ()))
-    if reached != n:
-        raise Disconnected(f"only {reached} of {n} vertices reachable from 0")
-    g = EmbeddedGraph(n, rot, tuple(adj), *trace_faces(rot))
-    m, f = g.m, len(g.faces)
-    if n - m + f != 2:
-        raise NonPlanarEmbedding(f"Euler count n-m+f = {n}-{m}+{f} = {n - m + f} != 2")
+    reached = len(component(adj, live[0], ()))
+    if reached != len(live):
+        raise Disconnected(
+            f"only {reached} of {len(live)} vertices reachable from {live[0]}")
+    vertices = range(n) if len(live) == n else tuple(live)
+    g = EmbeddedGraph(vertices, rot, tuple(adj), *trace_faces(rot))
+    nv, m, f = g.n, g.m, len(g.faces)
+    if nv - m + f != 2:
+        raise NonPlanarEmbedding(f"Euler count n-m+f = {nv}-{m}+{f} = {nv - m + f} != 2")
     return g
 
 
@@ -124,11 +133,11 @@ def trace_faces(rot):
     (f[i] -> f[i+1]), read cyclically, so a cut vertex appears once per
     visit.  Entry i of face_at[v] is the face holding the corner
     (v -> rot[v][i]).  A graph without edges has one face, ()."""
-    pos = [{u: i for i, u in enumerate(r)} for r in rot]
-    face_at = [[None] * len(r) for r in rot]
+    pos = [r and {u: i for i, u in enumerate(r)} for r in rot]
+    face_at = [None if r is None else [None] * len(r) for r in rot]
     faces = []
-    for v in range(len(rot)):
-        for i in range(len(rot[v])):
+    for v, r in enumerate(rot):
+        for i in range(len(r or ())):
             if face_at[v][i] is not None:
                 continue
             fi = len(faces)  # (v, i) is this face's least corner
@@ -158,7 +167,7 @@ def component(adj, start, removed):
 
 
 class SquareGraph:
-    """The distance-<=2 adjacency over a base embedded graph."""
+    """The distance-<=2 adjacency over a base embedded graph, by vertex."""
 
     __slots__ = ("adj",)
 
@@ -178,10 +187,8 @@ def dist2_neighborhood(g, v):
 
 
 def square(g):
-    adj = []
-    for v in range(g.n):
-        adj.append(frozenset(dist2_neighborhood(g, v)))
-    return SquareGraph(tuple(adj))
+    return SquareGraph({v: frozenset(dist2_neighborhood(g, v))
+                        for v in g.vertices})
 
 
 def _walk_face(rot, a, j):
@@ -200,16 +207,16 @@ def _walk_face(rot, a, j):
     return corners[k:] + corners[:k]
 
 
-def _derived(n, rot, adj, faces, rows, gone, starts):
+def _derived(vertices, rot, adj, faces, rows, gone, starts):
     """The graph a mutation derives from its parent without a rebuild.
 
-    faces are the parent's faces in the child's labels, and rows the
-    parent's face_at rows at the child's rotation positions.  The faces
+    faces are the parent's faces, and rows the parent's face_at rows at
+    the child's rotation positions (None for a removed id).  The faces
     whose indices are in `gone` were destroyed by the mutation, and an
     entry of rows for a new corner may hold any of them.  Every other face
     is kept, in order.  The faces through the corners in `starts` are
     walked and each is inserted at its least corner, so the result equals
-    build(n, rot) field by field."""
+    build(len(rot), rot) field by field."""
     order = [i for i in range(len(faces)) if i not in gone]
     kept = [faces[i] for i in order]
     walks = sorted(_walk_face(rot, a, j) for a, j in starts)
@@ -223,11 +230,11 @@ def _derived(n, rot, adj, faces, rows, gone, starts):
     fmap = dict.fromkeys(gone)  # parent face index -> child face index
     fmap.update(zip(order, range(len(order))))
     remap = fmap.__getitem__
-    face_at = [list(map(remap, row)) for row in rows]
+    face_at = [None if row is None else list(map(remap, row)) for row in rows]
     for corners, i in zip(walks, slots):
         for a, j in corners:
             face_at[a][j] = i
-    return EmbeddedGraph(n, rot, adj, tuple(kept) or ((),), face_at)
+    return EmbeddedGraph(vertices, rot, adj, tuple(kept) or ((),), face_at)
 
 
 def mutate_add_edge(g, u, v, face_index):
@@ -253,60 +260,51 @@ def mutate_add_edge(g, u, v, face_index):
         starts.append((x, j))
     adj = list(g.adj)
     adj[u], adj[v] = adj[u] | {v}, adj[v] | {u}
-    return _derived(g.n, tuple(rot), tuple(adj), g.faces, rows,
+    return _derived(g.vertices, tuple(rot), tuple(adj), g.faces, rows,
                     {face_index}, starts)
 
 
-def _relabel(rotation, vertices):
-    """Restrict the rotation lists to `vertices`, renumber those densely in
-    increasing order and build the result; returns (graph, old -> new)."""
-    keep = sorted(set(vertices))
-    id_map = {old: i for i, old in enumerate(keep)}
-    rot = [[id_map[u] for u in rotation[old] if u in id_map] for old in keep]
-    return build(len(keep), rot), id_map
+def _restrict(rotation, keep):
+    """Build `rotation` restricted to the ids in `keep`; others are removed."""
+    keep = set(keep)
+    return build(len(rotation), [[u for u in r if u in keep] if x in keep
+                                 else None for x, r in enumerate(rotation)])
 
 
 def mutate_delete_vertex(g, v):
-    """Remove v; returns (new graph, mapping old id -> new dense id).
+    """Remove v; returns the new graph.
 
-    Each vertex u keeps its rotation and becomes u - (u > v).  The faces
-    around v merge into one face, the only one walked; every other face
-    keeps its index order and its corners.  v is a cut vertex, and deleting
-    it raises WouldDisconnect, exactly when a face visits it twice."""
+    Only the rows of v and its neighbors change.  The faces around v merge
+    into one face, the only one walked; every other face keeps its index
+    order and its corners.  v is a cut vertex, and deleting it raises
+    WouldDisconnect, exactly when a face visits it twice."""
     g._check_vertex(v)
     if g.n == 1:
         raise UnknownVertex(f"deleting {v} leaves no vertex")
     gone = set(g.face_at[v])
     if len(gone) < len(g.face_at[v]):
         raise WouldDisconnect(f"removing {v} disconnects the graph")
-    lab = [*range(v + 1), *range(v, g.n - 1)]  # u -> u - (u > v)
-    relabel = lab.__getitem__
     old = g.rotation
-    rot, rows = list(old), list(g.face_at)
+    rot, adj, rows = list(old), list(g.adj), list(g.face_at)
     for x in old[v]:
         j = old[x].index(v)
         rot[x] = old[x][:j] + old[x][j + 1:]
         rows[x] = rows[x][:j] + rows[x][j + 1:]
-    del rot[v], rows[v]
-    rot = tuple([tuple(map(relabel, r)) for r in rot])
-    faces = [tuple(map(relabel, f)) for f in g.faces]
+        adj[x] = adj[x] - {v}
+    rot[v] = adj[v] = rows[v] = None
     # the corner after (v -> x) is (x -> the successor of v around x); it
     # lies on the merged face, at v's old position in x's rotation
     x = old[v][0]
     j = old[x].index(v)
-    x = lab[x]
     starts = [(x, j % len(rot[x]))] if rot[x] else []  # none for K2 - v
-    out = _derived(g.n - 1, rot, tuple(map(frozenset, rot)), faces, rows,
-                   gone, starts)
-    id_map = dict(enumerate(lab))
-    del id_map[v]
-    return out, id_map
+    return _derived(tuple(u for u in g.vertices if u != v), tuple(rot),
+                    tuple(adj), g.faces, rows, gone, starts)
 
 
 def mutate_contract_edge(g, v, anchor):
     """Contract the edge (anchor, v): v disappears and its neighbor anchor
     inherits v's other neighbors (duplicates dropped), preserving the
-    embedding; returns (new graph, mapping old id -> new dense id).
+    embedding; returns the new graph.
 
     The result is G - v plus edges from the anchor to v's other neighbors,
     so any coloring of it restricts to a coloring of G - v.
@@ -322,17 +320,16 @@ def mutate_contract_edge(g, v, anchor):
     rot[anchor] = ra[:j] + gained + ra[j + 1:]
     for x in gained:
         rot[x] = [anchor if y == v else y for y in rot[x]]
-    return _relabel(rot, [u for u in range(g.n) if u != v])
+    return _restrict(rot, [u for u in g.vertices if u != v])
 
 
 def induced_subgraph(g, vertices):
-    """Embedding induced on a vertex set; returns (graph, old->new map).
-
-    The subgraph must be connected.
+    """Embedding induced on a vertex set, which keeps its ids; the
+    subgraph must be connected.
     """
     for v in vertices:
         g._check_vertex(v)
-    return _relabel(g.rotation, vertices)
+    return _restrict(g.rotation, vertices)
 
 
 def add_edge_any_face(g, u, v):
@@ -348,10 +345,12 @@ def add_edge_any_face(g, u, v):
 # -- text format -------------------------------------------------------------
 
 def to_pg(g):
-    """Canonical '.pg' text for a graph; bit-exact round-trip with from_pg."""
+    """Canonical '.pg' text, the live ids renumbered 0..n-1 in increasing
+    order; bit-exact round-trip with from_pg."""
+    name = dict(zip(g.vertices, map(str, range(g.n))))
     lines = [f"n {g.n}"]
-    for v in range(g.n):
-        lines.append(f"{v}: " + " ".join(str(u) for u in g.rotation[v]))
+    for v in g.vertices:
+        lines.append(f"{name[v]}: " + " ".join(map(name.get, g.rotation[v])))
     return "\n".join(lines) + "\n"
 
 
@@ -386,10 +385,19 @@ def from_pg(text):
     return build(n, [rows[v] for v in range(n)])
 
 
+def rows_digest(g, vertices):
+    """Sum mod 2**64 of the FNV-1a hashes of the live rows "v: r0 r1 ..." in
+    `vertices`: a multiset hash, updated per changed row; not forgery-proof."""
+    total = 0
+    for v in vertices:
+        if v in g:
+            h = FNV_OFFSET
+            for byte in f"{v}: {' '.join(map(str, g.rotation[v]))}".encode():
+                h = ((h ^ byte) * FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
+            total += h
+    return total % 2**64
+
+
 def graph_digest(g):
-    """64-bit FNV-1a digest of the canonical serialization."""
-    h = FNV_OFFSET
-    for byte in to_pg(g).encode():
-        h ^= byte
-        h = (h * FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
-    return h
+    """64-bit digest of the graph: rows_digest over all its rows."""
+    return rows_digest(g, g.vertices)

@@ -6,7 +6,7 @@ until DSATUR on the square fits the palette budget; colorings are then
 extended back step by step.  A base limit makes the base case explicit:
 DSATUR is tried only on graphs of at most that many vertices, and larger
 ones are always reduced, as in the paper's induction.  Every run is
-deterministic and produces a replayable trace.
+deterministic and produces a replayable trace, in the input's vertex ids.
 """
 
 from __future__ import annotations
@@ -41,6 +41,8 @@ def color_within_budget(g, budget=None, base_limit=None):
     every graph."""
     if budget is None:
         budget = Budget.for_graph(g)
+    if g.max_degree() > budget.delta_context:
+        raise ExtensionStuck("Delta exceeds the budget's delta_context")
     mapping, steps, terminal = _solve(g, budget, base_limit)
     palette = max(mapping.values(), default=1)
     coloring = col.SquareColoring(palette, mapping)
@@ -58,19 +60,21 @@ def _solve(g, budget, base_limit):
     color, the trace steps, the terminal record of the last base case).
 
     Chain reductions (delete / add edge) are handled iteratively; only
-    edge-separator splits recurse.
+    edge-separator splits recurse.  A step changes only the rows of a
+    chord's ends, or of the deleted vertex and its neighbors (recipe edges
+    and contraction join only those), and re-hashes and degree-checks them.
     """
     steps = []
     pending = []  # extension records, unwound in reverse
     current = g
-    digest = f"{emb.graph_digest(g):016x}"
+    digest = emb.graph_digest(g)
     while True:
         base = None
         if base_limit is None or current.n <= base_limit:
             base = col.dsatur_color(emb.square(current), budget.palette_size)
         if base is not None:
             terminal = {"n": current.n, "palette": base.palette_size,
-                        "digest": digest}
+                        "digest": f"{digest:016x}"}
             mapping = dict(base.color_of)
             break
         w = cat.find_first_witness(current, budget)
@@ -78,7 +82,7 @@ def _solve(g, budget, base_limit):
             raise NoWitnessFound(
                 "no reducible configuration found (would contradict the "
                 "structure theorem)", graph_text=emb.to_pg(current))
-        step = {"witness": w.to_obj(), "before": digest}
+        step = {"witness": w.to_obj(), "before": f"{digest:016x}"}
         op = w.recipe["op"]
         if op == "split":
             step["after"] = None
@@ -88,25 +92,28 @@ def _solve(g, budget, base_limit):
             steps += [step, {"split_parts": parts}]
             break
         if op == "add_edge":
-            nxt = emb.mutate_add_edge(
-                current, w.recipe["u"], w.recipe["v"], w.recipe["face"])
+            touched = (w.recipe["u"], w.recipe["v"])
+            nxt = emb.mutate_add_edge(current, *touched, w.recipe["face"])
         else:
             v = w.recipe["v"]
+            touched = (v, *current.neighbors(v))
             edges = w.recipe.get("edges", []) if op == "delete_and_add" else []
             # the extension reads only v's ball, so the graph is not kept
             pending.append((v, emb.dist2_neighborhood(current, v), step))
             nxt = _delete_with_edges(current, v, edges,
                                      w.recipe.get("anchor"))
-        if nxt.max_degree() > budget.delta_context:
+        if any(nxt.degree(x) > budget.delta_context
+               for x in touched if x in nxt):
             raise ExtensionStuck("reduction raised the maximum degree past "
                                  f"{budget.delta_context}")
-        digest = f"{emb.graph_digest(nxt):016x}"
-        step["after"] = digest
+        digest = (digest - emb.rows_digest(current, touched)
+                  + emb.rows_digest(nxt, touched)) % 2**64
+        step["after"] = f"{digest:016x}"
         step["extension"] = None
         steps.append(step)
         current = nxt
     for v, ball, step in reversed(pending):
-        mapping = _extend(v, ball, mapping, budget, step)
+        _extend(v, ball, mapping, budget, step)
     return mapping, steps, terminal
 
 
@@ -114,32 +121,29 @@ def _delete_with_edges(g, v, edges, anchor):
     """G - v plus the recipe's edges.  When deleting v alone would
     disconnect the graph, the same result is obtained by contracting the
     edge between v and the anchor endpoint of the added edges (by default
-    v's neighbor of smallest degree, then smallest id).  Either way vertex
-    u of the result is vertex u + (u >= v) of g."""
+    v's neighbor of smallest degree, then smallest id)."""
     try:
-        out, id_map = emb.mutate_delete_vertex(g, v)
+        out = emb.mutate_delete_vertex(g, v)
     except emb.WouldDisconnect:
         if anchor is None:
             anchor = min(g.neighbors(v), key=lambda x: (g.degree(x), x))
-        return emb.mutate_contract_edge(g, v, anchor)[0]
+        return emb.mutate_contract_edge(g, v, anchor)
     for a, b in edges:
-        a2, b2 = id_map[a], id_map[b]
-        if not out.adjacent(a2, b2):
-            out = emb.add_edge_any_face(out, a2, b2)
+        if not out.adjacent(a, b):
+            out = emb.add_edge_any_face(out, a, b)
     return out
 
 
 def _extend(v, ball, mapping, budget, step):
     """Color the deleted vertex v with the smallest color absent from its
-    distance-2 ball `ball` in the pre-deletion graph; mapping colors the
-    reduced graph, whose vertex u was u + (u >= v)."""
-    out = {u + (u >= v): c for u, c in mapping.items()}
-    forbidden = {out[u] for u in ball}
+    distance-2 ball `ball` in the pre-deletion graph, writing it into
+    mapping, which colors the reduced graph."""
+    forbidden = {mapping[u] for u in ball}
     for c in range(1, budget.palette_size + 1):
         if c not in forbidden:
-            out[v] = c
+            mapping[v] = c
             step["extension"] = c
-            return out
+            return
     raise ExtensionStuck(
         f"no free color for vertex {v}: {len(forbidden)} forbidden of "
         f"{budget.palette_size} (witness {step['witness']['kind']})")
@@ -150,14 +154,12 @@ def _merge_separator(g, w, budget, base_limit):
     u, v = w.recipe["u"], w.recipe["v"]
     comp = w.recipe["component"]
     part1 = sorted(set(comp) | {u, v})
-    part2 = sorted(set(range(g.n)) - set(comp))
-    g1, map1 = emb.induced_subgraph(g, part1)
-    g2, map2 = emb.induced_subgraph(g, part2)
-    m1, sub1, t1 = _solve(g1, budget, base_limit)
-    m2, sub2, t2 = _solve(g2, budget, base_limit)
+    part2 = sorted(set(g.vertices) - set(comp))
+    m1, sub1, t1 = _solve(emb.induced_subgraph(g, part1), budget, base_limit)
+    m2, sub2, t2 = _solve(emb.induced_subgraph(g, part2), budget, base_limit)
     parts = [[*sub1, {"terminal": t1}], [*sub2, {"terminal": t2}]]
-    col1 = _normalize_uv({x: m1[map1[x]] for x in part1}, u, v)
-    col2 = _normalize_uv({x: m2[map2[x]] for x in part2}, u, v)
+    col1 = _normalize_uv(m1, u, v)
+    col2 = _normalize_uv(m2, u, v)
     n1 = sorted((set(g.neighbors(u)) | set(g.neighbors(v))) & set(comp))
     n2 = sorted(((set(g.neighbors(u)) | set(g.neighbors(v))) - set(comp))
                 - {u, v})

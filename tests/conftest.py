@@ -69,7 +69,7 @@ def find_edge_separator_scan(g):
     edge order, O(m (n + m))."""
     if g.n < 4:
         return None
-    edges = sorted((u, v) for u in range(g.n) for v in g.neighbors(u) if u < v)
+    edges = sorted((u, v) for u in g.vertices for v in g.neighbors(u) if u < v)
     for u, v in edges:
         comp = cat._smallest_component_without(g, u, v)
         if comp is not None:
@@ -88,13 +88,13 @@ def verify_scan(g, coloring):
     without a color, or a key v that is not a vertex of g or whose color is
     outside the palette."""
     col = coloring.color_of
-    for v in range(g.n):
+    for v in g.vertices:
         if v not in col:
             return False, (v, v)
     for v, c in col.items():
-        if not (0 <= v < g.n and 1 <= c <= coloring.palette_size):
+        if not (v in g and 1 <= c <= coloring.palette_size):
             return False, (v, v)
-    for v in range(g.n):
+    for v in g.vertices:
         for u in emb.dist2_neighborhood(g, v):
             if u > v and col[u] == col[v]:
                 return False, (v, u)
@@ -197,7 +197,7 @@ def face_corners_scan(g):
     b."""
     seen = set()
     faces = []
-    for v in range(g.n):
+    for v in g.vertices:
         for w in g.rotation[v]:
             corners = []
             a, b = v, w
@@ -218,17 +218,18 @@ def add_chord_first_visit(g, u, v, face_index):
     than once, and the first visit in walk order need not be the first
     corner in x's rotation order."""
     corners = face_corners_scan(g)[face_index]
-    rot = [list(r) for r in g.rotation]
+    rot = [None if r is None else list(r) for r in g.rotation]
     for x, other in ((u, v), (v, u)):
         y = next(b for a, b in corners if a == x)
         rot[x].insert(rot[x].index(y), other)
-    return emb.build(g.n, rot)
+    return emb.build(len(rot), rot)
 
 
 def assert_same_graph(a, b):
     """Field-by-field equality of two embedded graphs: EmbeddedGraph's
     == compares the rotations only."""
     assert a.n == b.n
+    assert tuple(a.vertices) == tuple(b.vertices)
     assert a.rotation == b.rotation
     assert a.adj == b.adj
     assert a.faces == b.faces
@@ -236,12 +237,12 @@ def assert_same_graph(a, b):
 
 
 def delete_by_build(g, v):
-    """Oracle for embedding.mutate_delete_vertex: G - v with every vertex u
-    relabelled u - (u > v), built from scratch.  Raises Disconnected when
-    v is a cut vertex."""
-    rot = [[u - (u > v) for u in g.rotation[x] if u != v]
-           for x in range(g.n) if x != v]
-    return emb.build(g.n - 1, rot)
+    """Oracle for embedding.mutate_delete_vertex: G - v built from scratch,
+    with v's row set to None and every other id kept.  Raises Disconnected
+    when v is a cut vertex."""
+    rot = [[u for u in g.rotation[x] if u != v] if x in g and x != v
+           else None for x in range(len(g.rotation))]
+    return emb.build(len(rot), rot)
 
 
 def assert_mutations_match_build(g):
@@ -249,16 +250,14 @@ def assert_mutations_match_build(g):
     field by field, and a deletion raises WouldDisconnect exactly when the
     rebuilt graph is disconnected; returns the number of mutations."""
     count = 0
-    for v in range(g.n):
+    for v in g.vertices:
         try:
             want = delete_by_build(g, v)
         except Disconnected:
             with pytest.raises(WouldDisconnect):
                 emb.mutate_delete_vertex(g, v)
             continue
-        got, id_map = emb.mutate_delete_vertex(g, v)
-        assert_same_graph(got, want)
-        assert id_map == {u: u - (u > v) for u in range(g.n) if u != v}
+        assert_same_graph(emb.mutate_delete_vertex(g, v), want)
         count += 1
     for fi, face in enumerate(g.faces):
         on_face = sorted(set(face))
@@ -269,6 +268,34 @@ def assert_mutations_match_build(g):
                                       add_chord_first_visit(g, u, v, fi))
                     count += 1
     return count
+
+
+def naive_chi2(g):
+    """Independent brute-force oracle for coloring.exact_chi2: enumerate
+    set partitions of the vertices (restricted growth strings) and keep the
+    smallest number of blocks that are all independent in the square.
+    Exponential; n <= ~10."""
+    sq = emb.square(g)
+    best = g.n
+
+    def rec(v, blocks):
+        nonlocal best
+        if len(blocks) >= best:
+            return
+        if v == g.n:
+            best = len(blocks)
+            return
+        for b in blocks:
+            if not (sq.adj[v] & b):
+                b.add(v)
+                rec(v + 1, blocks)
+                b.discard(v)
+        blocks.append({v})
+        rec(v + 1, blocks)
+        blocks.pop()
+
+    rec(0, [])
+    return best
 
 
 def add_edge_first_face_scan(g, u, v):
@@ -290,9 +317,9 @@ def single_deletions(graphs):
     """Every connected single-vertex deletion of the graphs."""
     out = []
     for g in graphs:
-        for v in range(g.n):
+        for v in g.vertices:
             try:
-                out.append(emb.mutate_delete_vertex(g, v)[0])
+                out.append(emb.mutate_delete_vertex(g, v))
             except WouldDisconnect:
                 pass
     return out

@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from conftest import naive_chi2
 from psc import catalog as cat
 from psc import coloring as col
 from psc import discharge as dis
@@ -112,12 +113,12 @@ def test_7_oracle_sanity(corpus_1000):
         assert res.exact
         assert delta + 1 <= res.chi2 <= greedy.palette_size <= 5 * delta + 1
         if g.n <= 8:
-            assert res.chi2 == col.naive_chi2(g)
+            assert res.chi2 == naive_chi2(g)
     tiny = [g for g in corpus_1000 if g.n <= 8]
     tiny += gen.gen_corpus(15, (5, 8), 3, 401, delta_max=6)
     assert len(tiny) >= 10
     for g in tiny:
-        assert col.exact_chi2(g, time_limit=60.0).chi2 == col.naive_chi2(g)
+        assert col.exact_chi2(g, time_limit=60.0).chi2 == naive_chi2(g)
 
 
 def test_8_determinism(tmp_path):

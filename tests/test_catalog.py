@@ -114,9 +114,9 @@ def test_edge_separator_matches_scan_pocketed(g):
 
 
 def _brute_cut_vertices(g):
-    cut = []
-    for v in range(g.n):
-        rest = [x for x in range(g.n) if x != v]
+    cut = {}
+    for v in g.vertices:
+        rest = [x for x in g.vertices if x != v]
         seen = {v, rest[0]}
         stack = rest[:1]
         while stack:
@@ -124,7 +124,7 @@ def _brute_cut_vertices(g):
                 if y not in seen:
                     seen.add(y)
                     stack.append(y)
-        cut.append(len(seen) < g.n)
+        cut[v] = len(seen) < g.n
     return cut
 
 
@@ -139,7 +139,7 @@ def test_face_walk_cut_vertices():
     for g in graphs:
         _, cut = cat._faces_at(g)
         assert cut == _brute_cut_vertices(g), emb.to_pg(g)
-        cuts += sum(cut)
+        cuts += sum(cut.values())
     assert cuts >= 50
 
 
@@ -247,6 +247,36 @@ def test_first_witness_matches_detect_all(corpus_large, corpus_small,
                                                 or [None])[0], emb.to_pg(g)
 
 
+def _relabel_witness(w, ids):
+    """w with every vertex i it names replaced by ids[i]; face indices are
+    kept."""
+    r = dict(w.recipe)
+    for key in ("v", "u", "anchor"):
+        if key in r:
+            r[key] = ids[r[key]]
+    if "edges" in r:
+        r["edges"] = [[ids[a], ids[b]] for a, b in r["edges"]]
+    if "component" in r:
+        r["component"] = [ids[x] for x in r["component"]]
+    return dataclasses.replace(w, actors=tuple(ids[x] for x in w.actors),
+                               recipe=r)
+
+
+def test_first_witness_relabel_invariant(forced_intermediates):
+    """On a graph with removed ids the catalog picks the witness it picks
+    on the dense renumbering that to_pg writes, with the labels mapped
+    back.  It scans vertices in increasing order, compares actor tuples and
+    orders faces by least corner, and a monotone relabel keeps all three,
+    so even the face indices agree."""
+    gaps = 0
+    for h, b in forced_intermediates:
+        dense = emb.from_pg(emb.to_pg(h))
+        w = cat.find_first_witness(dense, b)
+        assert _relabel_witness(w, h.vertices) == cat.find_first_witness(h, b)
+        gaps += h.n < len(h.rotation)
+    assert gaps > 40
+
+
 def test_deletable_vertex_check():
     g = gen.named_graph("k4")
     assert cat.deletable_vertex_check(g, 0, 21)
@@ -267,9 +297,10 @@ def _forgeries(g, w):
     faces and the actors in turn."""
     r, a = w.recipe, w.actors
     nf = len(g.faces)
+    vs = list(g.vertices)
     changes = [{"op": "delete_and_add" if r["op"] == "delete" else "delete"}]
-    changes += [{key: (r[key] + 1) % g.n} for key in ("v", "anchor", "u")
-                if key in r]
+    changes += [{key: vs[(vs.index(r[key]) + 1) % g.n]}
+                for key in ("v", "anchor", "u") if key in r]
     if "face" in r and nf > 1:
         changes.append({"face": (r["face"] + 1) % nf})
     if "edges" in r:
@@ -284,7 +315,7 @@ def _forgeries(g, w):
     if w.kind != "Deg4Tri5Tri":
         # any neighbour of degree 5 or below 12 may fill Deg4Tri5Tri's
         # places; every other kind fixes who stands where
-        fill += [x for x in range(g.n) if x not in a][:1]
+        fill += [x for x in g.vertices if x not in a][:1]
         if len(a) >= 3 and a[1] != a[-1]:
             out.append(dataclasses.replace(
                 w, actors=(a[0], a[-1]) + a[2:-1] + (a[1],)))

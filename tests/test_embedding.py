@@ -27,14 +27,30 @@ def test_build_one_vertex():
 def test_delete_vertex_to_one_vertex():
     k2 = emb.build(2, [[1], [0]])
     for v in (0, 1):
-        g2, id_map = emb.mutate_delete_vertex(k2, v)
-        assert_same_graph(g2, emb.from_pg("n 1\n0:\n"))
-        assert id_map == {1 - v: 0}
+        g2 = emb.mutate_delete_vertex(k2, v)
+        assert_same_graph(g2, delete_by_build(k2, v))
+        assert g2.vertices == (1 - v,) and g2.n == 1
+        assert emb.to_pg(g2) == emb.to_pg(emb.from_pg("n 1\n0:\n"))
 
 
 def test_delete_only_vertex():
     with pytest.raises(err.UnknownVertex):
         emb.mutate_delete_vertex(emb.from_pg("n 1\n0:\n"), 0)
+
+
+def test_build_with_removed_ids():
+    # a None row is a removed id: not a vertex, and no row may list it
+    g = emb.build(4, [None, [2, 3], [3, 1], [1, 2]])
+    assert g.vertices == (1, 2, 3) and g.n == 3 and g.m == 3
+    assert 0 not in g and 1 in g and 4 not in g and -1 not in g
+    assert g.faces == ((1, 2, 3), (1, 3, 2)) and g.face_at[0] is None
+    assert emb.to_pg(g) == "n 3\n0: 1 2\n1: 2 0\n2: 0 1\n"
+    with pytest.raises(err.UnknownVertex, match="not a vertex"):
+        g.neighbors(0)
+    with pytest.raises(err.UnknownVertex):
+        emb.build(4, [None, [2, 3, 0], [3, 1], [1, 2]])
+    with pytest.raises(err.UnknownVertex):
+        emb.build(2, [None, None])
 
 
 def test_build_rejects_asymmetry():
@@ -119,7 +135,7 @@ def test_face_index_covers_every_corner_once():
         assert emb.trace_faces(g.rotation) == (faces, g.face_at)
         assert [_walk_corners(f) for f in faces] == face_corners_scan(g)
         walked = sorted(c for f in faces for c in _walk_corners(f))
-        assert walked == sorted((u, v) for u in range(g.n)
+        assert walked == sorted((u, v) for u in g.vertices
                                 for v in g.rotation[u])
         for i, f in enumerate(faces):
             assert all(g.face_at[u][g.rotation[u].index(v)] == i
@@ -149,9 +165,9 @@ def test_add_edge_takes_first_visit_corner():
 def test_add_edge_any_face_matches_scan():
     shared = 0
     for g in _graphs_with_cut_vertices():
-        for u in range(g.n):
-            for v in range(u + 1, g.n):
-                if g.adjacent(u, v):
+        for u in g.vertices:
+            for v in g.vertices:
+                if v <= u or g.adjacent(u, v):
                     continue
                 try:
                     want = add_edge_first_face_scan(g, u, v)
@@ -225,10 +241,18 @@ def test_contract_non_edge(v, anchor, error):
 
 def test_delete_vertex():
     g = gen.named_graph("k4")
-    g2, id_map = emb.mutate_delete_vertex(g, 0)
+    g2 = emb.mutate_delete_vertex(g, 0)
     assert g2.n == 3 and g2.m == 3
-    assert id_map == {1: 0, 2: 1, 3: 2}
+    # the survivors keep their ids; 0 is no longer a vertex
+    assert g2.vertices == (1, 2, 3) and 0 not in g2 and 3 in g2
+    assert g2.rotation[0] is None and g2.adj[0] is None
+    assert g2.rotation[1:] == tuple(tuple(u for u in r if u != 0)
+                                    for r in g.rotation[1:])
     assert_same_graph(g2, delete_by_build(g, 0))
+    with pytest.raises(err.UnknownVertex):
+        g2.degree(0)
+    with pytest.raises(err.UnknownVertex):
+        emb.mutate_delete_vertex(g2, 0)
 
 
 def test_delete_would_disconnect():
@@ -241,17 +265,19 @@ def test_contract_edge_on_bridge():
     # two triangles joined through the cut vertex 0 (neighbors 1 and 2)
     g = emb.from_pg("n 7\n0: 1 2\n1: 3 4 0\n2: 0 5 6\n3: 4 1\n4: 1 3\n"
                     "5: 6 2\n6: 2 5\n")
-    g2, id_map = emb.mutate_contract_edge(g, 0, 1)
-    assert id_map == {old: old - 1 for old in range(1, 7)}
-    assert g2.rotation == ((2, 3, 1), (0, 4, 5), (3, 0), (0, 2), (5, 1), (1, 4))
+    g2 = emb.mutate_contract_edge(g, 0, 1)
+    assert g2.vertices == (1, 2, 3, 4, 5, 6)
+    assert g2.rotation == (None, (3, 4, 2), (1, 5, 6), (4, 1), (1, 3), (6, 2),
+                           (2, 5))
 
 
 def test_induced_subgraph():
     g = gen.named_graph("octahedron")
     tri = sorted(g.faces[0])
-    sub, id_map = emb.induced_subgraph(g, tri)
+    sub = emb.induced_subgraph(g, tri)
     assert sub.n == 3 and sub.m == 3
-    assert set(id_map) == set(tri)
+    assert sub.vertices == tuple(tri)
+    assert all(sub.neighbors(v) == set(tri) - {v} for v in tri)
 
 
 def test_pg_roundtrip_bit_exact(corpus_large, corpus_small):
@@ -293,20 +319,20 @@ def test_digest_stable():
 @given(st.integers(0, 10_000))
 def test_mutations_preserve_planarity(seed):
     g = gen.gen_stacked_triangulation(12, seed)
-    g2, _ = emb.mutate_delete_vertex(g, g.n - 1)
+    g2 = emb.mutate_delete_vertex(g, g.n - 1)
     assert g2.n - g2.m + len(g2.faces) == 2
     assert_same_graph(g2, delete_by_build(g, g.n - 1))
     # a vertex of degree d >= 4 leaves a d-face with a non-adjacent pair
     # (else its link and it would form K5); add a chord there
     v = max(range(g.n), key=g.degree)
-    g2, _ = emb.mutate_delete_vertex(g, v)
+    g2 = emb.mutate_delete_vertex(g, v)
     fi = max(range(len(g2.faces)), key=lambda i: len(g2.faces[i]))
     face = g2.faces[fi]
     u, v = next((a, b) for a in face for b in face
                 if a != b and not g2.adjacent(a, b))
     g3 = emb.mutate_add_edge(g2, u, v, fi)
     assert g3.n - g3.m + len(g3.faces) == 2
-    assert_same_graph(g3, emb.build(g3.n, g3.rotation))
+    assert_same_graph(g3, emb.build(len(g3.rotation), g3.rotation))
 
 
 def test_mutations_match_build():
@@ -322,7 +348,7 @@ def test_forced_intermediates_match_build(forced_intermediates):
     # the reducer's graphs are all derived by mutations; each equals its
     # rebuild and derives its own mutations correctly
     for g, _ in forced_intermediates:
-        assert_same_graph(g, emb.build(g.n, g.rotation))
+        assert_same_graph(g, emb.build(len(g.rotation), g.rotation))
         assert_mutations_match_build(g)
 
 
@@ -337,7 +363,7 @@ def test_mutations_match_build_sampled(seed, delta_min):
 def test_would_disconnect_iff_build_disconnected(corpus_large, corpus_small):
     cut = 0
     for g in corpus_large + corpus_small + _graphs_with_cut_vertices():
-        for v in range(g.n):
+        for v in g.vertices:
             try:
                 delete_by_build(g, v)
             except err.Disconnected:

@@ -1,17 +1,20 @@
+import dataclasses
 import itertools
 import json
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import bridge, cube, double_pocket, glue_pocket
+from psc import catalog as cat
 from psc import coloring as col
 from psc import embedding as emb
 from psc import generators as gen
 from psc import reducer as red
 from psc.budgets import SMALL, Budget
-from psc.errors import MergeInfeasible
+from psc.errors import ExtensionStuck, MergeInfeasible, NoWitnessFound
 
 
 def applied_kinds(steps):
@@ -170,6 +173,122 @@ def test_trace_jsonl_format(corpus_large):
         obj = json.loads(line)
         if "witness" in obj:
             assert len(obj["before"]) == 16
+
+
+def replay_digests(g, records):
+    """Apply each step's recipe to g, in input ids, and check the step's
+    before and after digests and the terminal's against a full
+    graph_digest; a split's parts are replayed on their induced subgraphs.
+    Returns the witness kinds replayed."""
+    def digest(h):
+        return f"{emb.graph_digest(h):016x}"
+
+    kinds = set()
+    for i, r in enumerate(records):
+        if "terminal" in r:
+            assert r["terminal"]["digest"] == digest(g)
+            return kinds
+        w = r["witness"]
+        rec = w["recipe"]
+        kinds.add(w["kind"])
+        assert r["before"] == digest(g)
+        if rec["op"] == "split":
+            comp = set(rec["component"])
+            parts = (sorted(comp | {rec["u"], rec["v"]}),
+                     sorted(set(g.vertices) - comp))
+            for part, sub in zip(parts, records[i + 1]["split_parts"]):
+                kinds |= replay_digests(emb.induced_subgraph(g, part), sub)
+            return kinds
+        if rec["op"] == "add_edge":
+            g = emb.mutate_add_edge(g, rec["u"], rec["v"], rec["face"])
+        else:
+            g = red._delete_with_edges(g, rec["v"], rec.get("edges", []),
+                                       rec.get("anchor"))
+        assert r["after"] == digest(g)
+    raise AssertionError("trace without a terminal record")
+
+
+def test_step_digests_match_full_digest(corpus_large, corpus_small):
+    # each step re-hashes only the rows it touches; the running digest
+    # equals the digest of the whole graph after every step, through
+    # deletions, chords, the bridge's contraction and the pockets' splits
+    kinds = set()
+    runs = [(g, 6) for g in corpus_large[:6] + corpus_small[:6]]
+    runs += [(bridge(), 1), (double_pocket(), 1),
+             (glue_pocket(gen.gen_stacked_triangulation(22, 3), 0, 1), 5)]
+    for g, base_limit in runs:
+        _, tr = red.color_within_budget(g, base_limit=base_limit)
+        kinds |= replay_digests(g, tr.to_obj())
+    assert {"Deg1", "Deg2", "EdgeSeparator", "Deg3SmallNbr"} <= kinds
+
+
+def test_budget_below_max_degree_raises():
+    # a step checks the degrees of the vertices it touches only, which
+    # equals a check of the maximum degree only from Delta <= delta_context
+    g = gen.gen_wegner(9)
+    low = dataclasses.replace(Budget.for_graph(g),
+                              delta_context=g.max_degree() - 1)
+    with pytest.raises(ExtensionStuck, match="exceeds the budget"):
+        red.color_within_budget(g, low, base_limit=1)
+
+
+@pytest.mark.parametrize("g, w", [
+    # a chord at vertex 0 of C6, whose degree 2 is the budget's cap
+    (gen.gen_cycle(6), cat.ConfigWitness(
+        kind="FaceTwoSmall", actors=(0, 2), faces=(0,),
+        recipe={"op": "add_edge", "u": 0, "v": 2, "face": 0})),
+    # deleting a vertex of the cube and joining its neighbour 1 to the
+    # two others raises the degree of 1 from 3 to 4
+    (cube(), cat.ConfigWitness(
+        kind="Deg3SmallNbr", actors=(0, 1, 3, 4),
+        recipe={"op": "delete_and_add", "v": 0, "anchor": 1,
+                "edges": [[1, 3], [1, 4]]})),
+])
+def test_step_past_delta_context_raises(g, w):
+    budget = Budget(21, g.max_degree(), SMALL)
+    with mock.patch.object(cat, "find_first_witness", lambda h, b: w):
+        with pytest.raises(ExtensionStuck, match="raised the maximum degree"):
+            red.color_within_budget(g, budget, base_limit=1)
+
+
+def test_no_witness_dump_parses():
+    # the dump of a reduced graph renumbers its ids densely, so it parses
+    # although ids were removed
+    g = gen.gen_stacked_triangulation(30, 2)
+    seen = []
+    real = cat.find_first_witness
+
+    def third_fails(h, budget):
+        seen.append(h)
+        return None if len(seen) == 3 else real(h, budget)
+
+    with mock.patch.object(cat, "find_first_witness", third_fails):
+        with pytest.raises(NoWitnessFound) as e:
+            red.color_within_budget(g, base_limit=6)
+    h = seen[2]
+    assert h.n < len(h.rotation)  # some id was removed
+    dumped = emb.from_pg(e.value.graph_text)
+    assert dumped.n == h.n
+    index = {v: i for i, v in enumerate(h.vertices)}
+    assert dumped.rotation == tuple(tuple(index[u] for u in h.rotation[v])
+                                    for v in h.vertices)
+
+
+def test_trace_names_input_ids(corpus_large):
+    # no deleted vertex reappears in a later step, and every id is the
+    # input's
+    g = corpus_large[3]
+    _, tr = red.color_within_budget(g, base_limit=6)
+    gone = set()
+    for r in tr.steps:
+        rec = r["witness"]["recipe"]
+        named = {*r["witness"]["actors"], *(x for e in rec.get("edges", ())
+                                            for x in e)}
+        named |= {rec[k] for k in ("v", "u", "anchor") if k in rec}
+        assert named <= set(range(g.n)) - gone
+        if rec["op"] != "add_edge":
+            gone.add(rec["v"])
+    assert tr.terminal["n"] == g.n - len(gone)
 
 
 def test_trace_digests_chain(corpus_large):
