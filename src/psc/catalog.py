@@ -7,8 +7,10 @@ Detection order inside reports is deterministic: kind rank, then actors.
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import embedding as emb
 from .budgets import LARGE, SMALL, Budget
@@ -63,6 +65,29 @@ def _sort_key(w):
 
 
 # -- individual detectors ----------------------------------------------------
+#
+# Each kind is defined once, by a function of one vertex, edge or face.  The
+# detectors run it over the whole graph and WitnessIndex re-runs it where a
+# mutation reached.  These functions take their ids from the graph itself,
+# so they read g.adj and g.rotation without validating each access.
+
+class _FaceSets(dict):
+    """Vertex -> the set of faces on whose boundary it lies, computed on
+    first use."""
+
+    def __init__(self, g):
+        super().__init__()
+        self.g = g
+
+    def __missing__(self, v):
+        s = self[v] = set(self.g.face_at[v])
+        return s
+
+    def is_cut(self, v):
+        """Whether one face's corner walk visits v twice; in a connected
+        plane graph that happens exactly at the cut vertices."""
+        return len(self[v]) < len(self.g.face_at[v])
+
 
 def find_edge_separator(g):
     """First edge uv (sorted) whose endpoint removal disconnects the graph.
@@ -79,27 +104,30 @@ def find_edge_separator(g):
     that separates is therefore the first separating edge."""
     if g.n < 4:
         return None
-    at, cut = _faces_at(g)
+    at = _FaceSets(g)
     for u in g.vertices:
-        for v in sorted(x for x in g.neighbors(u) if x > u):
-            # both faces beside uv hold u and v; when they are one face,
-            # uv is a bridge and has a cut-vertex end
-            if cut[u] or cut[v] or len(at[u] & at[v]) > 2:
-                comp = _smallest_component_without(g, u, v)
-                if comp is not None:
-                    return ConfigWitness(
-                        kind="EdgeSeparator", actors=(u, v),
-                        recipe={"op": "split", "u": u, "v": v,
-                                "component": sorted(comp)})
+        for v in sorted(x for x in g.adj[u] if x > u):
+            comp = _separating_component(g, at, u, v)
+            if comp is not None:
+                return _separator_witness(u, v, comp)
     return None
 
 
-def _faces_at(g):
-    """Per vertex (dicts), the set of faces on whose boundary it lies, and
-    whether one face's corner walk visits it twice; in a connected plane
-    graph that happens exactly at the cut vertices."""
-    at = {v: set(g.face_at[v]) for v in g.vertices}
-    return at, {v: len(s) < len(g.face_at[v]) for v, s in at.items()}
+def _separating_component(g, at, u, v):
+    """For the edge uv of a graph of 4+ vertices, the component of
+    _smallest_component_without if uv is a candidate (see
+    find_edge_separator) and G - {u, v} is disconnected, else None; `at`
+    is a _FaceSets of g.  Both faces beside uv hold u and v; when they are
+    one face, uv is a bridge and has a cut-vertex end."""
+    if at.is_cut(u) or at.is_cut(v) or len(at[u] & at[v]) > 2:
+        return _smallest_component_without(g, u, v)
+    return None
+
+
+def _separator_witness(u, v, comp):
+    return ConfigWitness(kind="EdgeSeparator", actors=(u, v),
+                         recipe={"op": "split", "u": u, "v": v,
+                                 "component": sorted(comp)})
 
 
 def _smallest_component_without(g, u, v):
@@ -117,22 +145,34 @@ def _smallest_component_without(g, u, v):
     return comp if len(comp) <= len(other) else other
 
 
+def _two_small(g, face, cap):
+    """On a face of length 4 or more, the first pair in walk order of
+    non-adjacent vertices of degree below cap, smaller id first; else
+    None."""
+    if len(face) < 4:
+        return None
+    rot, adj = g.rotation, g.adj
+    small = [v for v in dict.fromkeys(face) if len(rot[v]) < cap]
+    for i, u in enumerate(small):
+        for v in small[i + 1:]:
+            if v not in adj[u]:
+                return (u, v) if u < v else (v, u)
+    return None
+
+
+def _face_two_small_witness(fi, a, b):
+    return ConfigWitness(kind="FaceTwoSmall", actors=(a, b), faces=(fi,),
+                         recipe={"op": "add_edge", "u": a, "v": b,
+                                 "face": fi})
+
+
 def find_face_two_small(g, cap):
     """A 4+ face carrying two non-adjacent vertices of degree below cap,
     with the chord recipe."""
     for fi, face in enumerate(g.faces):
-        if len(face) < 4:
-            continue
-        small = [v for v in dict.fromkeys(face) if g.degree(v) < cap]
-        if len(small) < 2:
-            continue
-        for i, u in enumerate(small):
-            for v in small[i + 1:]:
-                if not g.adjacent(u, v):
-                    a, b = min(u, v), max(u, v)
-                    return ConfigWitness(
-                        kind="FaceTwoSmall", actors=(a, b), faces=(fi,),
-                        recipe={"op": "add_edge", "u": a, "v": b, "face": fi})
+        pair = _two_small(g, face, cap)
+        if pair is not None:
+            return _face_two_small_witness(fi, *pair)
     return None
 
 
@@ -146,45 +186,53 @@ def _triangle_corners(g, v):
     return [i for i, fi in enumerate(g.face_at[v]) if len(g.faces[fi]) == 3]
 
 
+def _low_degree(g, v):
+    """The Deg1 or Deg2 witness of v, as a list."""
+    r = g.rotation[v]
+    if len(r) == 1:
+        return [ConfigWitness(
+            kind="Deg1", actors=(v,), recipe={"op": "delete", "v": v})]
+    if len(r) == 2:
+        u, w = sorted(r)
+        return [ConfigWitness(
+            kind="Deg2", actors=(v, u, w),
+            recipe={"op": "delete_and_add", "v": v, "anchor": u,
+                    "edges": [[u, w]]})]
+    return []
+
+
 def _low_degree_configs(g):
     """A Deg1 or Deg2 witness for every vertex of degree 1 or 2."""
-    out = []
-    for v in g.vertices:
-        d = g.degree(v)
-        if d == 1:
-            out.append(ConfigWitness(
-                kind="Deg1", actors=(v,), recipe={"op": "delete", "v": v}))
-        elif d == 2:
-            u, w = sorted(g.neighbors(v))
-            out.append(ConfigWitness(
-                kind="Deg2", actors=(v, u, w),
-                recipe={"op": "delete_and_add", "v": v, "anchor": u,
-                        "edges": [[u, w]]}))
-    return out
+    return [w for v in g.vertices for w in _low_degree(g, v)]
+
+
+def _small_vertex(g, v, cap):
+    """The degree-3 and degree-4 configurations at v for maximum degree
+    cap."""
+    d = len(g.rotation[v])
+    if d == 3:
+        return _deg3_configs(g, v, cap)
+    if d == 4:
+        return _deg4_configs(g, v)
+    return []
 
 
 def find_small_vertex_configs(g, cap):
     """All matches of the degree-3 and degree-4 forbidden configurations
     for maximum degree cap (the degree-1/2 ones come from
     _low_degree_configs)."""
-    found = []
-    for v in g.vertices:
-        d = g.degree(v)
-        if d == 3:
-            found.extend(_deg3_configs(g, v, cap))
-        elif d == 4:
-            w4 = _deg4_config(g, v)
-            if w4 is not None:
-                found.append(w4)
-    return sorted(found, key=_sort_key)
+    return sorted((w for v in g.vertices for w in _small_vertex(g, v, cap)),
+                  key=_sort_key)
 
 
 def _deg3_configs(g, v, cap):
     out = []
-    small_nbrs = sorted(u for u in g.neighbors(v) if g.degree(u) <= 5)
+    rot = g.rotation
+    nbrs = g.adj[v]
+    small_nbrs = sorted(u for u in nbrs if len(rot[u]) <= 5)
     if small_nbrs:
         u = small_nbrs[0]
-        v1, v2 = sorted(x for x in g.neighbors(v) if x != u)
+        v1, v2 = sorted(x for x in nbrs if x != u)
         out.append(ConfigWitness(
             kind="Deg3SmallNbr", actors=(v, u, v1, v2),
             recipe={"op": "delete_and_add", "v": v, "anchor": u,
@@ -192,12 +240,11 @@ def _deg3_configs(g, v, cap):
     around = g.face_at[v]
     tri = _triangle_corners(g, v)
     threshold = min(10, cap)
-    if len(tri) >= 2 and any(g.degree(u) <= threshold for u in g.neighbors(v)):
+    if len(tri) >= 2 and any(len(rot[u]) <= threshold for u in nbrs):
         # two incident 3-faces always share a middle neighbor when deg(v)=3
-        rot = g.rotation[v]
         i, j = tri[0], tri[1]
-        middle = rot[i] if (i + 1) % 3 == j or len(tri) == 3 else rot[j]
-        others = sorted(x for x in g.neighbors(v) if x != middle)
+        middle = rot[v][i] if (i + 1) % 3 == j or len(tri) == 3 else rot[v][j]
+        others = sorted(x for x in nbrs if x != middle)
         out.append(ConfigWitness(
             kind="Deg3TwoTriangles", actors=(v, others[0], middle, others[1]),
             faces=(around[i], around[j]),
@@ -211,92 +258,107 @@ def _deg3_configs(g, v, cap):
     return out
 
 
-def _deg4_config(g, v):
+def _deg4_configs(g, v):
     if not _is_triangulated(g, v):
-        return None
-    tri5 = sorted(u for u in g.neighbors(v)
-                  if g.degree(u) == 5 and _is_triangulated(g, u))
-    low = sorted(u for u in g.neighbors(v) if g.degree(u) < 12)
+        return []
+    rot = g.rotation
+    tri5 = sorted(u for u in g.adj[v]
+                  if len(rot[u]) == 5 and _is_triangulated(g, u))
+    low = sorted(u for u in g.adj[v] if len(rot[u]) < 12)
     if tri5 and low:
-        return ConfigWitness(
+        return [ConfigWitness(
             kind="Deg4Tri5Tri", actors=(v, tri5[0], low[0]),
-            recipe={"op": "delete", "v": v})
-    return None
+            recipe={"op": "delete", "v": v})]
+    return []
 
 
 def deletable_vertex_check(g, v, budget):
     """True when all neighbor pairs of v are at distance <= 2 in G-v and v
     has fewer than `budget` vertices at distance <= 2."""
-    nbrs = sorted(g.neighbors(v))
+    adj = g.adj
+    nbrs = sorted(adj[v])
     if len(emb.dist2_neighborhood(g, v)) >= budget:
         return False
     for i, a in enumerate(nbrs):
         for b in nbrs[i + 1:]:
-            if g.adjacent(a, b):
+            if b in adj[a]:
                 continue
-            if (g.neighbors(a) & g.neighbors(b)) - {v}:
+            if (adj[a] & adj[b]) - {v}:
                 continue
             return False
     return True
 
 
+def _deletable(g, v, budget):
+    """The GenericDeletable witness of v, as a list."""
+    if deletable_vertex_check(g, v, budget):
+        return [ConfigWitness(kind="GenericDeletable", actors=(v,),
+                              recipe={"op": "delete", "v": v})]
+    return []
+
+
 def find_generic_deletable(g, budget):
     for v in g.vertices:
-        if deletable_vertex_check(g, v, budget):
-            return ConfigWitness(kind="GenericDeletable", actors=(v,),
-                                 recipe={"op": "delete", "v": v})
+        found = _deletable(g, v, budget)
+        if found:
+            return found[0]
     return None
 
 
 def _missing_edge(g, *pairs):
     """[[a, b]] for the first non-adjacent pair (a, b), else []."""
     for a, b in pairs:
-        if not g.adjacent(a, b):
+        if b not in g.adj[a]:
             return [[a, b]]
     return []
 
 
-def find_weak_configs_delta6(g):
-    """Small-degree catalog for maximum degree at most 6."""
-    if g.max_degree() > 6:
+def _weak(g, v):
+    """The small-degree configurations at v for maximum degree at most 6;
+    raises DeltaTooLarge if v's degree is above 6."""
+    rot = g.rotation[v]
+    d = len(rot)
+    if d > 6:
         raise DeltaTooLarge(f"Delta = {g.max_degree()} > 6")
-    found = []
-    for v in g.vertices:
-        d = g.degree(v)
-        if d == 5 and _is_triangulated(g, v):
-            found.append(ConfigWitness(
-                kind="W_Tri5", actors=(v,), recipe={"op": "delete", "v": v}))
-        elif d == 4:
-            tri = _triangle_corners(g, v)
-            if len(tri) == 4:
-                found.append(ConfigWitness(
-                    kind="W_Deg4ThreeTriangles", actors=(v,),
-                    recipe={"op": "delete", "v": v}))
-            elif len(tri) == 3:
-                # face entry i sits between rotation neighbors i-1 and i;
-                # the path ends flank the single non-triangle face
-                rot = g.rotation[v]
-                gap = next(i for i in range(4) if i not in tri)
-                a, dd = rot[gap - 1], rot[gap]
-                edges = _missing_edge(g, (a, dd))
-                found.append(ConfigWitness(
-                    kind="W_Deg4ThreeTriangles", actors=(v, a, dd),
-                    recipe={"op": "delete_and_add", "v": v, "anchor": a,
-                            "edges": edges}))
-        elif d == 3:
-            tri = _triangle_corners(g, v)
-            if tri:
-                i = tri[0]
-                rot = g.rotation[v]
-                x, y = sorted((rot[i - 1], rot[i]))
-                z = next(u for u in g.neighbors(v) if u != x and u != y)
-                edges = _missing_edge(g, (x, z), (y, z))
-                found.append(ConfigWitness(
-                    kind="W_Deg3Triangle", actors=(v, x, y, z),
-                    faces=(g.face_at[v][i],),
-                    recipe={"op": "delete_and_add", "v": v, "anchor": z,
-                            "edges": edges}))
-    return sorted(found, key=_sort_key)
+    if d == 5 and _is_triangulated(g, v):
+        return [ConfigWitness(
+            kind="W_Tri5", actors=(v,), recipe={"op": "delete", "v": v})]
+    if d == 4:
+        tri = _triangle_corners(g, v)
+        if len(tri) == 4:
+            return [ConfigWitness(
+                kind="W_Deg4ThreeTriangles", actors=(v,),
+                recipe={"op": "delete", "v": v})]
+        if len(tri) == 3:
+            # face entry i sits between rotation neighbors i-1 and i;
+            # the path ends flank the single non-triangle face
+            gap = next(i for i in range(4) if i not in tri)
+            a, dd = rot[gap - 1], rot[gap]
+            edges = _missing_edge(g, (a, dd))
+            return [ConfigWitness(
+                kind="W_Deg4ThreeTriangles", actors=(v, a, dd),
+                recipe={"op": "delete_and_add", "v": v, "anchor": a,
+                        "edges": edges})]
+    if d == 3:
+        tri = _triangle_corners(g, v)
+        if tri:
+            i = tri[0]
+            x, y = sorted((rot[i - 1], rot[i]))
+            z = next(u for u in g.adj[v] if u != x and u != y)
+            edges = _missing_edge(g, (x, z), (y, z))
+            return [ConfigWitness(
+                kind="W_Deg3Triangle", actors=(v, x, y, z),
+                faces=(g.face_at[v][i],),
+                recipe={"op": "delete_and_add", "v": v, "anchor": z,
+                        "edges": edges})]
+    return []
+
+
+def find_weak_configs_delta6(g):
+    """Small-degree catalog for maximum degree at most 6; raises
+    DeltaTooLarge on a graph of larger maximum degree."""
+    return sorted((w for v in g.vertices for w in _weak(g, v)),
+                  key=_sort_key)
 
 
 # -- aggregation -------------------------------------------------------------
@@ -333,9 +395,10 @@ def detect_for_audit(g):
 
 
 def find_first_witness(g, budget):
-    """The witness detect_all(g, budget) lists first (used by the reducer).
-    Rows run in rank order and the search stops once no later row can emit
-    a kind ranked below the best witness so far."""
+    """The witness detect_all(g, budget) lists first (`psc detect`; the
+    reducer keeps it up to date with a WitnessIndex).  Rows run in rank
+    order and the search stops once no later row can emit a kind ranked
+    below the best witness so far."""
     best = []
     for detector, kinds, regimes, args in CATALOG:
         if budget.regime not in regimes:
@@ -345,6 +408,239 @@ def find_first_witness(g, budget):
         found = best + _run_row(detector, g, args(budget))
         best = [min(found, key=_sort_key)] if found else []
     return best[0] if best else None
+
+
+# -- the first witness across a reduction -----------------------------------
+
+class _Mutation(NamedTuple):
+    """One deletion or chord from `old` to `new`, as the rows read it: the
+    ids whose rows it changed, the faces through them before and after,
+    the vertices on the faces it made, and those with their neighbors plus
+    the touched ids (`near`)."""
+    old: emb.EmbeddedGraph
+    new: emb.EmbeddedGraph
+    touched: tuple
+    before: set
+    after: set
+    on_new: set
+    near: set
+
+
+class WitnessIndex:
+    """find_first_witness(g, budget) kept across the mutations of a
+    reduction.  Each catalog row keeps its candidates and re-evaluates,
+    through its detector's per-vertex, per-edge or per-face function, only
+    what a mutation can have changed.  It collects them at each update and
+    re-evaluates them only when first() reaches the row, so a row behind
+    the winner costs nothing.  The winner's witness is built on the
+    current graph, since face indices renumber with every mutation."""
+
+    def __init__(self, g, budget):
+        self.g = g
+        self.budget = budget
+        self._rows = [
+            (min(kinds.values()), _tracker(detector, g, args(budget)))
+            for detector, kinds, regimes, args in CATALOG
+            if budget.regime in regimes]
+
+    def first(self):
+        """The witness find_first_witness(self.g, self.budget) returns."""
+        best = None
+        for lowest, row in self._rows:
+            if best is not None and KIND_RANK[best.kind] < lowest:
+                break
+            w = row.first(self.g)
+            if w is not None and (best is None
+                                  or _sort_key(w) < _sort_key(best)):
+                best = w
+        return best
+
+    def update(self, g, touched):
+        """Move to g, made from self.g by one mutate_delete_vertex or
+        mutate_add_edge that changed the rotation rows of `touched` only.
+        (A contraction rebuilds its graph; index that graph afresh.)
+
+        A face of g that is not a face of self.g passes through a touched
+        id, for a walk through unchanged rows only is an old walk; so the
+        faces the mutation made or destroyed are among those through
+        touched ids.  A destroyed face's vertices other than a removed id
+        all lie on a face made in its place: the merged face of a
+        deletion, or the two halves of a chord's face."""
+        old = self.g
+        before = {old.faces[i] for x in touched for i in old.face_at[x]}
+        after = {g.faces[i] for x in touched if x in g for i in g.face_at[x]}
+        on_new = set().union(*(after - before))
+        near = set(touched).union(on_new, *(g.adj[x] for x in on_new))
+        m = _Mutation(old, g, touched, before, after, on_new, near)
+        for _, row in self._rows:
+            row.mark(m)
+        self.g = g
+
+
+# How WitnessIndex tracks a vertex row: the per-vertex function, and
+# whether the witnesses of v read only v's own row (else also its
+# neighbors' rows and the faces at v and at its neighbors).
+_VERTEX_ROWS = {
+    "_low_degree_configs": ("_low_degree", True),
+    "find_small_vertex_configs": ("_small_vertex", False),
+    "find_weak_configs_delta6": ("_weak", False),
+    "find_generic_deletable": ("_deletable", False),
+}
+
+
+def _tracker(detector, g, args):
+    if detector == "find_edge_separator":
+        return _SeparatorRow(g)
+    if detector == "find_face_two_small":
+        return _FaceRow(g, *args)
+    name, own_row = _VERTEX_ROWS[detector]
+    return _VertexRow(g, globals()[name], args, own_row)
+
+
+class _VertexRow:
+    """A row whose witnesses are centred on their first actor: the least
+    (rank, actors) key of each vertex that has a witness, in a heap whose
+    stale entries are skipped.  A vertex's witnesses change only when its
+    row changes, or, unless they read its own row only, a neighbor's row
+    or a face at it or at a neighbor changes: then it is touched, a
+    neighbor of a touched id, or on or next to a face the mutation made
+    (touched ids still present lie on such faces)."""
+
+    def __init__(self, g, fn, args, own_row):
+        self.fn = fn
+        self.args = args
+        self.own_row = own_row
+        self.key = {}
+        self.heap = []
+        self.dirty = set(g.vertices)
+
+    def mark(self, m):
+        self.dirty.update(m.touched if self.own_row else m.near)
+
+    def first(self, g):
+        fn, args, key, heap = self.fn, self.args, self.key, self.heap
+        for v in self.dirty:
+            found = fn(g, v, *args) if v in g else None
+            if found:
+                k = min(map(_sort_key, found))
+                if key.get(v) != k:
+                    key[v] = k
+                    heapq.heappush(heap, (k, v))
+            else:
+                key.pop(v, None)
+        self.dirty.clear()
+        while heap and key.get(heap[0][1]) != heap[0][0]:
+            heapq.heappop(heap)
+        if not heap:
+            return None
+        return min(fn(g, heap[0][1], *args), key=_sort_key)
+
+
+class _FaceRow:
+    """find_face_two_small's row: the least corner (vertex, rotation
+    position) of each face that carries a pair, the order of face
+    indices, in a heap whose stale entries are skipped.  A face changes,
+    or the degrees or adjacencies of its vertices do, only if it passes
+    through a touched id."""
+
+    def __init__(self, g, cap):
+        self.cap = cap
+        self.corner = {}
+        self.heap = []
+        self.dirty = set(g.faces)
+
+    def mark(self, m):
+        gone = m.before - m.after
+        self.dirty -= gone
+        for f in gone:
+            self.corner.pop(f, None)
+        self.dirty |= m.after
+
+    def first(self, g):
+        corner, heap = self.corner, self.heap
+        for f in self.dirty:
+            if _two_small(g, f, self.cap) is None:
+                corner.pop(f, None)
+                continue
+            c = (f[0], g.rotation[f[0]].index(f[1]))
+            if corner.get(f) != c:
+                corner[f] = c
+                heapq.heappush(heap, (c, f))
+        self.dirty.clear()
+        while heap and corner.get(heap[0][1]) != heap[0][0]:
+            heapq.heappop(heap)
+        if not heap:
+            return None
+        (a, j), f = heap[0]
+        return _face_two_small_witness(g.face_at[a][j],
+                                       *_two_small(g, f, self.cap))
+
+
+def _pair(x, y):
+    return (x, y) if x < y else (y, x)
+
+
+class _SeparatorRow:
+    """find_edge_separator's row: the separating edges (u < v), in a heap
+    whose stale entries are skipped, and the edges to re-test.
+
+    A deletion or a chord changes whether an edge xy it keeps separates
+    only if x and y both lie on faces it made, or one of them does and is
+    a cut vertex before or after it; only those edges, and a chord itself,
+    are re-tested.  Let S = {x, y}.  A closed walk through vertices of two
+    components of K - S meets S on each of its two arcs between them, so
+    it visits both x and y, or one of them twice; and a face walk visits a
+    vertex twice only at a cut vertex.
+    - A chord ab in a face F cannot disconnect G - S, and it connects G - S
+      only if a and b lie in different components of it.  The walk of F
+      passes through a and b, so it visits x and y, and the faces the chord
+      splits F into hold both, or it visits one of them twice, a cut vertex
+      before the chord.  The chord's ends lie on both halves.
+    - Deleting w, not a cut vertex, leaves G - S - w disconnected when
+      G - S is connected only if w has neighbors p and q in different
+      components of G - S - w.  Both lie on the merged face, so its walk
+      visits x and y, or one of them twice, a cut vertex after the
+      deletion.  It leaves G - S - w connected when G - S is not only if
+      {w} is a component of G - S, so the neighbors of w, which all lie on
+      the merged face, are x and y, or x alone, a cut vertex before it."""
+
+    def __init__(self, g):
+        self.sep = set()
+        self.heap = []
+        self.dirty = {(u, v) for u in g.vertices for v in g.adj[u] if u < v}
+
+    def mark(self, m):
+        old, g, on_new = m.old, m.new, m.on_new
+        for x in m.touched:
+            if x not in g:
+                self.sep.difference_update(_pair(x, y) for y in old.adj[x])
+        at_old, at_new = _FaceSets(old), _FaceSets(g)
+        for x in on_new:
+            every = at_old.is_cut(x) or at_new.is_cut(x)
+            self.dirty.update(_pair(x, y) for y in g.adj[x]
+                              if every or y in on_new)
+
+    def first(self, g):
+        if g.n < 4:
+            return None
+        sep, heap = self.sep, self.heap
+        at = _FaceSets(g)
+        for e in self.dirty:
+            u, v = e
+            if u in g and v in g.adj[u] and _separating_component(
+                    g, at, u, v) is not None:
+                if e not in sep:
+                    sep.add(e)
+                    heapq.heappush(heap, e)
+            else:
+                sep.discard(e)
+        self.dirty.clear()
+        while heap and heap[0] not in sep:
+            heapq.heappop(heap)
+        if not heap:
+            return None
+        u, v = heap[0]
+        return _separator_witness(u, v, _separating_component(g, at, u, v))
 
 
 # -- independent predicate checkers (used by tests) --------------------------

@@ -174,6 +174,28 @@ class SquareGraph:
     def __init__(self, adj):
         self.adj = adj
 
+    def refresh(self, g, touched):
+        """Make this the square of g, the graph after a mutation of the
+        square's base that changed the rotation rows of `touched` only.
+
+        A row of the square, N(x) and the neighbors of N(x), changes only
+        when x or a neighbor of x is in `touched`, so only the rows of
+        touched ids and of their neighbors in g are recomputed, and removed
+        ids are dropped.  The neighbors of `touched` in the base before the
+        mutation add nothing: a mutation removes only the edges of removed
+        ids and adds edges only between touched ids, so every such
+        neighbor is touched itself or still a neighbor in g."""
+        adj = self.adj
+        rows = set()
+        for x in touched:
+            if x in g:
+                rows.add(x)
+                rows.update(g.adj[x])
+            else:
+                adj.pop(x, None)
+        for x in rows:
+            adj[x] = frozenset(dist2_neighborhood(g, x))
+
 
 def dist2_neighborhood(g, v):
     """All vertices u != v with dist(u, v) <= 2."""
@@ -385,19 +407,15 @@ def from_pg(text):
     return build(n, [rows[v] for v in range(n)])
 
 
-def rows_digest(g, vertices):
-    """Sum mod 2**64 of the FNV-1a hashes of the live rows "v: r0 r1 ..." in
-    `vertices`: a multiset hash, updated per changed row; not forgery-proof."""
-    total = 0
-    for v in vertices:
-        if v in g:
-            h = FNV_OFFSET
-            for byte in f"{v}: {' '.join(map(str, g.rotation[v]))}".encode():
-                h = ((h ^ byte) * FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
-            total += h
-    return total % 2**64
+def row_hash(g, v):
+    """The FNV-1a hash of the row "v: r0 r1 ..." of the live id v."""
+    h = FNV_OFFSET
+    for byte in f"{v}: {' '.join(map(str, g.rotation[v]))}".encode():
+        h = ((h ^ byte) * FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
+    return h
 
 
 def graph_digest(g):
-    """64-bit digest of the graph: rows_digest over all its rows."""
-    return rows_digest(g, g.vertices)
+    """64-bit digest of the graph: the sum mod 2**64 of its row hashes, a
+    multiset hash that a step updates per changed row; not forgery-proof."""
+    return sum(row_hash(g, v) for v in g.vertices) % 2**64

@@ -55,6 +55,53 @@ def color_within_budget(g, budget=None, base_limit=None):
     return coloring, ReductionTrace(steps, terminal)
 
 
+class _Reduction:
+    """A graph under reduction and what is carried from one mutation to the
+    next: the digest with the hash of each live row, and, built on first
+    use, the square and the witness index.  A mutation changes only the
+    rotation rows of the ids it touches, so only those rows are re-hashed
+    and only the square rows around them recomputed."""
+
+    def __init__(self, g, budget):
+        self.g = g
+        self.budget = budget
+        self.hashes = {v: emb.row_hash(g, v) for v in g.vertices}
+        self.digest = sum(self.hashes.values()) % 2**64
+        self._square = None
+        self._index = None
+
+    def square(self):
+        if self._square is None:
+            self._square = emb.square(self.g)
+        return self._square
+
+    def first_witness(self):
+        if self._index is None:
+            self._index = cat.WitnessIndex(self.g, self.budget)
+        return self._index.first()
+
+    def advance(self, g, touched, derived):
+        """Move to g, made from the current graph by one mutation that
+        changed the rows of `touched` only.  A graph that was rebuilt, not
+        derived from its parent, drops the index, to be built again on the
+        next search."""
+        digest = self.digest
+        for x in touched:
+            digest -= self.hashes.pop(x)
+            if x in g:
+                self.hashes[x] = h = emb.row_hash(g, x)
+                digest += h
+        self.digest = digest % 2**64
+        if self._square is not None:
+            self._square.refresh(g, touched)
+        if self._index is not None:
+            if derived:
+                self._index.update(g, touched)
+            else:
+                self._index = None
+        self.g = g
+
+
 def _solve(g, budget, base_limit):
     """Color one connected graph within the budget; returns (vertex ->
     color, the trace steps, the terminal record of the last base case).
@@ -62,27 +109,29 @@ def _solve(g, budget, base_limit):
     Chain reductions (delete / add edge) are handled iteratively; only
     edge-separator splits recurse.  A step changes only the rows of a
     chord's ends, or of the deleted vertex and its neighbors (recipe edges
-    and contraction join only those), and re-hashes and degree-checks them.
+    and contraction join only those), and degree-checks them.  A recipe is
+    applied one mutation at a time, each passed to the carried state, whose
+    witness index is proved correct for one deletion or one chord.
     """
     steps = []
     pending = []  # extension records, unwound in reverse
-    current = g
-    digest = emb.graph_digest(g)
+    run = _Reduction(g, budget)
     while True:
+        current = run.g
         base = None
         if base_limit is None or current.n <= base_limit:
-            base = col.dsatur_color(emb.square(current), budget.palette_size)
+            base = col.dsatur_color(run.square(), budget.palette_size)
         if base is not None:
             terminal = {"n": current.n, "palette": base.palette_size,
-                        "digest": f"{digest:016x}"}
+                        "digest": f"{run.digest:016x}"}
             mapping = dict(base.color_of)
             break
-        w = cat.find_first_witness(current, budget)
+        w = run.first_witness()
         if w is None:
             raise NoWitnessFound(
                 "no reducible configuration found (would contradict the "
                 "structure theorem)", graph_text=emb.to_pg(current))
-        step = {"witness": w.to_obj(), "before": f"{digest:016x}"}
+        step = {"witness": w.to_obj(), "before": f"{run.digest:016x}"}
         op = w.recipe["op"]
         if op == "split":
             step["after"] = None
@@ -93,45 +142,49 @@ def _solve(g, budget, base_limit):
             break
         if op == "add_edge":
             touched = (w.recipe["u"], w.recipe["v"])
-            nxt = emb.mutate_add_edge(current, *touched, w.recipe["face"])
+            run.advance(emb.mutate_add_edge(current, *touched,
+                                            w.recipe["face"]), touched, True)
         else:
             v = w.recipe["v"]
-            touched = (v, *current.neighbors(v))
+            touched = (v, *current.adj[v])
             edges = w.recipe.get("edges", []) if op == "delete_and_add" else []
             # the extension reads only v's ball, so the graph is not kept
             pending.append((v, emb.dist2_neighborhood(current, v), step))
-            nxt = _delete_with_edges(current, v, edges,
-                                     w.recipe.get("anchor"))
-        if any(nxt.degree(x) > budget.delta_context
-               for x in touched if x in nxt):
+            for nxt, changed, derived in _deletion(
+                    current, v, edges, w.recipe.get("anchor")):
+                run.advance(nxt, changed, derived)
+        if any(len(run.g.rotation[x]) > budget.delta_context
+               for x in touched if x in run.g):
             raise ExtensionStuck("reduction raised the maximum degree past "
                                  f"{budget.delta_context}")
-        digest = (digest - emb.rows_digest(current, touched)
-                  + emb.rows_digest(nxt, touched)) % 2**64
-        step["after"] = f"{digest:016x}"
+        step["after"] = f"{run.digest:016x}"
         step["extension"] = None
         steps.append(step)
-        current = nxt
     for v, ball, step in reversed(pending):
         _extend(v, ball, mapping, budget, step)
     return mapping, steps, terminal
 
 
-def _delete_with_edges(g, v, edges, anchor):
-    """G - v plus the recipe's edges.  When deleting v alone would
-    disconnect the graph, the same result is obtained by contracting the
-    edge between v and the anchor endpoint of the added edges (by default
-    v's neighbor of smallest degree, then smallest id)."""
+def _deletion(g, v, edges, anchor):
+    """G - v plus the recipe's edges, one mutation at a time: yields each
+    graph with the ids whose rows it changed and whether it was derived
+    from its parent.  When deleting v alone would disconnect the graph,
+    the same result is obtained by contracting the edge between v and the
+    anchor endpoint of the added edges (by default v's neighbor of
+    smallest degree, then smallest id), which rebuilds the graph."""
+    touched = (v, *g.adj[v])
     try:
         out = emb.mutate_delete_vertex(g, v)
     except emb.WouldDisconnect:
         if anchor is None:
-            anchor = min(g.neighbors(v), key=lambda x: (g.degree(x), x))
-        return emb.mutate_contract_edge(g, v, anchor)
+            anchor = min(g.adj[v], key=lambda x: (len(g.rotation[x]), x))
+        yield emb.mutate_contract_edge(g, v, anchor), touched, False
+        return
+    yield out, touched, True
     for a, b in edges:
         if not out.adjacent(a, b):
             out = emb.add_edge_any_face(out, a, b)
-    return out
+            yield out, (a, b), True
 
 
 def _extend(v, ball, mapping, budget, step):

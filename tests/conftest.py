@@ -1,5 +1,4 @@
 import itertools
-from unittest import mock
 
 import pytest
 
@@ -9,6 +8,7 @@ from psc import discharge as dis
 from psc import embedding as emb
 from psc import generators as gen
 from psc import reducer as red
+from psc.budgets import Budget
 from psc.coloring import SquareColoring
 from psc.errors import Disconnected, NotOnSameFace, WouldDisconnect
 
@@ -325,20 +325,42 @@ def single_deletions(graphs):
     return out
 
 
+def replay_trace(g, records):
+    """Replay a trace from g, in input ids, through the mutations its
+    recipes name: yields (graph, record) for each step record, with the
+    graph its witness was found on, and for each terminal record, with the
+    base-case graph.  A split's parts follow its step, each replayed on its
+    induced subgraph."""
+    for i, r in enumerate(records):
+        yield g, r
+        if "terminal" in r:
+            return
+        rec = r["witness"]["recipe"]
+        if rec["op"] == "split":
+            comp = set(rec["component"])
+            parts = (sorted(comp | {rec["u"], rec["v"]}),
+                     sorted(set(g.vertices) - comp))
+            for part, sub in zip(parts, records[i + 1]["split_parts"]):
+                yield from replay_trace(emb.induced_subgraph(g, part), sub)
+            return
+        if rec["op"] == "add_edge":
+            g = emb.mutate_add_edge(g, rec["u"], rec["v"], rec["face"])
+        else:
+            *_, (g, _, _) = red._deletion(g, rec["v"], rec.get("edges", []),
+                                          rec.get("anchor"))
+    raise AssertionError("trace without a terminal record")
+
+
 @pytest.fixture(scope="session")
 def forced_intermediates(corpus_small):
     """(graph, budget) for every graph the reducer searched for a witness
-    in two forced reductions (base case of at most 6 vertices)."""
+    in two forced reductions (base case of at most 6 vertices), replayed
+    from the traces."""
     seen = []
-    real = cat.find_first_witness
-
-    def recording(g, budget):
-        seen.append((g, budget))
-        return real(g, budget)
-
     for g in (gen.gen_stacked_triangulation(40, 5), corpus_small[0]):
-        with mock.patch.object(cat, "find_first_witness", recording):
-            red.color_within_budget(g, base_limit=6)
+        _, tr = red.color_within_budget(g, base_limit=6)
+        seen += [(h, Budget.for_graph(g))
+                 for h, r in replay_trace(g, tr.to_obj()) if "witness" in r]
     return seen
 
 

@@ -137,7 +137,8 @@ def test_face_walk_cut_vertices():
     graphs += small + single_deletions(small + graphs[:4])
     cuts = 0
     for g in graphs:
-        _, cut = cat._faces_at(g)
+        at = cat._FaceSets(g)
+        cut = {v: at.is_cut(v) for v in g.vertices}
         assert cut == _brute_cut_vertices(g), emb.to_pg(g)
         cuts += sum(cut.values())
     assert cuts >= 50

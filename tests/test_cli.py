@@ -215,7 +215,7 @@ def test_color_budget_not_met_exit_1(tmp_path, capsys):
 
 
 def test_no_witness_dumps_graph(tri, capsys):
-    with mock.patch.object(cat, "find_first_witness", lambda g, b: None):
+    with mock.patch.object(cat.WitnessIndex, "first", lambda self: None):
         assert run(["color", "--base-limit", "6", str(tri)]) == 2
     err = capsys.readouterr().err
     head, _, dump = err.partition("\n")

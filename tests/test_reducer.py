@@ -7,7 +7,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import bridge, cube, double_pocket, glue_pocket
+from conftest import bridge, cube, double_pocket, glue_pocket, replay_trace
 from psc import catalog as cat
 from psc import coloring as col
 from psc import embedding as emb
@@ -176,36 +176,23 @@ def test_trace_jsonl_format(corpus_large):
 
 
 def replay_digests(g, records):
-    """Apply each step's recipe to g, in input ids, and check the step's
-    before and after digests and the terminal's against a full
-    graph_digest; a split's parts are replayed on their induced subgraphs.
-    Returns the witness kinds replayed."""
-    def digest(h):
-        return f"{emb.graph_digest(h):016x}"
-
+    """Replay a trace from g and check each step's before and after digests
+    and each terminal's against a full graph_digest.  Returns the witness
+    kinds replayed."""
     kinds = set()
-    for i, r in enumerate(records):
+    after = None
+    for h, r in replay_trace(g, records):
+        digest = f"{emb.graph_digest(h):016x}"
+        if after is not None:
+            assert after == digest
         if "terminal" in r:
-            assert r["terminal"]["digest"] == digest(g)
-            return kinds
-        w = r["witness"]
-        rec = w["recipe"]
-        kinds.add(w["kind"])
-        assert r["before"] == digest(g)
-        if rec["op"] == "split":
-            comp = set(rec["component"])
-            parts = (sorted(comp | {rec["u"], rec["v"]}),
-                     sorted(set(g.vertices) - comp))
-            for part, sub in zip(parts, records[i + 1]["split_parts"]):
-                kinds |= replay_digests(emb.induced_subgraph(g, part), sub)
-            return kinds
-        if rec["op"] == "add_edge":
-            g = emb.mutate_add_edge(g, rec["u"], rec["v"], rec["face"])
+            assert r["terminal"]["digest"] == digest
+            after = None
         else:
-            g = red._delete_with_edges(g, rec["v"], rec.get("edges", []),
-                                       rec.get("anchor"))
-        assert r["after"] == digest(g)
-    raise AssertionError("trace without a terminal record")
+            kinds.add(r["witness"]["kind"])
+            assert r["before"] == digest
+            after = r["after"]
+    return kinds
 
 
 def test_step_digests_match_full_digest(corpus_large, corpus_small):
@@ -246,7 +233,7 @@ def test_budget_below_max_degree_raises():
 ])
 def test_step_past_delta_context_raises(g, w):
     budget = Budget(21, g.max_degree(), SMALL)
-    with mock.patch.object(cat, "find_first_witness", lambda h, b: w):
+    with mock.patch.object(cat.WitnessIndex, "first", lambda self: w):
         with pytest.raises(ExtensionStuck, match="raised the maximum degree"):
             red.color_within_budget(g, budget, base_limit=1)
 
@@ -256,13 +243,13 @@ def test_no_witness_dump_parses():
     # although ids were removed
     g = gen.gen_stacked_triangulation(30, 2)
     seen = []
-    real = cat.find_first_witness
+    real = cat.WitnessIndex.first
 
-    def third_fails(h, budget):
-        seen.append(h)
-        return None if len(seen) == 3 else real(h, budget)
+    def third_fails(index):
+        seen.append(index.g)
+        return None if len(seen) == 3 else real(index)
 
-    with mock.patch.object(cat, "find_first_witness", third_fails):
+    with mock.patch.object(cat.WitnessIndex, "first", third_fails):
         with pytest.raises(NoWitnessFound) as e:
             red.color_within_budget(g, base_limit=6)
     h = seen[2]

@@ -1,0 +1,181 @@
+"""The state the reducer carries across reduction steps, against the
+whole-graph oracles: WitnessIndex against find_first_witness and each
+catalog row's detector, the carried square against embedding.square."""
+
+import random
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import bowtie, bridge, cube, double_pocket, glue_pocket, small_graphs
+from psc import catalog as cat
+from psc import embedding as emb
+from psc import generators as gen
+from psc import reducer as red
+from psc.budgets import Budget
+from psc.errors import DeltaTooLarge, WouldDisconnect
+
+BASE_LIMITS = (1, 6, 12, None)
+
+
+def checked_run(g, base_limit):
+    """Color g with the reducer, checking at every witness search that the
+    index returns what find_first_witness returns on the same graph, and
+    after every mutation that the carried square is the square of the new
+    graph.  Here the square is carried from the first mutation on, not
+    only from the first base case.  Returns (witness searches, derived
+    mutations, rebuilt ones)."""
+    counts = {"first": 0, True: 0, False: 0}
+    real_first = cat.WitnessIndex.first
+    real_advance = red._Reduction.advance
+
+    def first(index):
+        w = real_first(index)
+        assert w == cat.find_first_witness(index.g, index.budget), emb.to_pg(index.g)
+        counts["first"] += 1
+        return w
+
+    def advance(run, h, touched, derived):
+        run.square()
+        real_advance(run, h, touched, derived)
+        assert run.square().adj == emb.square(h).adj, emb.to_pg(h)
+        counts[derived] += 1
+
+    with mock.patch.object(cat.WitnessIndex, "first", first), \
+            mock.patch.object(red._Reduction, "advance", advance):
+        red.color_within_budget(g, base_limit=base_limit)
+    return counts["first"], counts[True], counts[False]
+
+
+def test_carried_state_matches_oracles_on_corpora(corpus_large, corpus_small):
+    # each graph with one of the base limits in turn
+    searches = 0
+    for i, g in enumerate(corpus_large + corpus_small):
+        searches += checked_run(g, BASE_LIMITS[i % 4])[0]
+    assert searches > 3000
+
+
+@pytest.mark.parametrize("side, base_limit", [(12, 1), (12, 6), (20, 12)])
+def test_carried_state_matches_oracles_on_grids(side, base_limit):
+    searches, _, _ = checked_run(gen.gen_grid(side, side), base_limit)
+    assert searches >= side * side - base_limit
+
+
+@pytest.mark.parametrize("base_limit", BASE_LIMITS)
+def test_carried_state_matches_oracles_on_split_and_contraction(base_limit):
+    pocket = glue_pocket(gen.gen_stacked_triangulation(20, 1), 0, 1)
+    for g in (pocket, double_pocket(), cube()):
+        checked_run(g, base_limit)
+    # the bridge's cut vertex is contracted, which rebuilds the index,
+    # unless DSATUR colors its 7 vertices at once
+    rebuilt = checked_run(bridge(), base_limit)[2]
+    assert (rebuilt > 0) == (base_limit in (1, 6))
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 10_000), st.booleans(), st.sampled_from(BASE_LIMITS))
+def test_carried_state_matches_oracles_sampled(seed, large, base_limit):
+    if large:
+        g = gen.gen_corpus(1, (15, 60), 9, seed)[0]
+    else:
+        g = gen.gen_corpus(1, (15, 50), 3, seed, delta_max=6)[0]
+    checked_run(g, base_limit)
+
+
+def k4_with_pendant():
+    """K4 on 0..3 with the pendant vertex 4 at 0 inside the face 0-2-3:
+    the edge 0-1 separates 4 from the rest, and only 0 of its ends lies on
+    the face that deleting 4 leaves."""
+    return emb.build(5, [[1, 2, 4, 3], [0, 3, 2], [0, 1, 3], [0, 2, 1], [0]])
+
+
+def row_outcome(first):
+    try:
+        return first()
+    except DeltaTooLarge as e:
+        return ("DeltaTooLarge", str(e))
+
+
+def random_mutation(g, rng):
+    """A random chord of a face, or a random deletion that keeps the graph
+    connected: (the new graph, the touched ids), or None."""
+    faces = [(fi, sorted(set(f))) for fi, f in enumerate(g.faces)]
+    chords = [(fi, u, v) for fi, on in faces for u in on for v in on
+              if u < v and v not in g.adj[u]]
+    if chords and rng.random() < 0.5:
+        fi, u, v = rng.choice(chords)
+        return emb.mutate_add_edge(g, u, v, fi), (u, v)
+    for v in rng.sample(list(g.vertices), g.n):
+        try:
+            return emb.mutate_delete_vertex(g, v), (v, *g.adj[v])
+        except WouldDisconnect:
+            pass
+    return None
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_rows_match_detectors_under_random_mutations(seed):
+    """Every row of the index against its detector, after random deletions
+    and chords that no reducer would choose (chords beside separating
+    edges, deletions next to cut vertices), each row re-evaluated only at
+    random times, so updates pile up between its flushes."""
+    rng = random.Random(seed)
+    graphs = small_graphs() + [bowtie(), bridge(), cube(), k4_with_pendant(),
+                               double_pocket(), gen.gen_grid(5, 5)]
+    checked = 0
+    for g in graphs:
+        budget = Budget.for_graph(g)
+        index = cat.WitnessIndex(g, budget)
+        rows = [(d, args(budget), row) for (d, _, regimes, args), (_, row)
+                in zip([r for r in cat.CATALOG if budget.regime in r[2]],
+                       index._rows)]
+        while g.n > 1:
+            for detector, args, row in rows:
+                if rng.random() < 0.5:
+                    want = row_outcome(lambda: min(
+                        cat._run_row(detector, g, args), key=cat._sort_key,
+                        default=None))
+                    assert row_outcome(lambda: row.first(g)) == want, (
+                        detector, emb.to_pg(g))
+                    checked += 1
+            step = random_mutation(g, rng)
+            if step is None:
+                break
+            g, touched = step
+            index.update(g, touched)
+    assert checked > 1000
+
+
+def test_separator_row_after_pendant_deletion():
+    # 0-1 stops separating although 1 is not on the face the deletion
+    # makes: 0 is a cut vertex before it, so every edge at 0 is re-tested
+    g = k4_with_pendant()
+    index = cat.WitnessIndex(g, Budget.for_graph(g))
+    row = next(r for _, r in index._rows if isinstance(r, cat._SeparatorRow))
+    assert row.first(g).actors == (0, 1)
+    h = emb.mutate_delete_vertex(g, 4)
+    assert 1 not in h.faces[h.face_at[0][h.rotation[0].index(3)]]
+    index.update(h, (4, 0))
+    assert row.first(h) is None is cat.find_edge_separator(h)
+
+
+def test_reevaluated_vertices_per_step_do_not_grow_with_n():
+    """The index re-evaluates a bounded number of vertices per step: the
+    mean per step of the per-vertex calls of the small-regime row differs
+    by less than 1.5x between forced grids of 144 and 784 vertices."""
+    means = []
+    for side in (12, 28):
+        calls = 0
+        real = cat._weak
+
+        def counting(g, v):
+            nonlocal calls
+            calls += 1
+            return real(g, v)
+
+        with mock.patch.object(cat, "_weak", counting):
+            _, tr = red.color_within_budget(gen.gen_grid(side, side),
+                                            base_limit=12)
+        means.append(calls / len(tr.steps))
+    assert max(means) < 1.5 * min(means), means
