@@ -160,30 +160,31 @@ def _two_small(g, face, cap):
     return None
 
 
-def _face_two_small_witness(fi, a, b):
-    return ConfigWitness(kind="FaceTwoSmall", actors=(a, b), faces=(fi,),
+def _face_two_small_witness(f, a, b):
+    return ConfigWitness(kind="FaceTwoSmall", actors=(a, b),
+                         faces=(emb.face_dart(f),),
                          recipe={"op": "add_edge", "u": a, "v": b,
-                                 "face": fi})
+                                 "face": emb.face_dart(f)})
 
 
 def find_face_two_small(g, cap):
     """A 4+ face carrying two non-adjacent vertices of degree below cap,
     with the chord recipe."""
-    for fi, face in enumerate(g.faces):
+    for face in g.faces:
         pair = _two_small(g, face, cap)
         if pair is not None:
-            return _face_two_small_witness(fi, *pair)
+            return _face_two_small_witness(face, *pair)
     return None
 
 
 def _is_triangulated(g, v):
-    return all(len(g.faces[i]) == 3 for i in g.face_at[v])
+    return all(len(f) == 3 for f in g.face_at[v])
 
 
 def _triangle_corners(g, v):
     """The rotation positions i around v whose corner face, the one between
     neighbours i-1 and i, is a triangle."""
-    return [i for i, fi in enumerate(g.face_at[v]) if len(g.faces[fi]) == 3]
+    return [i for i, f in enumerate(g.face_at[v]) if len(f) == 3]
 
 
 def _low_degree(g, v):
@@ -247,13 +248,13 @@ def _deg3_configs(g, v, cap):
         others = sorted(x for x in nbrs if x != middle)
         out.append(ConfigWitness(
             kind="Deg3TwoTriangles", actors=(v, others[0], middle, others[1]),
-            faces=(around[i], around[j]),
+            faces=(emb.face_dart(around[i]), emb.face_dart(around[j])),
             recipe={"op": "delete", "v": v}))
     if cap <= 10:
-        degs = sorted(len(g.faces[fi]) for fi in around)
-        if degs == [3, 4, 4]:
+        if sorted(map(len, around)) == [3, 4, 4]:
             out.append(ConfigWitness(
-                kind="Deg3TriTwoSquares", actors=(v,), faces=tuple(sorted(around)),
+                kind="Deg3TriTwoSquares", actors=(v,),
+                faces=tuple(sorted(map(emb.face_dart, around))),
                 recipe={"op": "delete", "v": v}))
     return out
 
@@ -348,7 +349,7 @@ def _weak(g, v):
             edges = _missing_edge(g, (x, z), (y, z))
             return [ConfigWitness(
                 kind="W_Deg3Triangle", actors=(v, x, y, z),
-                faces=(g.face_at[v][i],),
+                faces=(emb.face_dart(g.face_at[v][i]),),
                 recipe={"op": "delete_and_add", "v": v, "anchor": z,
                         "edges": edges})]
     return []
@@ -432,8 +433,7 @@ class WitnessIndex:
     through its detector's per-vertex, per-edge or per-face function, only
     what a mutation can have changed.  It collects them at each update and
     re-evaluates them only when first() reaches the row, so a row behind
-    the winner costs nothing.  The winner's witness is built on the
-    current graph, since face indices renumber with every mutation."""
+    the winner costs nothing."""
 
     def __init__(self, g, budget):
         self.g = g
@@ -467,8 +467,8 @@ class WitnessIndex:
         all lie on a face made in its place: the merged face of a
         deletion, or the two halves of a chord's face."""
         old = self.g
-        before = {old.faces[i] for x in touched for i in old.face_at[x]}
-        after = {g.faces[i] for x in touched if x in g for i in g.face_at[x]}
+        before = {f for x in touched for f in old.face_at[x]}
+        after = {f for x in touched if x in g for f in g.face_at[x]}
         on_new = set().union(*(after - before))
         near = set(touched).union(on_new, *(g.adj[x] for x in on_new))
         m = _Mutation(old, g, touched, before, after, on_new, near)
@@ -538,10 +538,10 @@ class _VertexRow:
 
 class _FaceRow:
     """find_face_two_small's row: the least corner (vertex, rotation
-    position) of each face that carries a pair, the order of face
-    indices, in a heap whose stale entries are skipped.  A face changes,
-    or the degrees or adjacencies of its vertices do, only if it passes
-    through a touched id."""
+    position) of each face that carries a pair, the order of g.faces, in a
+    heap whose stale entries are skipped.  A face changes, or the degrees
+    or adjacencies of its vertices do, only if it passes through a touched
+    id."""
 
     def __init__(self, g, cap):
         self.cap = cap
@@ -562,7 +562,7 @@ class _FaceRow:
             if _two_small(g, f, self.cap) is None:
                 corner.pop(f, None)
                 continue
-            c = (f[0], g.rotation[f[0]].index(f[1]))
+            c = emb.least_corner(g, f)
             if corner.get(f) != c:
                 corner[f] = c
                 heapq.heappush(heap, (c, f))
@@ -571,9 +571,8 @@ class _FaceRow:
             heapq.heappop(heap)
         if not heap:
             return None
-        (a, j), f = heap[0]
-        return _face_two_small_witness(g.face_at[a][j],
-                                       *_two_small(g, f, self.cap))
+        f = heap[0][1]
+        return _face_two_small_witness(f, *_two_small(g, f, self.cap))
 
 
 def _pair(x, y):
@@ -656,12 +655,15 @@ def _delete_and_add(v, anchor, edges):
 def check_witness(g, w, budget=None):
     """Re-evaluate the defining predicate of a witness kind on g.  The
     actors must name the vertices in the positions the detector gives them,
-    and the recipe and faces must be the ones it derives from them."""
+    and the recipe and faces must be the ones it derives from them.  A
+    face is named by its least corner's dart (emb.face_dart), as in the
+    witness's JSON form."""
     if budget is None:
         budget = Budget.for_graph(g)
     k, a, r = w.kind, w.actors, w.recipe
     if not a or not all(x in g for x in a):
         return False
+    faces = [emb.dart_face(g, dart) for dart in w.faces]
     v = a[0]
     d = g.degree(v)
     if k == "Deg1":
@@ -683,13 +685,13 @@ def check_witness(g, w, budget=None):
                 and bool(comp) and comp < rest
                 and all(g.neighbors(x) <= comp | {u, v} for x in comp))
     if k == "FaceTwoSmall":
-        if len(a) != 2 or len(w.faces) != 1 or not 0 <= w.faces[0] < len(g.faces):
+        if len(a) != 2 or len(faces) != 1 or faces[0] is None:
             return False
         u, v = a
-        fi = w.faces[0]
-        face = g.faces[fi]
+        face = faces[0]
         cap = budget.delta_context
-        return (u < v and r == {"op": "add_edge", "u": u, "v": v, "face": fi}
+        return (u < v and r == {"op": "add_edge", "u": u, "v": v,
+                                "face": emb.face_dart(face)}
                 and len(face) >= 4 and u in face and v in face
                 and g.degree(u) < cap and g.degree(v) < cap
                 and not g.adjacent(u, v))
@@ -704,19 +706,21 @@ def check_witness(g, w, budget=None):
     if k == "Deg3TwoTriangles":
         # the two outer neighbours in increasing order flank the middle one,
         # which lies on both named triangles at v
-        if len(a) != 4 or d != 3 or len(w.faces) != 2:
+        if len(a) != 4 or d != 3 or len(faces) != 2:
             return False
         _, x, mid, y = a
         thr = min(10, budget.delta_context)
         return (x < y and {x, mid, y} == g.neighbors(v) and r == _delete(v)
-                and w.faces[0] != w.faces[1]
-                and all(fi in g.face_at[v] and len(g.faces[fi]) == 3
-                        and mid in g.faces[fi] for fi in w.faces)
+                and faces[0] != faces[1]
+                and all(f in g.face_at[v] and len(f) == 3 and mid in f
+                        for f in faces)
                 and any(g.degree(u) <= thr for u in g.neighbors(v)))
     if k == "Deg3TriTwoSquares":
-        degs = sorted(len(g.faces[fi]) for fi in g.face_at[v])
-        return (a == (v,) and w.faces == tuple(sorted(g.face_at[v]))
-                and r == _delete(v) and d == 3 and degs == [3, 4, 4]
+        around = g.face_at[v]
+        return (a == (v,)
+                and list(w.faces) == sorted(map(emb.face_dart, around))
+                and r == _delete(v) and d == 3
+                and sorted(map(len, around)) == [3, 4, 4]
                 and budget.delta_context <= 10)
     if k == "Deg4Tri5Tri":
         if len(a) != 3 or w.faces or r != _delete(v):
@@ -748,13 +752,12 @@ def check_witness(g, w, budget=None):
                 and r == _delete_and_add(v, x, _missing_edge(g, (x, y))))
     if k == "W_Deg3Triangle":
         # x < y flank the named triangle at v, z is the third neighbour
-        if len(a) != 4 or d != 3 or len(w.faces) != 1:
+        if len(a) != 4 or d != 3 or len(faces) != 1:
             return False
         _, x, y, z = a
-        fi = w.faces[0]
+        f = faces[0]
         return (x < y and {x, y, z} == g.neighbors(v)
-                and fi in g.face_at[v] and len(g.faces[fi]) == 3
-                and x in g.faces[fi] and y in g.faces[fi]
+                and f in g.face_at[v] and len(f) == 3 and x in f and y in f
                 and r == _delete_and_add(
                     v, z, _missing_edge(g, (x, z), (y, z))))
     raise ValueError(f"unknown witness kind {k}")

@@ -10,8 +10,6 @@ is renumbered; a removed id keeps a None row in `rotation`, `adj`, `face_at`.
 
 from __future__ import annotations
 
-import bisect
-
 from .errors import (
     AlreadyAdjacent,
     AsymmetricAdjacency,
@@ -33,19 +31,32 @@ class EmbeddedGraph:
     """Immutable simple connected planar graph with a fixed embedding: live
     ids `vertices` (increasing) and their count `n`, the rotation, neighbor
     sets `adj`, and the `faces` and `face_at` of `trace_faces`.  `build`
-    makes one; deletions and chords derive one equal to what it makes."""
+    makes one; deletions and chords derive one equal to what it makes,
+    whose `faces` are read off `face_at` on first use."""
 
-    __slots__ = ("vertices", "n", "rotation", "adj", "faces", "face_at")
+    __slots__ = ("vertices", "n", "rotation", "adj", "_faces", "face_at")
 
     def __init__(self, vertices, rotation, adj, faces, face_at):
         self.vertices = vertices
         self.n = len(vertices)
         self.rotation = rotation
         self.adj = adj
-        self.faces = faces
+        self._faces = faces
         self.face_at = face_at
 
     # -- accessors -----------------------------------------------------------
+
+    @property
+    def faces(self):
+        """Every face once, ordered by its least corner: the corners where
+        a face's walk starts, taken by vertex and then rotation position."""
+        if self._faces is None:
+            rot = self.rotation
+            self._faces = tuple(
+                f for v in self.vertices
+                for y, f in zip(rot[v], self.face_at[v])
+                if f[0] == v and f[1] == y) or ((),)
+        return self._faces
 
     @property
     def m(self):
@@ -127,12 +138,12 @@ def build(n, rotation):
 def trace_faces(rot):
     """(faces, face_at): the faces of a rotation system, ordered by their
     least corner (vertex, then rotation position), and the per-corner
-    face index, from one walk.
+    face, from one walk.
 
-    A face is the tuple of vertices its corner walk visits: corner i is
-    (f[i] -> f[i+1]), read cyclically, so a cut vertex appears once per
-    visit.  Entry i of face_at[v] is the face holding the corner
-    (v -> rot[v][i]).  A graph without edges has one face, ()."""
+    A face is the tuple of vertices its corner walk visits from its least
+    corner: corner i is (f[i] -> f[i+1]), read cyclically, so a cut vertex
+    appears once per visit.  Entry i of face_at[v] is the face holding the
+    corner (v -> rot[v][i]).  A graph without edges has one face, ()."""
     pos = [r and {u: i for i, u in enumerate(r)} for r in rot]
     face_at = [None if r is None else [None] * len(r) for r in rot]
     faces = []
@@ -149,7 +160,24 @@ def trace_faces(rot):
                 walk.append(a)
                 a, j = b, (pos[b][a] + 1) % len(rot[b])
             faces.append(tuple(walk))
-    return tuple(faces) or ((),), face_at
+    faces = tuple(faces) or ((),)
+    return faces, [r and list(map(faces.__getitem__, r)) for r in face_at]
+
+
+def face_dart(f):
+    """The name of the face f: its least corner, the dart [f[0], f[1]]."""
+    return [f[0], f[1]]
+
+
+def dart_face(g, dart):
+    """The face of g named by the dart [x, y] (see face_dart), or None if
+    xy is not an edge of g or (x -> y) is not its face's least corner."""
+    x, y = dart
+    if x in g and y in g.adj[x]:
+        f = g.face_at[x][g.rotation[x].index(y)]
+        if f[0] == x and f[1] == y:
+            return f
+    return None
 
 
 def component(adj, start, removed):
@@ -229,48 +257,41 @@ def _walk_face(rot, a, j):
     return corners[k:] + corners[:k]
 
 
-def _derived(vertices, rot, adj, faces, rows, gone, starts):
+def _derived(vertices, rot, adj, rows, starts):
     """The graph a mutation derives from its parent without a rebuild.
 
-    faces are the parent's faces, and rows the parent's face_at rows at
-    the child's rotation positions (None for a removed id).  The faces
-    whose indices are in `gone` were destroyed by the mutation, and an
-    entry of rows for a new corner may hold any of them.  Every other face
-    is kept, in order.  The faces through the corners in `starts` are
-    walked and each is inserted at its least corner, so the result equals
-    build(len(rot), rot) field by field."""
-    order = [i for i in range(len(faces)) if i not in gone]
-    kept = [faces[i] for i in order]
-    walks = sorted(_walk_face(rot, a, j) for a, j in starts)
-    slots = []
-    for corners in walks:  # ascending, so each lands after the one before
-        i = bisect.bisect(kept, corners[0],
-                          key=lambda f: (f[0], rot[f[0]].index(f[1])))
-        kept.insert(i, tuple(a for a, _ in corners))
-        order.insert(i, None)
-        slots.append(i)
-    fmap = dict.fromkeys(gone)  # parent face index -> child face index
-    fmap.update(zip(order, range(len(order))))
-    remap = fmap.__getitem__
-    face_at = [None if row is None else list(map(remap, row)) for row in rows]
-    for corners, i in zip(walks, slots):
-        for a, j in corners:
-            face_at[a][j] = i
-    return EmbeddedGraph(vertices, rot, adj, tuple(kept) or ((),), face_at)
+    rows are the parent's face_at rows at the child's rotation positions
+    (None for a removed id); an entry for a new corner may hold anything.
+    The faces through the corners in `starts` are walked, and each is
+    written into a copy of every row it reaches.  They hold every corner
+    of the faces the mutation destroyed, and a row they do not reach stays
+    the parent's list, so the result equals build(len(rot), rot) field by
+    field."""
+    copied = set()
+    for a, j in starts:
+        corners = _walk_face(rot, a, j)
+        f = tuple(x for x, _ in corners)
+        for x, i in corners:
+            if x not in copied:
+                copied.add(x)
+                rows[x] = rows[x].copy()
+            rows[x][i] = f
+    return EmbeddedGraph(vertices, rot, adj, None, rows)
 
 
-def mutate_add_edge(g, u, v, face_index):
-    """Add the chord uv inside the given face; returns the new graph.
+def mutate_add_edge(g, u, v, dart):
+    """Add the chord uv inside the face named by `dart` (see face_dart);
+    returns the new graph.
 
     The two faces the chord splits the face into are the only ones
-    walked; every other face keeps its index order and its corners."""
+    walked; every other face keeps its corners."""
     g._check_vertex(u)
     g._check_vertex(v)
     if u == v or g.adjacent(u, v):
         raise AlreadyAdjacent(f"{u} and {v} are already adjacent")
-    face = g.faces[face_index] if 0 <= face_index < len(g.faces) else ()
+    face = dart_face(g, dart) or ()
     if u not in face or v not in face:
-        raise NotOnSameFace(f"{u} and {v} are not both on face {face_index}")
+        raise NotOnSameFace(f"{u} and {v} are not both on face {dart}")
     rot, rows, starts = list(g.rotation), list(g.face_at), []
     # each end x takes the other just before y, where (x -> y) is the
     # first corner at x in the walk
@@ -278,12 +299,11 @@ def mutate_add_edge(g, u, v, face_index):
         y = face[(face.index(x) + 1) % len(face)]
         j = rot[x].index(y)
         rot[x] = rot[x][:j] + (other,) + rot[x][j:]
-        rows[x] = rows[x][:j] + [face_index] + rows[x][j:]
+        rows[x] = rows[x][:j] + [None] + rows[x][j:]
         starts.append((x, j))
     adj = list(g.adj)
     adj[u], adj[v] = adj[u] | {v}, adj[v] | {u}
-    return _derived(g.vertices, tuple(rot), tuple(adj), g.faces, rows,
-                    {face_index}, starts)
+    return _derived(g.vertices, tuple(rot), tuple(adj), rows, starts)
 
 
 def _restrict(rotation, keep):
@@ -297,14 +317,13 @@ def mutate_delete_vertex(g, v):
     """Remove v; returns the new graph.
 
     Only the rows of v and its neighbors change.  The faces around v merge
-    into one face, the only one walked; every other face keeps its index
-    order and its corners.  v is a cut vertex, and deleting it raises
-    WouldDisconnect, exactly when a face visits it twice."""
+    into one face, the only one walked; every other face keeps its
+    corners.  v is a cut vertex, and deleting it raises WouldDisconnect,
+    exactly when a face visits it twice."""
     g._check_vertex(v)
     if g.n == 1:
         raise UnknownVertex(f"deleting {v} leaves no vertex")
-    gone = set(g.face_at[v])
-    if len(gone) < len(g.face_at[v]):
+    if len(set(g.face_at[v])) < len(g.face_at[v]):
         raise WouldDisconnect(f"removing {v} disconnects the graph")
     old = g.rotation
     rot, adj, rows = list(old), list(g.adj), list(g.face_at)
@@ -320,7 +339,7 @@ def mutate_delete_vertex(g, v):
     j = old[x].index(v)
     starts = [(x, j % len(rot[x]))] if rot[x] else []  # none for K2 - v
     return _derived(tuple(u for u in g.vertices if u != v), tuple(rot),
-                    tuple(adj), g.faces, rows, gone, starts)
+                    tuple(adj), rows, starts)
 
 
 def mutate_contract_edge(g, v, anchor):
@@ -354,14 +373,22 @@ def induced_subgraph(g, vertices):
     return _restrict(g.rotation, vertices)
 
 
+def least_corner(g, f):
+    """The corner (vertex, rotation position) where the walk of the face f
+    starts; faces are ordered by it."""
+    return f[0], g.rotation[f[0]].index(f[1])
+
+
 def add_edge_any_face(g, u, v):
-    """Add uv inside the lowest-numbered face containing both endpoints."""
+    """Add uv inside the first face, by least corner, containing both
+    endpoints."""
     g._check_vertex(u)
     g._check_vertex(v)
     shared = set(g.face_at[u]).intersection(g.face_at[v])
     if not shared:
         raise NotOnSameFace(f"{u} and {v} share no face")
-    return mutate_add_edge(g, u, v, min(shared))
+    f = min(shared, key=lambda f: least_corner(g, f))
+    return mutate_add_edge(g, u, v, face_dart(f))
 
 
 # -- text format -------------------------------------------------------------

@@ -211,13 +211,13 @@ def face_corners_scan(g):
     return faces
 
 
-def add_chord_first_visit(g, u, v, face_index):
+def add_chord_first_visit(g, u, v, dart):
     """Oracle for embedding.mutate_add_edge: each end x of uv takes the
     other end into its rotation just before y, where (x -> y) is the first
-    corner at x in the walk of the face.  A face visits a cut vertex more
-    than once, and the first visit in walk order need not be the first
-    corner in x's rotation order."""
-    corners = face_corners_scan(g)[face_index]
+    corner at x in the walk of the face whose walk starts with the corner
+    `dart`.  A face visits a cut vertex more than once, and the first visit
+    in walk order need not be the first corner in x's rotation order."""
+    corners = next(c for c in face_corners_scan(g) if list(c[0]) == dart)
     rot = [None if r is None else list(r) for r in g.rotation]
     for x, other in ((u, v), (v, u)):
         y = next(b for a, b in corners if a == x)
@@ -245,10 +245,21 @@ def delete_by_build(g, v):
     return emb.build(len(rot), rot)
 
 
+def assert_rows_shared(g, h):
+    """h, made from g by one deletion or chord, shares with g the face_at
+    row of every id whose rotation it kept and that no face new in h
+    passes through: the mutation did no work on those rows."""
+    walked = set().union(*(set(h.faces) - set(g.faces)))
+    for x in h.vertices:
+        if x not in walked and h.rotation[x] == g.rotation[x]:
+            assert h.face_at[x] is g.face_at[x], x
+
+
 def assert_mutations_match_build(g):
     """Every single deletion and every chord of g equals its build oracle
-    field by field, and a deletion raises WouldDisconnect exactly when the
-    rebuilt graph is disconnected; returns the number of mutations."""
+    field by field and leaves the rows it does not reach alone, and a
+    deletion raises WouldDisconnect exactly when the rebuilt graph is
+    disconnected; returns the number of mutations."""
     count = 0
     for v in g.vertices:
         try:
@@ -257,15 +268,19 @@ def assert_mutations_match_build(g):
             with pytest.raises(WouldDisconnect):
                 emb.mutate_delete_vertex(g, v)
             continue
-        assert_same_graph(emb.mutate_delete_vertex(g, v), want)
+        h = emb.mutate_delete_vertex(g, v)
+        assert_same_graph(h, want)
+        assert_rows_shared(g, h)
         count += 1
-    for fi, face in enumerate(g.faces):
+    for face in g.faces:
+        dart = emb.face_dart(face)
         on_face = sorted(set(face))
         for i, u in enumerate(on_face):
             for v in on_face[i + 1:]:
                 if not g.adjacent(u, v):
-                    assert_same_graph(emb.mutate_add_edge(g, u, v, fi),
-                                      add_chord_first_visit(g, u, v, fi))
+                    h = emb.mutate_add_edge(g, u, v, dart)
+                    assert_same_graph(h, add_chord_first_visit(g, u, v, dart))
+                    assert_rows_shared(g, h)
                     count += 1
     return count
 
@@ -301,9 +316,9 @@ def naive_chi2(g):
 def add_edge_first_face_scan(g, u, v):
     """Oracle for embedding.add_edge_any_face: add uv inside the first face,
     in trace order, whose walk visits both endpoints, O(m)."""
-    for i, f in enumerate(g.faces):
+    for f in g.faces:
         if u in f and v in f:
-            return emb.mutate_add_edge(g, u, v, i)
+            return emb.mutate_add_edge(g, u, v, emb.face_dart(f))
     raise NotOnSameFace(f"{u} and {v} share no face")
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +11,7 @@ from psc import catalog as cat
 from psc import embedding as emb
 from psc import generators as gen
 from psc.budgets import Budget
-from psc.errors import DeltaTooLarge
+from psc.errors import DeltaTooLarge, NotOnSameFace
 
 
 def test_c4_deg2_witnesses():
@@ -158,7 +159,7 @@ def test_face_two_small_square_face():
     assert g.max_degree() >= 9
     w = cat.find_face_two_small(g, g.max_degree())
     assert w is not None and [g.degree(a) for a in w.actors] == [2, 2]
-    assert len(g.faces[w.faces[0]]) >= 4
+    assert len(emb.dart_face(g, w.faces[0])) >= 4
     assert cat.check_witness(g, w)
 
 
@@ -249,18 +250,24 @@ def test_first_witness_matches_detect_all(corpus_large, corpus_small,
 
 
 def _relabel_witness(w, ids):
-    """w with every vertex i it names replaced by ids[i]; face indices are
-    kept."""
+    """w with every vertex i it names, face darts included, replaced by
+    ids[i]."""
     r = dict(w.recipe)
     for key in ("v", "u", "anchor"):
         if key in r:
             r[key] = ids[r[key]]
-    if "edges" in r:
-        r["edges"] = [[ids[a], ids[b]] for a, b in r["edges"]]
-    if "component" in r:
-        r["component"] = [ids[x] for x in r["component"]]
+    for key in ("edges", "component", "face"):
+        if key in r:
+            r[key] = _relabel_ids(r[key], ids)
     return dataclasses.replace(w, actors=tuple(ids[x] for x in w.actors),
+                               faces=tuple(_relabel_ids(w.faces, ids)),
                                recipe=r)
+
+
+def _relabel_ids(names, ids):
+    """A list of ids, or of lists of ids, with each id i replaced by ids[i]."""
+    return [_relabel_ids(x, ids) if isinstance(x, list) else ids[x]
+            for x in names]
 
 
 def test_first_witness_relabel_invariant(forced_intermediates):
@@ -268,7 +275,7 @@ def test_first_witness_relabel_invariant(forced_intermediates):
     on the dense renumbering that to_pg writes, with the labels mapped
     back.  It scans vertices in increasing order, compares actor tuples and
     orders faces by least corner, and a monotone relabel keeps all three,
-    so even the face indices agree."""
+    so even the face darts agree once mapped."""
     gaps = 0
     for h, b in forced_intermediates:
         dense = emb.from_pg(emb.to_pg(h))
@@ -293,25 +300,41 @@ def test_completeness_sampled(seed):
     assert cat.detect_all(h), emb.to_pg(h)
 
 
+def _unnamed_darts(g, dart):
+    """Darts near `dart` that name no face: the second corner of its face,
+    a non-edge at its tail (if there is one) and an unknown id."""
+    f = emb.dart_face(g, dart)
+    x = dart[0]
+    out = [[f[1], f[2]], [len(g.rotation), dart[1]]]
+    out += [[x, z] for z in g.vertices if z != x and z not in g.adj[x]][:1]
+    return out
+
+
+def _bad_darts(g, dart):
+    """The unnamed darts near `dart` and the dart of another face."""
+    f = emb.dart_face(g, dart)
+    return _unnamed_darts(g, dart) + [
+        next(emb.face_dart(h) for h in g.faces if h != f)]
+
+
 def _forgeries(g, w):
     """Altered copies of w that no detector emits: each recipe field, the
     faces and the actors in turn."""
     r, a = w.recipe, w.actors
-    nf = len(g.faces)
     vs = list(g.vertices)
     changes = [{"op": "delete_and_add" if r["op"] == "delete" else "delete"}]
     changes += [{key: vs[(vs.index(r[key]) + 1) % g.n]}
                 for key in ("v", "anchor", "u") if key in r]
-    if "face" in r and nf > 1:
-        changes.append({"face": (r["face"] + 1) % nf})
+    if "face" in r:
+        changes += [{"face": d} for d in _bad_darts(g, r["face"])]
     if "edges" in r:
         changes.append({"edges": [] if r["edges"] else [list(a[:2])]})
     out = [dataclasses.replace(w, recipe={**r, **c}) for c in changes]
     out.append(dataclasses.replace(
-        w, faces=() if w.faces else (0,)))
-    if w.faces and nf > 1:
-        out.append(dataclasses.replace(
-            w, faces=((w.faces[0] + 1) % nf,) + w.faces[1:]))
+        w, faces=() if w.faces else (emb.face_dart(g.faces[0]),)))
+    if w.faces:
+        out += [dataclasses.replace(w, faces=(d,) + w.faces[1:])
+                for d in _bad_darts(g, w.faces[0])]
     fill = [a[0]]
     if w.kind != "Deg4Tri5Tri":
         # any neighbour of degree 5 or below 12 may fill Deg4Tri5Tri's
@@ -342,5 +365,25 @@ def test_check_witness_rejects_forgeries(corpus_large, corpus_small,
             kinds.add(w.kind)
             for bad in _forgeries(g, w):
                 assert not cat.check_witness(g, bad, wb), (w, bad)
+            if w.kind == "FaceTwoSmall":
+                for dart in _unnamed_darts(g, w.recipe["face"]):
+                    with pytest.raises(NotOnSameFace):
+                        emb.mutate_add_edge(g, *w.actors, dart)
     assert kinds == set(cat.KIND_RANK)
 
+
+def test_check_witness_reads_json_witnesses(corpus_large, corpus_small):
+    """Every detect --all witness passes check_witness when rebuilt from
+    its JSON form, where a face is the list [x, y] of its least dart."""
+    kinds = set()
+    for g in corpus_large + corpus_small:
+        for obj in json.loads(cat.report_json(cat.detect_all(g))):
+            w = cat.ConfigWitness(kind=obj["kind"],
+                                  actors=tuple(obj["actors"]),
+                                  recipe=obj["recipe"],
+                                  faces=tuple(obj["faces"]))
+            assert cat.check_witness(g, w), obj
+            if w.faces:
+                kinds.add(w.kind)
+    assert kinds == {"FaceTwoSmall", "Deg3TwoTriangles", "Deg3TriTwoSquares",
+                     "W_Deg3Triangle"}

@@ -137,8 +137,8 @@ def test_face_index_covers_every_corner_once():
         walked = sorted(c for f in faces for c in _walk_corners(f))
         assert walked == sorted((u, v) for u in g.vertices
                                 for v in g.rotation[u])
-        for i, f in enumerate(faces):
-            assert all(g.face_at[u][g.rotation[u].index(v)] == i
+        for f in faces:
+            assert all(g.face_at[u][g.rotation[u].index(v)] is f
                        for u, v in _walk_corners(f))
 
 
@@ -148,16 +148,17 @@ def test_add_edge_takes_first_visit_corner():
     walk order."""
     checked = 0
     for g in _graphs_with_cut_vertices() + [bowtie(), bridge()]:
-        for fi, corners in enumerate(face_corners_scan(g)):
+        for corners in face_corners_scan(g):
             walk = [a for a, _ in corners]
             if len(set(walk)) == len(walk):
                 continue
+            dart = list(corners[0])
             on_face = sorted(set(walk))
             for i, u in enumerate(on_face):
                 for v in on_face[i + 1:]:
                     if not g.adjacent(u, v):
-                        assert_same_graph(emb.mutate_add_edge(g, u, v, fi),
-                                          add_chord_first_visit(g, u, v, fi))
+                        assert_same_graph(emb.mutate_add_edge(g, u, v, dart),
+                                          add_chord_first_visit(g, u, v, dart))
                         checked += 1
     assert checked >= 2000
 
@@ -195,7 +196,7 @@ def test_dist2_neighborhood_path():
 def test_add_edge_in_face():
     g = gen.gen_cycle(4)
     faces = g.faces
-    g2 = emb.mutate_add_edge(g, 0, 2, 0)
+    g2 = emb.mutate_add_edge(g, 0, 2, emb.face_dart(faces[0]))
     assert g2.adjacent(0, 2)
     assert g2.m == g.m + 1
     assert len(g2.faces) == len(faces) + 1
@@ -217,12 +218,25 @@ def test_add_edge_not_on_same_face():
         emb.add_edge_any_face(g, 0, v)
 
 
-# the mutations take their indices from recipes, so an index out of range
-# is an error, never a wrap-around or a bare IndexError
-@pytest.mark.parametrize("face", [-5, -1, 6, 99])
-def test_add_edge_face_out_of_range(face):
+# the mutations take their faces from recipes, so a dart that names no
+# face holding both ends is an error, never a lookup of another face or a
+# bare IndexError.  On the cube, 0 and 2 share only the face (0, 3, 2, 1),
+# named [0, 3]; the darts below are its other corners, a face without 2,
+# two non-edges and unknown ids.
+@pytest.mark.parametrize("dart", [
+    pytest.param([3, 2], id="corner-3-2"), pytest.param([2, 1], id="corner-2-1"),
+    pytest.param([1, 0], id="corner-1-0"), pytest.param([0, 1], id="without-2"),
+    pytest.param([0, 2], id="non-edge-0-2"),
+    pytest.param([0, 6], id="non-edge-0-6"),
+    pytest.param([-1, 0], id="unknown-minus1"),
+    pytest.param([0, 8], id="unknown-8"), pytest.param([99, 0], id="unknown-99")])
+def test_add_edge_face_not_named(dart):
+    g = cube()
+    assert (emb.dart_face(g, dart) is None) == (dart != [0, 1])
     with pytest.raises(err.NotOnSameFace):
-        emb.mutate_add_edge(cube(), 0, 2, face)
+        emb.mutate_add_edge(g, 0, 2, dart)
+    assert_same_graph(emb.mutate_add_edge(g, 0, 2, [0, 3]),
+                      emb.add_edge_any_face(g, 0, 2))
 
 
 @pytest.mark.parametrize("vertices", [[0, 1, 2, 3, 8], [-1, 0, 1, 2, 3]])
@@ -326,11 +340,10 @@ def test_mutations_preserve_planarity(seed):
     # (else its link and it would form K5); add a chord there
     v = max(range(g.n), key=g.degree)
     g2 = emb.mutate_delete_vertex(g, v)
-    fi = max(range(len(g2.faces)), key=lambda i: len(g2.faces[i]))
-    face = g2.faces[fi]
+    face = max(g2.faces, key=len)
     u, v = next((a, b) for a in face for b in face
                 if a != b and not g2.adjacent(a, b))
-    g3 = emb.mutate_add_edge(g2, u, v, fi)
+    g3 = emb.mutate_add_edge(g2, u, v, emb.face_dart(face))
     assert g3.n - g3.m + len(g3.faces) == 2
     assert_same_graph(g3, emb.build(len(g3.rotation), g3.rotation))
 

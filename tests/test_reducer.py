@@ -222,8 +222,8 @@ def test_budget_below_max_degree_raises():
 @pytest.mark.parametrize("g, w", [
     # a chord at vertex 0 of C6, whose degree 2 is the budget's cap
     (gen.gen_cycle(6), cat.ConfigWitness(
-        kind="FaceTwoSmall", actors=(0, 2), faces=(0,),
-        recipe={"op": "add_edge", "u": 0, "v": 2, "face": 0})),
+        kind="FaceTwoSmall", actors=(0, 2), faces=([0, 5],),
+        recipe={"op": "add_edge", "u": 0, "v": 2, "face": [0, 5]})),
     # deleting a vertex of the cube and joining its neighbour 1 to the
     # two others raises the degree of 1 from 3 to 4
     (cube(), cat.ConfigWitness(

@@ -100,12 +100,12 @@ def row_outcome(first):
 def random_mutation(g, rng):
     """A random chord of a face, or a random deletion that keeps the graph
     connected: (the new graph, the touched ids), or None."""
-    faces = [(fi, sorted(set(f))) for fi, f in enumerate(g.faces)]
-    chords = [(fi, u, v) for fi, on in faces for u in on for v in on
+    faces = [(emb.face_dart(f), sorted(set(f))) for f in g.faces]
+    chords = [(dart, u, v) for dart, on in faces for u in on for v in on
               if u < v and v not in g.adj[u]]
     if chords and rng.random() < 0.5:
-        fi, u, v = rng.choice(chords)
-        return emb.mutate_add_edge(g, u, v, fi), (u, v)
+        dart, u, v = rng.choice(chords)
+        return emb.mutate_add_edge(g, u, v, dart), (u, v)
     for v in rng.sample(list(g.vertices), g.n):
         try:
             return emb.mutate_delete_vertex(g, v), (v, *g.adj[v])
@@ -155,7 +155,7 @@ def test_separator_row_after_pendant_deletion():
     row = next(r for _, r in index._rows if isinstance(r, cat._SeparatorRow))
     assert row.first(g).actors == (0, 1)
     h = emb.mutate_delete_vertex(g, 4)
-    assert 1 not in h.faces[h.face_at[0][h.rotation[0].index(3)]]
+    assert 1 not in h.face_at[0][h.rotation[0].index(3)]
     index.update(h, (4, 0))
     assert row.first(h) is None is cat.find_edge_separator(h)
 
