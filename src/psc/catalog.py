@@ -10,38 +10,12 @@ from __future__ import annotations
 import heapq
 import json
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from operator import attrgetter
+from typing import Callable, NamedTuple
 
 from . import embedding as emb
 from .budgets import LARGE, SMALL, Budget
 from .errors import DeltaTooLarge
-
-
-def _no_args(budget):
-    return ()
-
-
-# The catalog: one row per detector, ordered by the lowest rank it emits.
-# A row holds the detector's name (looked up in this module at call time),
-# the kinds it emits with their reducer priority, the regimes it runs in,
-# and a function budget -> the detector's arguments after g.
-CATALOG = (
-    ("_low_degree_configs", {"Deg1": 0, "Deg2": 1}, (LARGE, SMALL), _no_args),
-    ("find_edge_separator", {"EdgeSeparator": 2}, (LARGE, SMALL), _no_args),
-    ("find_face_two_small", {"FaceTwoSmall": 3}, (LARGE, SMALL),
-     lambda b: (b.delta_context,)),
-    ("find_small_vertex_configs",
-     {"Deg3SmallNbr": 4, "Deg3TwoTriangles": 5, "Deg3TriTwoSquares": 6,
-      "Deg4Tri5Tri": 7}, (LARGE,), lambda b: (b.delta_context,)),
-    ("find_weak_configs_delta6",
-     {"W_Deg3Triangle": 4, "W_Deg4ThreeTriangles": 5, "W_Tri5": 6}, (SMALL,),
-     _no_args),
-    ("find_generic_deletable", {"GenericDeletable": 8}, (LARGE, SMALL),
-     lambda b: (b.palette_size,)),
-)
-
-KIND_RANK = {kind: rank for _, kinds, _, _ in CATALOG
-             for kind, rank in kinds.items()}
 
 
 @dataclass(frozen=True)
@@ -67,9 +41,10 @@ def _sort_key(w):
 # -- individual detectors ----------------------------------------------------
 #
 # Each kind is defined once, by a function of one vertex, edge or face.  The
-# detectors run it over the whole graph and WitnessIndex re-runs it where a
-# mutation reached.  These functions take their ids from the graph itself,
-# so they read g.adj and g.rotation without validating each access.
+# detectors run it over the whole graph; a WitnessIndex row re-keys through
+# it, by its CATALOG row's _Track, only the elements a mutation marked.
+# These functions take their ids from the graph itself, so they read g.adj
+# and g.rotation without validating each access.
 
 class _FaceSets(dict):
     """Vertex -> the set of faces on whose boundary it lies, computed on
@@ -114,11 +89,11 @@ def find_edge_separator(g):
 
 
 def _separating_component(g, at, u, v):
-    """For the edge uv of a graph of 4+ vertices, the component of
-    _smallest_component_without if uv is a candidate (see
-    find_edge_separator) and G - {u, v} is disconnected, else None; `at`
-    is a _FaceSets of g.  Both faces beside uv hold u and v; when they are
-    one face, uv is a bridge and has a cut-vertex end."""
+    """For the edge uv, the component of _smallest_component_without if uv
+    is a candidate (see find_edge_separator) and G - {u, v} is
+    disconnected, else None; `at` is a _FaceSets of g.  Both faces beside
+    uv hold u and v; when they are one face, uv is a bridge and has a
+    cut-vertex end."""
     if at.is_cut(u) or at.is_cut(v) or len(at[u] & at[v]) > 2:
         return _smallest_component_without(g, u, v)
     return None
@@ -362,6 +337,157 @@ def find_weak_configs_delta6(g):
                   key=_sort_key)
 
 
+# -- the catalog -------------------------------------------------------------
+
+class _Track(NamedTuple):
+    """How a WitnessIndex row follows its detector across mutations:
+    elements(g), the row's vertices, edges u < v or faces of g;
+    key(g, *args), the function that gives an element e its heap key in
+    g, or None when e has no witness or is not in g (made once per g, so
+    that the elements share its work); witness(g, e, *args), the witness
+    of a keyed e, and the detector's first witness for the least key;
+    marks(m), the elements whose key the _Mutation m can have changed."""
+    elements: Callable
+    key: Callable
+    witness: Callable
+    marks: Callable
+
+
+def _per_vertex(fn, marks):
+    """The _Track of a row whose witnesses, listed by fn(g, v, *args), are
+    centred on their first actor v; v's key is their least (rank, actors).
+    A vertex's witnesses change only when its row changes, or, unless
+    they read its own row only, a neighbor's row or a face at it or at a
+    neighbor changes: then it is touched, a neighbor of a touched id, or
+    on or next to a face the mutation made (touched ids still present lie
+    on such faces).  `marks` names the _Mutation field the row re-keys:
+    "touched" if its witnesses read their own row only, else "near"."""
+
+    def key(g, *args):
+        def of(v):
+            found = v in g and fn(g, v, *args)
+            return min(map(_sort_key, found)) if found else None
+        return of
+
+    def witness(g, v, *args):
+        return min(fn(g, v, *args), key=_sort_key)
+
+    return _Track(attrgetter("vertices"), key, witness, attrgetter(marks))
+
+
+def _face_key(g, cap):
+    """find_face_two_small's key in g: a face f of g that carries a pair
+    is keyed by its least corner (vertex, rotation position), the order of
+    g.faces; any other f has None.  A face changes, or the degrees or
+    adjacencies of its vertices do, only if it passes through a touched
+    id, so the row re-keys the faces through touched ids before and after
+    a mutation."""
+
+    def of(f):
+        if (len(f) >= 4 and emb.dart_face(g, emb.face_dart(f)) == f
+                and _two_small(g, f, cap)):
+            return emb.least_corner(g, f)
+        return None
+    return of
+
+
+def _face_row_witness(g, f, cap):
+    return _face_two_small_witness(f, *_two_small(g, f, cap))
+
+
+def _edges(g):
+    return [(u, v) for u in g.vertices for v in g.adj[u] if u < v]
+
+
+def _separator_key(g):
+    """find_edge_separator's key in g: an edge e (u < v) of g whose ends
+    separate g is its own key; any other pair has None."""
+    at = _FaceSets(g)
+
+    def of(e):
+        u, v = e
+        if (u in g and v in g.adj[u]
+                and _separating_component(g, at, u, v) is not None):
+            return e
+        return None
+    return of
+
+
+def _separator_row_witness(g, e):
+    return _separator_witness(*e, _separating_component(g, _FaceSets(g), *e))
+
+
+def _pair(x, y):
+    return (x, y) if x < y else (y, x)
+
+
+def _separator_marks(m):
+    """The edges find_edge_separator's row re-tests after m: the edges of
+    a removed id, which are gone, and the edges the rule below names.
+
+    A deletion or a chord changes whether an edge xy it keeps separates
+    only if x and y both lie on faces it made, or one of them does and is
+    a cut vertex before or after it; only those edges, and a chord itself,
+    are re-tested.  Let S = {x, y}.  A closed walk through vertices of two
+    components of K - S meets S on each of its two arcs between them, so
+    it visits both x and y, or one of them twice; and a face walk visits a
+    vertex twice only at a cut vertex.
+    - A chord ab in a face F cannot disconnect G - S, and it connects G - S
+      only if a and b lie in different components of it.  The walk of F
+      passes through a and b, so it visits x and y, and the faces the chord
+      splits F into hold both, or it visits one of them twice, a cut vertex
+      before the chord.  The chord's ends lie on both halves.
+    - Deleting w, not a cut vertex, leaves G - S - w disconnected when
+      G - S is connected only if w has neighbors p and q in different
+      components of G - S - w.  Both lie on the merged face, so its walk
+      visits x and y, or one of them twice, a cut vertex after the
+      deletion.  It leaves G - S - w connected when G - S is not only if
+      {w} is a component of G - S, so the neighbors of w, which all lie on
+      the merged face, are x and y, or x alone, a cut vertex before it."""
+    old, g, on_new = m.old, m.new, m.on_new
+    for x in m.touched:
+        if x not in g:
+            yield from (_pair(x, y) for y in old.adj[x])
+    at_old, at_new = _FaceSets(old), _FaceSets(g)
+    for x in on_new:
+        every = at_old.is_cut(x) or at_new.is_cut(x)
+        yield from (_pair(x, y) for y in g.adj[x] if every or y in on_new)
+
+
+def _no_args(budget):
+    return ()
+
+
+# The catalog: one row per detector, ordered by the lowest rank it emits.
+# A row holds the detector's name (looked up in this module at call time),
+# the kinds it emits with their reducer priority, the regimes it runs in,
+# a function budget -> the detector's arguments after g, and the _Track
+# through which a WitnessIndex keeps the row's first witness.
+CATALOG = (
+    ("_low_degree_configs", {"Deg1": 0, "Deg2": 1}, (LARGE, SMALL), _no_args,
+     _per_vertex(_low_degree, "touched")),
+    ("find_edge_separator", {"EdgeSeparator": 2}, (LARGE, SMALL), _no_args,
+     _Track(_edges, _separator_key, _separator_row_witness,
+            _separator_marks)),
+    ("find_face_two_small", {"FaceTwoSmall": 3}, (LARGE, SMALL),
+     lambda b: (b.delta_context,),
+     _Track(attrgetter("faces"), _face_key, _face_row_witness,
+            attrgetter("faces"))),
+    ("find_small_vertex_configs",
+     {"Deg3SmallNbr": 4, "Deg3TwoTriangles": 5, "Deg3TriTwoSquares": 6,
+      "Deg4Tri5Tri": 7}, (LARGE,), lambda b: (b.delta_context,),
+     _per_vertex(_small_vertex, "near")),
+    ("find_weak_configs_delta6",
+     {"W_Deg3Triangle": 4, "W_Deg4ThreeTriangles": 5, "W_Tri5": 6}, (SMALL,),
+     _no_args, _per_vertex(_weak, "near")),
+    ("find_generic_deletable", {"GenericDeletable": 8}, (LARGE, SMALL),
+     lambda b: (b.palette_size,), _per_vertex(_deletable, "near")),
+)
+
+KIND_RANK = {kind: rank for _, kinds, *_ in CATALOG
+             for kind, rank in kinds.items()}
+
+
 # -- aggregation -------------------------------------------------------------
 
 def _run_row(detector, g, args):
@@ -374,7 +500,7 @@ def _run_row(detector, g, args):
 
 def _detect(g, budget, regimes):
     found = []
-    for detector, _, in_regimes, args in CATALOG:
+    for detector, _, in_regimes, args, _ in CATALOG:
         if not regimes.isdisjoint(in_regimes):
             found += _run_row(detector, g, args(budget))
     return sorted(found, key=_sort_key)
@@ -401,7 +527,7 @@ def find_first_witness(g, budget):
     order and the search stops once no later row can emit a kind ranked
     below the best witness so far."""
     best = []
-    for detector, kinds, regimes, args in CATALOG:
+    for detector, kinds, regimes, args, _ in CATALOG:
         if budget.regime not in regimes:
             continue
         if best and KIND_RANK[best[0].kind] < min(kinds.values()):
@@ -421,32 +547,30 @@ class _Mutation(NamedTuple):
     old: emb.EmbeddedGraph
     new: emb.EmbeddedGraph
     touched: tuple
-    before: set
-    after: set
+    faces: set
     on_new: set
     near: set
 
 
 class WitnessIndex:
     """find_first_witness(g, budget) kept across the mutations of a
-    reduction.  Each catalog row keeps its candidates and re-evaluates,
-    through its detector's per-vertex, per-edge or per-face function, only
-    what a mutation can have changed.  It collects them at each update and
-    re-evaluates them only when first() reaches the row, so a row behind
-    the winner costs nothing."""
+    reduction.  Each catalog row of the budget's regime is a _Row driven
+    by the row's _Track: a mutation marks the elements whose keys it can
+    have changed, and the row re-keys them only when first() reaches it,
+    so a row behind the winner costs nothing."""
 
     def __init__(self, g, budget):
         self.g = g
         self.budget = budget
-        self._rows = [
-            (min(kinds.values()), _tracker(detector, g, args(budget)))
-            for detector, kinds, regimes, args in CATALOG
-            if budget.regime in regimes]
+        self._rows = {
+            detector: (min(kinds.values()), _Row(g, track, args(budget)))
+            for detector, kinds, regimes, args, track in CATALOG
+            if budget.regime in regimes}
 
     def first(self):
         """The witness find_first_witness(self.g, self.budget) returns."""
         best = None
-        for lowest, row in self._rows:
+        for lowest, row in self._rows.values():
             if best is not None and KIND_RANK[best.kind] < lowest:
                 break
             w = row.first(self.g)
@@ -471,175 +595,43 @@ class WitnessIndex:
         after = {f for x in touched if x in g for f in g.face_at[x]}
         on_new = set().union(*(after - before))
         near = set(touched).union(on_new, *(g.adj[x] for x in on_new))
-        m = _Mutation(old, g, touched, before, after, on_new, near)
-        for _, row in self._rows:
+        m = _Mutation(old, g, touched, before | after, on_new, near)
+        for _, row in self._rows.values():
             row.mark(m)
         self.g = g
 
 
-# How WitnessIndex tracks a vertex row: the per-vertex function, and
-# whether the witnesses of v read only v's own row (else also its
-# neighbors' rows and the faces at v and at its neighbors).
-_VERTEX_ROWS = {
-    "_low_degree_configs": ("_low_degree", True),
-    "find_small_vertex_configs": ("_small_vertex", False),
-    "find_weak_configs_delta6": ("_weak", False),
-    "find_generic_deletable": ("_deletable", False),
-}
+class _Row:
+    """A catalog row kept by a WitnessIndex: the key of each element that
+    has one, in a heap of (key, element) whose stale entries are skipped,
+    and the elements marked since first() last re-keyed them."""
 
-
-def _tracker(detector, g, args):
-    if detector == "find_edge_separator":
-        return _SeparatorRow(g)
-    if detector == "find_face_two_small":
-        return _FaceRow(g, *args)
-    name, own_row = _VERTEX_ROWS[detector]
-    return _VertexRow(g, globals()[name], args, own_row)
-
-
-class _VertexRow:
-    """A row whose witnesses are centred on their first actor: the least
-    (rank, actors) key of each vertex that has a witness, in a heap whose
-    stale entries are skipped.  A vertex's witnesses change only when its
-    row changes, or, unless they read its own row only, a neighbor's row
-    or a face at it or at a neighbor changes: then it is touched, a
-    neighbor of a touched id, or on or next to a face the mutation made
-    (touched ids still present lie on such faces)."""
-
-    def __init__(self, g, fn, args, own_row):
-        self.fn = fn
+    def __init__(self, g, track, args):
+        self.track = track
         self.args = args
-        self.own_row = own_row
         self.key = {}
         self.heap = []
-        self.dirty = set(g.vertices)
+        self.dirty = set(track.elements(g))
 
     def mark(self, m):
-        self.dirty.update(m.touched if self.own_row else m.near)
+        self.dirty.update(self.track.marks(m))
 
     def first(self, g):
-        fn, args, key, heap = self.fn, self.args, self.key, self.heap
-        for v in self.dirty:
-            found = fn(g, v, *args) if v in g else None
-            if found:
-                k = min(map(_sort_key, found))
-                if key.get(v) != k:
-                    key[v] = k
-                    heapq.heappush(heap, (k, v))
-            else:
-                key.pop(v, None)
+        """The least, by (rank, actors), of the witnesses the row's
+        detector reports on g."""
+        args, key, heap = self.args, self.key, self.heap
+        key_of = self.track.key(g, *args)
+        for e in self.dirty:
+            k = key_of(e)
+            if k is None:
+                key.pop(e, None)
+            elif key.get(e) != k:
+                key[e] = k
+                heapq.heappush(heap, (k, e))
         self.dirty.clear()
         while heap and key.get(heap[0][1]) != heap[0][0]:
             heapq.heappop(heap)
-        if not heap:
-            return None
-        return min(fn(g, heap[0][1], *args), key=_sort_key)
-
-
-class _FaceRow:
-    """find_face_two_small's row: the least corner (vertex, rotation
-    position) of each face that carries a pair, the order of g.faces, in a
-    heap whose stale entries are skipped.  A face changes, or the degrees
-    or adjacencies of its vertices do, only if it passes through a touched
-    id."""
-
-    def __init__(self, g, cap):
-        self.cap = cap
-        self.corner = {}
-        self.heap = []
-        self.dirty = set(g.faces)
-
-    def mark(self, m):
-        gone = m.before - m.after
-        self.dirty -= gone
-        for f in gone:
-            self.corner.pop(f, None)
-        self.dirty |= m.after
-
-    def first(self, g):
-        corner, heap = self.corner, self.heap
-        for f in self.dirty:
-            if _two_small(g, f, self.cap) is None:
-                corner.pop(f, None)
-                continue
-            c = emb.least_corner(g, f)
-            if corner.get(f) != c:
-                corner[f] = c
-                heapq.heappush(heap, (c, f))
-        self.dirty.clear()
-        while heap and corner.get(heap[0][1]) != heap[0][0]:
-            heapq.heappop(heap)
-        if not heap:
-            return None
-        f = heap[0][1]
-        return _face_two_small_witness(f, *_two_small(g, f, self.cap))
-
-
-def _pair(x, y):
-    return (x, y) if x < y else (y, x)
-
-
-class _SeparatorRow:
-    """find_edge_separator's row: the separating edges (u < v), in a heap
-    whose stale entries are skipped, and the edges to re-test.
-
-    A deletion or a chord changes whether an edge xy it keeps separates
-    only if x and y both lie on faces it made, or one of them does and is
-    a cut vertex before or after it; only those edges, and a chord itself,
-    are re-tested.  Let S = {x, y}.  A closed walk through vertices of two
-    components of K - S meets S on each of its two arcs between them, so
-    it visits both x and y, or one of them twice; and a face walk visits a
-    vertex twice only at a cut vertex.
-    - A chord ab in a face F cannot disconnect G - S, and it connects G - S
-      only if a and b lie in different components of it.  The walk of F
-      passes through a and b, so it visits x and y, and the faces the chord
-      splits F into hold both, or it visits one of them twice, a cut vertex
-      before the chord.  The chord's ends lie on both halves.
-    - Deleting w, not a cut vertex, leaves G - S - w disconnected when
-      G - S is connected only if w has neighbors p and q in different
-      components of G - S - w.  Both lie on the merged face, so its walk
-      visits x and y, or one of them twice, a cut vertex after the
-      deletion.  It leaves G - S - w connected when G - S is not only if
-      {w} is a component of G - S, so the neighbors of w, which all lie on
-      the merged face, are x and y, or x alone, a cut vertex before it."""
-
-    def __init__(self, g):
-        self.sep = set()
-        self.heap = []
-        self.dirty = {(u, v) for u in g.vertices for v in g.adj[u] if u < v}
-
-    def mark(self, m):
-        old, g, on_new = m.old, m.new, m.on_new
-        for x in m.touched:
-            if x not in g:
-                self.sep.difference_update(_pair(x, y) for y in old.adj[x])
-        at_old, at_new = _FaceSets(old), _FaceSets(g)
-        for x in on_new:
-            every = at_old.is_cut(x) or at_new.is_cut(x)
-            self.dirty.update(_pair(x, y) for y in g.adj[x]
-                              if every or y in on_new)
-
-    def first(self, g):
-        if g.n < 4:
-            return None
-        sep, heap = self.sep, self.heap
-        at = _FaceSets(g)
-        for e in self.dirty:
-            u, v = e
-            if u in g and v in g.adj[u] and _separating_component(
-                    g, at, u, v) is not None:
-                if e not in sep:
-                    sep.add(e)
-                    heapq.heappush(heap, e)
-            else:
-                sep.discard(e)
-        self.dirty.clear()
-        while heap and heap[0] not in sep:
-            heapq.heappop(heap)
-        if not heap:
-            return None
-        u, v = heap[0]
-        return _separator_witness(u, v, _separating_component(g, at, u, v))
+        return self.track.witness(g, heap[0][1], *args) if heap else None
 
 
 # -- independent predicate checkers (used by tests) --------------------------

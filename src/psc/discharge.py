@@ -1,8 +1,9 @@
 """Exact-rational discharging: initial charges deg-6 / 2deg-6, the face rule,
 weak/strong classification, and the three vertex rules with transit bonuses.
 
-Elements are keyed ("v", id) for vertices and ("f", index) for faces (face
-indices follow the deterministic trace order).  All arithmetic is exact; the
+Elements are keyed ("v", id) for vertices and ("f", index) for faces (a
+face's index is its position in g.faces, which orders faces by their least
+corner: vertex, then rotation position).  All arithmetic is exact; the
 total charge of a connected planar embedding is -12 throughout.
 """
 

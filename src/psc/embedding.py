@@ -10,6 +10,8 @@ is renumbered; a removed id keeps a None row in `rotation`, `adj`, `face_at`.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 from .errors import (
     AlreadyAdjacent,
     AsymmetricAdjacency,
@@ -338,8 +340,10 @@ def mutate_delete_vertex(g, v):
     x = old[v][0]
     j = old[x].index(v)
     starts = [(x, j % len(rot[x]))] if rot[x] else []  # none for K2 - v
-    return _derived(tuple(u for u in g.vertices if u != v), tuple(rot),
-                    tuple(adj), rows, starts)
+    live = g.vertices  # increasing, a range or a tuple
+    i = bisect_left(live, v)
+    return _derived((*live[:i], *live[i + 1:]), tuple(rot), tuple(adj), rows,
+                    starts)
 
 
 def mutate_contract_edge(g, v, anchor):

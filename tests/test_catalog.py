@@ -199,7 +199,7 @@ def test_priority_order():
               "GenericDeletable")]
     assert ranks == sorted(ranks)
     # find_first_witness relies on rows ordered by their lowest rank
-    lowest = [min(kinds.values()) for _, kinds, _, _ in cat.CATALOG]
+    lowest = [min(kinds.values()) for _, kinds, *_ in cat.CATALOG]
     assert lowest == sorted(lowest)
 
 

@@ -3,6 +3,7 @@ whole-graph oracles: WitnessIndex against find_first_witness and each
 catalog row's detector, the carried square against embedding.square."""
 
 import random
+from collections import Counter
 from unittest import mock
 
 import pytest
@@ -127,9 +128,9 @@ def test_rows_match_detectors_under_random_mutations(seed):
     for g in graphs:
         budget = Budget.for_graph(g)
         index = cat.WitnessIndex(g, budget)
-        rows = [(d, args(budget), row) for (d, _, regimes, args), (_, row)
-                in zip([r for r in cat.CATALOG if budget.regime in r[2]],
-                       index._rows)]
+        rows = [(d, args(budget), index._rows[d][1])
+                for d, _, regimes, args, *_ in cat.CATALOG
+                if budget.regime in regimes]
         while g.n > 1:
             for detector, args, row in rows:
                 if rng.random() < 0.5:
@@ -152,7 +153,7 @@ def test_separator_row_after_pendant_deletion():
     # makes: 0 is a cut vertex before it, so every edge at 0 is re-tested
     g = k4_with_pendant()
     index = cat.WitnessIndex(g, Budget.for_graph(g))
-    row = next(r for _, r in index._rows if isinstance(r, cat._SeparatorRow))
+    row = index._rows["find_edge_separator"][1]
     assert row.first(g).actors == (0, 1)
     h = emb.mutate_delete_vertex(g, 4)
     assert 1 not in h.face_at[0][h.rotation[0].index(3)]
@@ -160,22 +161,33 @@ def test_separator_row_after_pendant_deletion():
     assert row.first(h) is None is cat.find_edge_separator(h)
 
 
-def test_reevaluated_vertices_per_step_do_not_grow_with_n():
-    """The index re-evaluates a bounded number of vertices per step: the
-    mean per step of the per-vertex calls of the small-regime row differs
-    by less than 1.5x between forced grids of 144 and 784 vertices."""
-    means = []
-    for side in (12, 28):
-        calls = 0
-        real = cat._weak
+def test_key_evaluations_per_step_do_not_grow_with_n():
+    """Every row of the index re-keys a bounded number of elements per
+    step: for each row, the mean per step of the key evaluations in
+    _Row.first differs by less than 1.5x between two sizes of forced runs,
+    grids of 144 and 784 vertices (small regime) and stacked
+    triangulations of 200 and 800 vertices (large regime).  A step re-keys
+    the faces at the ids it touches, so the stacked means creep up with
+    their hubs' degrees."""
+    detector_of = {track: d for d, *_, track in cat.CATALOG}
+    real = cat._Row.first
 
-        def counting(g, v):
-            nonlocal calls
-            calls += 1
-            return real(g, v)
+    def means(g, base_limit):
+        evaluated = Counter()
 
-        with mock.patch.object(cat, "_weak", counting):
-            _, tr = red.color_within_budget(gen.gen_grid(side, side),
-                                            base_limit=12)
-        means.append(calls / len(tr.steps))
-    assert max(means) < 1.5 * min(means), means
+        def first(row, h):
+            evaluated[detector_of[row.track]] += len(row.dirty)
+            return real(row, h)
+
+        with mock.patch.object(cat._Row, "first", first):
+            _, tr = red.color_within_budget(g, base_limit=base_limit)
+        return {d: k / len(tr.steps) for d, k in evaluated.items()}
+
+    for graphs, base_limit in (
+            ([gen.gen_grid(s, s) for s in (12, 28)], 12),
+            ([gen.gen_stacked_triangulation(n, 3) for n in (200, 800)], 1)):
+        at_lo_n, at_hi_n = (means(g, base_limit) for g in graphs)
+        assert at_lo_n.keys() == at_hi_n.keys(), (at_lo_n, at_hi_n)
+        for d in at_lo_n:
+            lo, hi = sorted((at_lo_n[d], at_hi_n[d]))
+            assert hi < 1.5 * lo, (d, at_lo_n[d], at_hi_n[d])
