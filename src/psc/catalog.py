@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import heapq
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Callable, NamedTuple
@@ -444,13 +445,12 @@ def _separator_marks(m):
       deletion.  It leaves G - S - w connected when G - S is not only if
       {w} is a component of G - S, so the neighbors of w, which all lie on
       the merged face, are x and y, or x alone, a cut vertex before it."""
-    old, g, on_new = m.old, m.new, m.on_new
+    old, g, on_new, cut = m.old, m.new, m.on_new, m.cut
     for x in m.touched:
         if x not in g:
             yield from (_pair(x, y) for y in old.adj[x])
-    at_old, at_new = _FaceSets(old), _FaceSets(g)
     for x in on_new:
-        every = at_old.is_cut(x) or at_new.is_cut(x)
+        every = x in cut
         yield from (_pair(x, y) for y in g.adj[x] if every or y in on_new)
 
 
@@ -542,14 +542,23 @@ def find_first_witness(g, budget):
 class _Mutation(NamedTuple):
     """One deletion or chord from `old` to `new`, as the rows read it: the
     ids whose rows it changed, the faces through them before and after,
-    the vertices on the faces it made, and those with their neighbors plus
-    the touched ids (`near`)."""
+    the vertices on the faces it made, those with their neighbors plus
+    the touched ids (`near`), and the vertices on the faces it made that
+    are cut vertices before or after it (`cut`)."""
     old: emb.EmbeddedGraph
     new: emb.EmbeddedGraph
     touched: tuple
     faces: set
     on_new: set
     near: set
+    cut: set
+
+
+def _repeated(f):
+    """The vertices the walk of face f visits more than once."""
+    if len(set(f)) == len(f):
+        return ()
+    return [x for x, k in Counter(f).items() if k > 1]
 
 
 class WitnessIndex:
@@ -557,11 +566,20 @@ class WitnessIndex:
     reduction.  Each catalog row of the budget's regime is a _Row driven
     by the row's _Track: a mutation marks the elements whose keys it can
     have changed, and the row re-keys them only when first() reaches it,
-    so a row behind the winner costs nothing."""
+    so a row behind the winner costs nothing.
+
+    cut[v] counts the faces of g whose walk visits v more than once, so v
+    is a cut vertex exactly when it is nonzero (see _FaceSets.is_cut).  A
+    mutation changes it only for the vertices of the faces it destroys
+    and makes."""
 
     def __init__(self, g, budget):
         self.g = g
         self.budget = budget
+        self.cut = [0] * len(g.rotation)
+        for f in g.faces:
+            for x in _repeated(f):
+                self.cut[x] += 1
         self._rows = {
             detector: (min(kinds.values()), _Row(g, track, args(budget)))
             for detector, kinds, regimes, args, track in CATALOG
@@ -590,12 +608,21 @@ class WitnessIndex:
         touched ids.  A destroyed face's vertices other than a removed id
         all lie on a face made in its place: the merged face of a
         deletion, or the two halves of a chord's face."""
-        old = self.g
+        old, cut = self.g, self.cut
         before = {f for x in touched for f in old.face_at[x]}
         after = {f for x in touched if x in g for f in g.face_at[x]}
-        on_new = set().union(*(after - before))
+        made = after - before
+        on_new = set().union(*made)
         near = set(touched).union(on_new, *(g.adj[x] for x in on_new))
-        m = _Mutation(old, g, touched, before | after, on_new, near)
+        was_cut = {x for x in on_new if cut[x]}
+        for f in before - after:
+            for x in _repeated(f):
+                cut[x] -= 1
+        for f in made:
+            for x in _repeated(f):
+                cut[x] += 1
+        m = _Mutation(old, g, touched, before | after, on_new, near,
+                      was_cut.union(x for x in on_new if cut[x]))
         for _, row in self._rows.values():
             row.mark(m)
         self.g = g

@@ -90,8 +90,10 @@ def smallest_last_order(g):
     order by repeatedly deleting a vertex of minimum (degree, id).  A lazy
     min-heap of (degree, id) gets one push per degree decrement, O(m log n).
     Degrees only fall, so a vertex's first pop carries its current degree
-    and its later, stale entries are skipped as removed."""
-    deg = {v: g.degree(v) for v in g.vertices}
+    and its later, stale entries are skipped as removed.  The ids come from
+    g.vertices, so g.adj is read without validating each access."""
+    adj = g.adj
+    deg = {v: len(adj[v]) for v in g.vertices}
     heap = [(d, v) for v, d in deg.items()]
     heapq.heapify(heap)
     removed = set()
@@ -102,7 +104,7 @@ def smallest_last_order(g):
             continue
         removed.add(v)
         order.append(v)
-        for u in g.neighbors(v):
+        for u in adj[v]:
             if u not in removed:
                 deg[u] -= 1
                 heapq.heappush(heap, (deg[u], u))
@@ -111,15 +113,26 @@ def smallest_last_order(g):
 
 
 def greedy_color(g):
-    """Greedy coloring of the square in a smallest-last order of g."""
-    sq = emb.square(g)
+    """Greedy coloring of the square in a smallest-last order of g: each
+    vertex takes the least color no colored vertex within distance 2 has.
+
+    The square is never built.  near[x] holds the colors given so far to
+    the neighbors of x.  The vertices within distance 2 of v, other than
+    v, are the neighbors of the x in N[v], so v avoids the union of those
+    near sets, and its color then joins near[x] for each neighbor x.  The
+    sets take O(n + m) memory, and near[x], of at most deg(x) colors, is
+    read once per neighbor of x, in C-speed set unions."""
+    adj = g.adj
+    near = {v: set() for v in g.vertices}
     col = {}
     for v in smallest_last_order(g):
-        used = {col[u] for u in sq.adj[v] if u in col}
+        used = near[v].union(*(near[x] for x in adj[v]))
         c = 1
         while c in used:
             c += 1
         col[v] = c
+        for x in adj[v]:
+            near[x].add(c)
     return SquareColoring(max(col.values(), default=1), col)
 
 

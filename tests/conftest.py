@@ -121,6 +121,21 @@ def smallest_last_order_scan(g):
     return order
 
 
+def greedy_color_scan(g):
+    """Oracle for coloring.greedy_color: the square is built and each
+    vertex reads its whole square row, O(sum of squared degrees) memory.
+    Greedy coloring of the square in a smallest-last order of g."""
+    sq = emb.square(g)
+    color = {}
+    for v in smallest_last_order_scan(g):
+        used = {color[u] for u in sq.adj[v] if u in color}
+        c = 1
+        while c in used:
+            c += 1
+        color[v] = c
+    return SquareColoring(max(color.values(), default=1), color)
+
+
 def dsatur_color_scan(sq, budget=None):
     """Oracle for coloring.dsatur_color: each step scans every uncolored
     vertex, O(n^2).  DSATUR on the square graph; ties broken by higher

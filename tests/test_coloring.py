@@ -1,8 +1,13 @@
+import json
+import tracemalloc
+from unittest import mock
+
 import pytest
-from conftest import (dsatur_color_scan, exact_gap_graph, naive_chi2,
-                      smallest_last_order_scan, verify_scan)
+from conftest import (dsatur_color_scan, exact_gap_graph, greedy_color_scan,
+                      naive_chi2, smallest_last_order_scan, verify_scan)
 from hypothesis import given, settings, strategies as st
 
+from psc import cli
 from psc import coloring as col
 from psc import embedding as emb
 from psc import generators as gen
@@ -94,16 +99,18 @@ def _planted_clashes(g, coloring):
 
 
 def _in_order(c):
-    """The palette and the (vertex, color) pairs in the order DSATUR chose
-    them, or None for a refused budget."""
+    """The palette and the (vertex, color) pairs in the order the coloring
+    chose them, or None for a refused budget."""
     return c and (c.palette_size, list(c.color_of.items()))
 
 
 def _assert_matches_scans(g):
     """The near-linear coloring functions give exactly the scan oracles'
     results: the same order, the same colors chosen in the same sequence
-    under every budget, and the same (ok, pair) from verify."""
+    by greedy and under every budget by DSATUR, and the same (ok, pair)
+    from verify."""
     assert col.smallest_last_order(g) == smallest_last_order_scan(g)
+    assert _in_order(col.greedy_color(g)) == _in_order(greedy_color_scan(g))
     sq = emb.square(g)
     for budget in (None, 2 * g.max_degree() + 7, 12, 5, 1):
         assert (_in_order(col.dsatur_color(sq, budget))
@@ -123,6 +130,7 @@ def test_coloring_matches_scans_corpora(corpus_large, corpus_small):
 
 def test_coloring_matches_scans_families():
     graphs = (_color_large_families()
+              + [emb.from_pg("n 1\n0:\n"), emb.from_pg("n 2\n0: 1\n1: 0\n")]
               + [gen.gen_wegner(d) for d in range(3, 16, 2)]
               + [gen.gen_grid(r, c) for r, c in ((2, 2), (3, 5), (7, 7))]
               + [gen.gen_cycle(n) for n in (3, 4, 5, 9)])
@@ -186,3 +194,26 @@ def test_exact_matches_naive_small(seed):
 def test_exact_matches_naive_cycles(n):
     g = gen.gen_cycle(n)
     assert col.exact_chi2(g).chi2 == naive_chi2(g)
+
+
+def test_greedy_never_builds_square(tmp_path, capsys):
+    """Greedy keeps one color set per neighbourhood and never builds the
+    square, in the library or through `psc color --mode greedy`.  On a hub
+    triple of 801 vertices, whose square has about 320 000 edges (some
+    26 MB), its tracemalloc peak stays under 4 MB."""
+    g = gen.gen_hub_triple(266, 266, 266, True)
+    path = tmp_path / "h.pg"
+    path.write_text(emb.to_pg(g))
+    with mock.patch.object(emb, "square", side_effect=AssertionError):
+        tracemalloc.start()
+        try:
+            c = col.greedy_color(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cli.main(["color", "--mode", "greedy", "--json",
+                         str(path)]) == 0
+    assert peak < 4e6, peak
+    out = json.loads(capsys.readouterr().out)
+    assert out["verified"] and out["palette"] == c.palette_size
+    assert col.verify(g, c) == (True, None)

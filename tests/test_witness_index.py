@@ -20,13 +20,22 @@ from psc.errors import DeltaTooLarge, WouldDisconnect
 BASE_LIMITS = (1, 6, 12, None)
 
 
+def assert_cut_flags(index):
+    """The index's carried cut-vertex counts are nonzero exactly at the
+    cut vertices of its graph, as _FaceSets finds them."""
+    g = index.g
+    at = cat._FaceSets(g)
+    assert ([v for v in g.vertices if index.cut[v]]
+            == [v for v in g.vertices if at.is_cut(v)]), emb.to_pg(g)
+
+
 def checked_run(g, base_limit):
     """Color g with the reducer, checking at every witness search that the
-    index returns what find_first_witness returns on the same graph, and
-    after every mutation that the carried square is the square of the new
-    graph.  Here the square is carried from the first mutation on, not
-    only from the first base case.  Returns (witness searches, derived
-    mutations, rebuilt ones)."""
+    index returns what find_first_witness returns on the same graph and
+    carries the cut vertices of that graph, and after every mutation that
+    the carried square is the square of the new graph.  Here the square is
+    carried from the first mutation on, not only from the first base case.
+    Returns (witness searches, derived mutations, rebuilt ones)."""
     counts = {"first": 0, True: 0, False: 0}
     real_first = cat.WitnessIndex.first
     real_advance = red._Reduction.advance
@@ -34,6 +43,7 @@ def checked_run(g, base_limit):
     def first(index):
         w = real_first(index)
         assert w == cat.find_first_witness(index.g, index.budget), emb.to_pg(index.g)
+        assert_cut_flags(index)
         counts["first"] += 1
         return w
 
@@ -145,6 +155,7 @@ def test_rows_match_detectors_under_random_mutations(seed):
                 break
             g, touched = step
             index.update(g, touched)
+            assert_cut_flags(index)
     assert checked > 1000
 
 
