@@ -142,19 +142,22 @@ def dsatur_color(sq, budget=None):
 
     Brelaz's bucket queue: the vertices are ranked once by (-degree, id),
     so the tie-break is the lowest rank, and buckets[s] holds the ranks of
-    the uncolored vertices of saturation s.  A color new to an uncolored
-    neighbor moves its rank up one bucket, so a square of m edges costs
-    O(n + m) set operations plus one min() over the top bucket per vertex.
-    A bucket that empties is replaced by a fresh set: a set never shrinks
-    its table, and on dense squares every bucket fills to about n before it
-    drains."""
+    the uncolored vertices of saturation s.  sat[u] has bit c-1 set for
+    each color c next to u, and is -1, every bit set, once u is colored.
+    A color new to an uncolored neighbor moves its rank up one bucket, so
+    a square of m edges costs O(n + m) operations plus one min() over the
+    top bucket per vertex, which is O(n) on near-complete squares.  Each
+    square row is read twice, to rank and to color, and dropped at once,
+    so the memory is O(n).  A bucket that empties is replaced by a fresh
+    set: a set never shrinks its table, and on dense squares every bucket
+    fills to about n before it drains."""
     adj = sq.adj
     n = len(adj)
     by_rank = sorted(adj, key=lambda v: (-len(adj[v]), v))
     rank = [0] * (max(adj, default=-1) + 1)
     for r, v in enumerate(by_rank):
         rank[v] = r
-    sat = [set() for _ in rank]  # None once the vertex is colored
+    sat = [0] * len(rank)
     buckets = [set(range(n))]  # one per saturation 0..palette
     col = {}
     palette = top = 0
@@ -167,22 +170,22 @@ def dsatur_color(sq, budget=None):
         if not b:
             buckets[top] = set()
         v = by_rank[r]
-        c = 1
-        while c in sat[v]:
-            c += 1
+        m = sat[v]
+        c = (~m & (m + 1)).bit_length()  # the least color not in m
         if budget is not None and c > budget:
             return None
         col[v] = c
         if c > palette:
             palette = c
             buckets.append(set())
-        sat[v] = None
+        sat[v] = -1
+        bit = 1 << (c - 1)
         for u in adj[v]:
             su = sat[u]
-            if su is None or c in su:
+            if su & bit:  # colored, or c already seen
                 continue
-            s = len(su)
-            su.add(c)
+            sat[u] = su | bit
+            s = su.bit_count()
             r = rank[u]
             b = buckets[s]
             b.discard(r)
@@ -196,15 +199,16 @@ def dsatur_color(sq, budget=None):
 
 def greedy_clique(sq):
     """Greedy clique in the square: grow from the highest-degree vertex."""
-    if not sq.adj:
+    adj = dict(sq.adj)
+    if not adj:
         return ()
-    start = max(sq.adj, key=lambda v: (len(sq.adj[v]), -v))
+    start = max(adj, key=lambda v: (len(adj[v]), -v))
     clique = [start]
-    cand = set(sq.adj[start])
+    cand = set(adj[start])
     while cand:
-        v = max(cand, key=lambda x: (len(sq.adj[x] & cand), -x))
+        v = max(cand, key=lambda x: (len(adj[x] & cand), -x))
         clique.append(v)
-        cand &= sq.adj[v]
+        cand &= adj[v]
     return tuple(sorted(clique))
 
 
@@ -226,10 +230,11 @@ def exact_chi2(g, time_limit=60.0):
     best = dsatur_color(sq)
     ub = best.palette_size
     deadline = time.monotonic() + time_limit
+    adj = dict(sq.adj)
     order = sorted(g.vertices,
-                   key=lambda v: (v not in clique, -len(sq.adj[v]), v))
+                   key=lambda v: (v not in clique, -len(adj[v]), v))
     pos = {v: i for i, v in enumerate(order)}
-    nbr_pos = [sorted(pos[u] for u in sq.adj[v]) for v in order]
+    nbr_pos = [sorted(pos[u] for u in adj[v]) for v in order]
 
     def feasible(k):
         colors = [0] * g.n  # by position in order

@@ -11,6 +11,7 @@ is renumbered; a removed id keeps a None row in `rotation`, `adj`, `face_at`.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Mapping
 
 from .errors import (
     AlreadyAdjacent,
@@ -196,35 +197,33 @@ def component(adj, start, removed):
     return seen
 
 
-class SquareGraph:
-    """The distance-<=2 adjacency over a base embedded graph, by vertex."""
+class SquareGraph(Mapping):
+    """The square of g, as a read-only mapping from each vertex of g to its
+    square row, the vertices within distance 2.  A row is computed by
+    dist2_neighborhood each time it is read and never stored: a square can
+    hold Theta(n^2) pairs where g holds O(n).  A reader that reads rows
+    many times takes one snapshot, dict(sq.adj).  `adj` is the square."""
 
-    __slots__ = ("adj",)
+    __slots__ = ("g",)
 
-    def __init__(self, adj):
-        self.adj = adj
+    def __init__(self, g):
+        self.g = g
 
-    def refresh(self, g, touched):
-        """Make this the square of g, the graph after a mutation of the
-        square's base that changed the rotation rows of `touched` only.
+    @property
+    def adj(self):
+        return self
 
-        A row of the square, N(x) and the neighbors of N(x), changes only
-        when x or a neighbor of x is in `touched`, so only the rows of
-        touched ids and of their neighbors in g are recomputed, and removed
-        ids are dropped.  The neighbors of `touched` in the base before the
-        mutation add nothing: a mutation removes only the edges of removed
-        ids and adds edges only between touched ids, so every such
-        neighbor is touched itself or still a neighbor in g."""
-        adj = self.adj
-        rows = set()
-        for x in touched:
-            if x in g:
-                rows.add(x)
-                rows.update(g.adj[x])
-            else:
-                adj.pop(x, None)
-        for x in rows:
-            adj[x] = frozenset(dist2_neighborhood(g, x))
+    def __getitem__(self, v):
+        return dist2_neighborhood(self.g, v)
+
+    def __iter__(self):
+        return iter(self.g.vertices)
+
+    def __len__(self):
+        return self.g.n
+
+    def __contains__(self, v):  # Mapping's would compute the row
+        return v in self.g
 
 
 def dist2_neighborhood(g, v):
@@ -239,8 +238,7 @@ def dist2_neighborhood(g, v):
 
 
 def square(g):
-    return SquareGraph({v: frozenset(dist2_neighborhood(g, v))
-                        for v in g.vertices})
+    return SquareGraph(g)
 
 
 def _walk_face(rot, a, j):

@@ -58,22 +58,15 @@ def color_within_budget(g, budget=None, base_limit=None):
 class _Reduction:
     """A graph under reduction and what is carried from one mutation to the
     next: the digest with the hash of each live row, and, built on first
-    use, the square and the witness index.  A mutation changes only the
-    rotation rows of the ids it touches, so only those rows are re-hashed
-    and only the square rows around them recomputed."""
+    use, the witness index.  A mutation changes only the rotation rows of
+    the ids it touches, so only those rows are re-hashed."""
 
     def __init__(self, g, budget):
         self.g = g
         self.budget = budget
         self.hashes = {v: emb.row_hash(g, v) for v in g.vertices}
         self.digest = sum(self.hashes.values()) % 2**64
-        self._square = None
         self._index = None
-
-    def square(self):
-        if self._square is None:
-            self._square = emb.square(self.g)
-        return self._square
 
     def first_witness(self):
         if self._index is None:
@@ -92,8 +85,6 @@ class _Reduction:
                 self.hashes[x] = h = emb.row_hash(g, x)
                 digest += h
         self.digest = digest % 2**64
-        if self._square is not None:
-            self._square.refresh(g, touched)
         if self._index is not None:
             if derived:
                 self._index.update(g, touched)
@@ -120,7 +111,7 @@ def _solve(g, budget, base_limit):
         current = run.g
         base = None
         if base_limit is None or current.n <= base_limit:
-            base = col.dsatur_color(run.square(), budget.palette_size)
+            base = col.dsatur_color(emb.square(current), budget.palette_size)
         if base is not None:
             terminal = {"n": current.n, "palette": base.palette_size,
                         "digest": f"{run.digest:016x}"}

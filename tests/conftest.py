@@ -106,16 +106,16 @@ def smallest_last_order_scan(g):
     remaining vertex, O(n^2).  Degeneracy (smallest-last) order of the base
     graph: reversed removal order by repeatedly deleting a minimum-degree
     vertex."""
-    deg = [g.degree(v) for v in range(g.n)]
-    removed = [False] * g.n
+    deg = {v: g.degree(v) for v in g.vertices}
+    removed = set()
     order = []
     for _ in range(g.n):
-        v = min((x for x in range(g.n) if not removed[x]),
+        v = min((x for x in g.vertices if x not in removed),
                 key=lambda x: (deg[x], x))
-        removed[v] = True
+        removed.add(v)
         order.append(v)
         for u in g.neighbors(v):
-            if not removed[u]:
+            if u not in removed:
                 deg[u] -= 1
     order.reverse()
     return order
@@ -125,10 +125,10 @@ def greedy_color_scan(g):
     """Oracle for coloring.greedy_color: the square is built and each
     vertex reads its whole square row, O(sum of squared degrees) memory.
     Greedy coloring of the square in a smallest-last order of g."""
-    sq = emb.square(g)
+    rows = dict(emb.square(g).adj)
     color = {}
     for v in smallest_last_order_scan(g):
-        used = {color[u] for u in sq.adj[v] if u in color}
+        used = {color[u] for u in rows[v] if u in color}
         c = 1
         while c in used:
             c += 1
@@ -141,13 +141,13 @@ def dsatur_color_scan(sq, budget=None):
     vertex, O(n^2).  DSATUR on the square graph; ties broken by higher
     square degree then lower id.  Returns None when the palette budget is
     exceeded."""
-    n = len(sq.adj)
+    rows = dict(sq.adj)
     col = {}
-    sat = [set() for _ in range(n)]
-    uncolored = set(range(n))
+    sat = {v: set() for v in rows}
+    uncolored = set(rows)
     palette = 0
     while uncolored:
-        v = max(uncolored, key=lambda x: (len(sat[x]), len(sq.adj[x]), -x))
+        v = max(uncolored, key=lambda x: (len(sat[x]), len(rows[x]), -x))
         c = 1
         while c in sat[v]:
             c += 1
@@ -156,7 +156,7 @@ def dsatur_color_scan(sq, budget=None):
         col[v] = c
         palette = max(palette, c)
         uncolored.discard(v)
-        for u in sq.adj[v]:
+        for u in rows[v]:
             sat[u].add(c)
     return SquareColoring(palette, col)
 
@@ -305,7 +305,7 @@ def naive_chi2(g):
     set partitions of the vertices (restricted growth strings) and keep the
     smallest number of blocks that are all independent in the square.
     Exponential; n <= ~10."""
-    sq = emb.square(g)
+    rows = dict(emb.square(g).adj)
     best = g.n
 
     def rec(v, blocks):
@@ -316,7 +316,7 @@ def naive_chi2(g):
             best = len(blocks)
             return
         for b in blocks:
-            if not (sq.adj[v] & b):
+            if not (rows[v] & b):
                 b.add(v)
                 rec(v + 1, blocks)
                 b.discard(v)

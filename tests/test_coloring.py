@@ -11,6 +11,8 @@ from psc import cli
 from psc import coloring as col
 from psc import embedding as emb
 from psc import generators as gen
+from psc import reducer as red
+from psc.errors import WouldDisconnect
 
 
 def test_verify_c5_distinct():
@@ -87,7 +89,7 @@ def _planted_clashes(g, coloring):
     """Copies of the coloring in which a vertex v passes its color to one
     neighbour and to one vertex at distance exactly 2, for a spread of v."""
     out = []
-    for v in range(0, g.n, max(1, g.n // 6)):
+    for v in list(g.vertices)[::max(1, g.n // 6)]:
         near = g.neighbors(v)
         far = emb.dist2_neighborhood(g, v) - near
         for u in (min(near, default=None), min(far, default=None)):
@@ -135,6 +137,28 @@ def test_coloring_matches_scans_families():
               + [gen.gen_grid(r, c) for r, c in ((2, 2), (3, 5), (7, 7))]
               + [gen.gen_cycle(n) for n in (3, 4, 5, 9)])
     for g in graphs:
+        _assert_matches_scans(g)
+
+
+def _with_removed_ids(g):
+    """g less the vertices among 0, n/3 and 2n/3 whose deletion keeps it
+    connected: a graph whose ids are not 0..n-1, as the reducer makes."""
+    for v in list(g.vertices)[::max(1, g.n // 3)]:
+        try:
+            g = emb.mutate_delete_vertex(g, v)
+        except WouldDisconnect:
+            pass
+    return g
+
+
+def test_coloring_matches_scans_removed_ids(corpus_large, corpus_small):
+    triangle = emb.from_pg("n 3\n0: 1 2\n1: 2 0\n2: 0 1\n")
+    k2 = emb.mutate_delete_vertex(triangle, 0)
+    k1 = emb.mutate_delete_vertex(k2, 1)
+    assert tuple(k2.vertices) == (1, 2) and tuple(k1.vertices) == (2,)
+    graphs = [_with_removed_ids(g) for g in corpus_large + corpus_small]
+    assert all(g.n < len(g.rotation) for g in graphs)
+    for g in graphs + [k2, k1]:
         _assert_matches_scans(g)
 
 
@@ -196,24 +220,55 @@ def test_exact_matches_naive_cycles(n):
     assert col.exact_chi2(g).chi2 == naive_chi2(g)
 
 
-def test_greedy_never_builds_square(tmp_path, capsys):
-    """Greedy keeps one color set per neighbourhood and never builds the
-    square, in the library or through `psc color --mode greedy`.  On a hub
-    triple of 801 vertices, whose square has about 320 000 edges (some
-    26 MB), its tracemalloc peak stays under 4 MB."""
+def _traced_peak(run):
+    """run()'s result and the tracemalloc peak while it ran, in bytes."""
+    tracemalloc.start()
+    try:
+        out = run()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def hub_801(tmp_path_factory):
+    """A hub triple of 801 vertices and its .pg file.  Its square has
+    about 320 000 edges, some 26 MB when stored."""
     g = gen.gen_hub_triple(266, 266, 266, True)
-    path = tmp_path / "h.pg"
+    path = tmp_path_factory.mktemp("hub") / "h.pg"
     path.write_text(emb.to_pg(g))
+    return g, str(path)
+
+
+def test_greedy_never_builds_square(hub_801, capsys):
+    """Greedy keeps one color set per neighbourhood and never builds the
+    square, in the library or through `psc color --mode greedy`.  On the
+    hub triple its tracemalloc peak stays under 4 MB."""
+    g, path = hub_801
     with mock.patch.object(emb, "square", side_effect=AssertionError):
-        tracemalloc.start()
-        try:
-            c = col.greedy_color(g)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert cli.main(["color", "--mode", "greedy", "--json",
-                         str(path)]) == 0
+        c, peak = _traced_peak(lambda: col.greedy_color(g))
+        assert cli.main(["color", "--mode", "greedy", "--json", path]) == 0
     assert peak < 4e6, peak
     out = json.loads(capsys.readouterr().out)
     assert out["verified"] and out["palette"] == c.palette_size
     assert col.verify(g, c) == (True, None)
+
+
+def test_square_colorings_never_store_the_square(hub_801, capsys):
+    """DSATUR reads square rows on demand and stores none, in the library,
+    in the reducer's base case and through `psc color` in the constructive
+    and dsatur modes.  On the hub triple each tracemalloc peak stays under
+    4 MB, and the palettes are those of the stored square, 800 colors."""
+    g, path = hub_801
+    ds, peak = _traced_peak(lambda: col.dsatur_color(emb.square(g)))
+    assert peak < 4e6, peak
+    (cw, _), peak = _traced_peak(lambda: red.color_within_budget(g))
+    assert peak < 4e6, peak
+    for c in (ds, cw):
+        assert c.palette_size == 800 and col.verify(g, c) == (True, None)
+    for mode in ("constructive", "dsatur"):
+        code, peak = _traced_peak(lambda: cli.main(
+            ["color", "--mode", mode, "--json", path]))
+        assert code == 0 and peak < 4e6, (mode, peak)
+        out = json.loads(capsys.readouterr().out)
+        assert out["verified"] and out["palette"] == 800, mode

@@ -1,6 +1,6 @@
 """The state the reducer carries across reduction steps, against the
 whole-graph oracles: WitnessIndex against find_first_witness and each
-catalog row's detector, the carried square against embedding.square."""
+catalog row's detector."""
 
 import random
 from collections import Counter
@@ -32,10 +32,8 @@ def assert_cut_flags(index):
 def checked_run(g, base_limit):
     """Color g with the reducer, checking at every witness search that the
     index returns what find_first_witness returns on the same graph and
-    carries the cut vertices of that graph, and after every mutation that
-    the carried square is the square of the new graph.  Here the square is
-    carried from the first mutation on, not only from the first base case.
-    Returns (witness searches, derived mutations, rebuilt ones)."""
+    carries the cut vertices of that graph.  Returns (witness searches,
+    derived mutations, rebuilt ones)."""
     counts = {"first": 0, True: 0, False: 0}
     real_first = cat.WitnessIndex.first
     real_advance = red._Reduction.advance
@@ -48,9 +46,7 @@ def checked_run(g, base_limit):
         return w
 
     def advance(run, h, touched, derived):
-        run.square()
         real_advance(run, h, touched, derived)
-        assert run.square().adj == emb.square(h).adj, emb.to_pg(h)
         counts[derived] += 1
 
     with mock.patch.object(cat.WitnessIndex, "first", first), \
