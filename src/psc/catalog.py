@@ -598,9 +598,9 @@ class WitnessIndex:
         return best
 
     def update(self, g, touched):
-        """Move to g, made from self.g by one mutate_delete_vertex or
-        mutate_add_edge that changed the rotation rows of `touched` only.
-        (A contraction rebuilds its graph; index that graph afresh.)
+        """Move to g, made from self.g by one deletion (mutate_delete_vertex)
+        or one chord inside a face (mutate_add_edge, add_bypass_chord) that
+        changed the rotation rows of `touched` only.
 
         A face of g that is not a face of self.g passes through a touched
         id, for a walk through unchanged rows only is an old walk; so the

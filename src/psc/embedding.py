@@ -20,7 +20,6 @@ from .errors import (
     DuplicateNeighbor,
     DuplicateRow,
     NonPlanarEmbedding,
-    NotAdjacent,
     NotOnSameFace,
     UnknownVertex,
     WouldDisconnect,
@@ -281,10 +280,8 @@ def _derived(vertices, rot, adj, rows, starts):
 
 def mutate_add_edge(g, u, v, dart):
     """Add the chord uv inside the face named by `dart` (see face_dart);
-    returns the new graph.
-
-    The two faces the chord splits the face into are the only ones
-    walked; every other face keeps its corners."""
+    returns the new graph.  Each end x takes the other just before y,
+    where (x -> y) is the first corner at x in the face's walk."""
     g._check_vertex(u)
     g._check_vertex(v)
     if u == v or g.adjacent(u, v):
@@ -292,11 +289,30 @@ def mutate_add_edge(g, u, v, dart):
     face = dart_face(g, dart) or ()
     if u not in face or v not in face:
         raise NotOnSameFace(f"{u} and {v} are not both on face {dart}")
+    yu, yv = (face[(face.index(x) + 1) % len(face)] for x in (u, v))
+    return _insert_chord(g, u, v, yu, yv)
+
+
+def add_bypass_chord(g, v):
+    """Join the two neighbors u and w of the degree-2 cut vertex v; returns
+    the new graph.  Each takes the other just before v, at its corner on
+    the one face that visits v twice.  Deleting v then leaves G - v plus
+    uw, the graph that contracting uv gives; raises NotOnSameFace when v
+    is not a degree-2 cut vertex."""
+    g._check_vertex(v)
+    r, at = g.rotation[v], g.face_at[v]
+    if len(r) != 2 or at[0] != at[1]:
+        raise NotOnSameFace(f"{v} is not a cut vertex of degree 2")
+    return _insert_chord(g, *r, v, v)
+
+
+def _insert_chord(g, u, v, yu, yv):
+    """g plus the chord uv, which u takes just before yu and v just before
+    yv in their rotations; the corners (u -> yu) and (v -> yv) lie on one
+    face.  The two faces the chord splits it into are the only ones
+    walked; every other face keeps its corners."""
     rot, rows, starts = list(g.rotation), list(g.face_at), []
-    # each end x takes the other just before y, where (x -> y) is the
-    # first corner at x in the walk
-    for x, other in ((u, v), (v, u)):
-        y = face[(face.index(x) + 1) % len(face)]
+    for x, other, y in ((u, v, yu), (v, u, yv)):
         j = rot[x].index(y)
         rot[x] = rot[x][:j] + (other,) + rot[x][j:]
         rows[x] = rows[x][:j] + [None] + rows[x][j:]
@@ -304,13 +320,6 @@ def mutate_add_edge(g, u, v, dart):
     adj = list(g.adj)
     adj[u], adj[v] = adj[u] | {v}, adj[v] | {u}
     return _derived(g.vertices, tuple(rot), tuple(adj), rows, starts)
-
-
-def _restrict(rotation, keep):
-    """Build `rotation` restricted to the ids in `keep`; others are removed."""
-    keep = set(keep)
-    return build(len(rotation), [[u for u in r if u in keep] if x in keep
-                                 else None for x, r in enumerate(rotation)])
 
 
 def mutate_delete_vertex(g, v):
@@ -344,35 +353,16 @@ def mutate_delete_vertex(g, v):
                     starts)
 
 
-def mutate_contract_edge(g, v, anchor):
-    """Contract the edge (anchor, v): v disappears and its neighbor anchor
-    inherits v's other neighbors (duplicates dropped), preserving the
-    embedding; returns the new graph.
-
-    The result is G - v plus edges from the anchor to v's other neighbors,
-    so any coloring of it restricts to a coloring of G - v.
-    """
-    g._check_vertex(anchor)
-    if anchor not in g.neighbors(v):
-        raise NotAdjacent(f"{v} and {anchor} are not adjacent")
-    rot = list(g.rotation)
-    rv, ra = rot[v], rot[anchor]
-    i, j = rv.index(anchor), ra.index(v)
-    inherited = rv[i + 1:] + rv[:i]  # v's neighbors after anchor, in order
-    gained = tuple(x for x in inherited if x not in g.adj[anchor])
-    rot[anchor] = ra[:j] + gained + ra[j + 1:]
-    for x in gained:
-        rot[x] = [anchor if y == v else y for y in rot[x]]
-    return _restrict(rot, [u for u in g.vertices if u != v])
-
-
 def induced_subgraph(g, vertices):
     """Embedding induced on a vertex set, which keeps its ids; the
     subgraph must be connected.
     """
-    for v in vertices:
+    keep = set(vertices)
+    for v in keep:
         g._check_vertex(v)
-    return _restrict(g.rotation, vertices)
+    rot = g.rotation
+    return build(len(rot), [[u for u in r if u in keep] if x in keep else None
+                            for x, r in enumerate(rot)])
 
 
 def least_corner(g, f):

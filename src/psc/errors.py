@@ -35,10 +35,6 @@ class AlreadyAdjacent(PscError):
     pass
 
 
-class NotAdjacent(PscError):
-    pass
-
-
 class NotOnSameFace(PscError):
     pass
 

@@ -73,11 +73,9 @@ class _Reduction:
             self._index = cat.WitnessIndex(self.g, self.budget)
         return self._index.first()
 
-    def advance(self, g, touched, derived):
+    def advance(self, g, touched):
         """Move to g, made from the current graph by one mutation that
-        changed the rows of `touched` only.  A graph that was rebuilt, not
-        derived from its parent, drops the index, to be built again on the
-        next search."""
+        changed the rows of `touched` only."""
         digest = self.digest
         for x in touched:
             digest -= self.hashes.pop(x)
@@ -86,10 +84,7 @@ class _Reduction:
                 digest += h
         self.digest = digest % 2**64
         if self._index is not None:
-            if derived:
-                self._index.update(g, touched)
-            else:
-                self._index = None
+            self._index.update(g, touched)
         self.g = g
 
 
@@ -100,9 +95,9 @@ def _solve(g, budget, base_limit):
     Chain reductions (delete / add edge) are handled iteratively; only
     edge-separator splits recurse.  A step changes only the rows of a
     chord's ends, or of the deleted vertex and its neighbors (recipe edges
-    and contraction join only those), and degree-checks them.  A recipe is
-    applied one mutation at a time, each passed to the carried state, whose
-    witness index is proved correct for one deletion or one chord.
+    and a bypass chord join only those), and degree-checks them.  A recipe
+    is applied one mutation at a time, each passed to the carried state,
+    whose witness index is proved correct for one deletion or one chord.
     """
     steps = []
     pending = []  # extension records, unwound in reverse
@@ -134,16 +129,15 @@ def _solve(g, budget, base_limit):
         if op == "add_edge":
             touched = (w.recipe["u"], w.recipe["v"])
             run.advance(emb.mutate_add_edge(current, *touched,
-                                            w.recipe["face"]), touched, True)
+                                            w.recipe["face"]), touched)
         else:
             v = w.recipe["v"]
             touched = (v, *current.adj[v])
             edges = w.recipe.get("edges", []) if op == "delete_and_add" else []
             # the extension reads only v's ball, so the graph is not kept
             pending.append((v, emb.dist2_neighborhood(current, v), step))
-            for nxt, changed, derived in _deletion(
-                    current, v, edges, w.recipe.get("anchor")):
-                run.advance(nxt, changed, derived)
+            for nxt, changed in _deletion(current, v, edges):
+                run.advance(nxt, changed)
         if any(len(run.g.rotation[x]) > budget.delta_context
                for x in touched if x in run.g):
             raise ExtensionStuck("reduction raised the maximum degree past "
@@ -156,26 +150,31 @@ def _solve(g, budget, base_limit):
     return mapping, steps, terminal
 
 
-def _deletion(g, v, edges, anchor):
+def _deletion(g, v, edges):
     """G - v plus the recipe's edges, one mutation at a time: yields each
-    graph with the ids whose rows it changed and whether it was derived
-    from its parent.  When deleting v alone would disconnect the graph,
-    the same result is obtained by contracting the edge between v and the
-    anchor endpoint of the added edges (by default v's neighbor of
-    smallest degree, then smallest id), which rebuilds the graph."""
-    touched = (v, *g.adj[v])
+    graph with the ids whose rows it changed.
+
+    Deleting a cut vertex v alone would disconnect the graph.  The only
+    first witness that deletes one is of kind Deg2 (rank 1): a degree-1
+    vertex is never a cut vertex, and each neighbor u of a cut vertex v
+    is a Deg1 witness (rank 0) if it has degree 1, and otherwise makes uv
+    an EdgeSeparator (rank 2), which ranks before every later kind.  So a
+    cut vertex of degree 2 is first bypassed by the chord joining its two
+    neighbors, its recipe's edge; any other cut vertex raises
+    WouldDisconnect."""
     try:
         out = emb.mutate_delete_vertex(g, v)
     except emb.WouldDisconnect:
-        if anchor is None:
-            anchor = min(g.adj[v], key=lambda x: (len(g.rotation[x]), x))
-        yield emb.mutate_contract_edge(g, v, anchor), touched, False
-        return
-    yield out, touched, True
+        if len(g.rotation[v]) != 2:
+            raise
+        out = emb.add_bypass_chord(g, v)
+        yield out, g.rotation[v]
+        out = emb.mutate_delete_vertex(out, v)
+    yield out, (v, *g.adj[v])
     for a, b in edges:
         if not out.adjacent(a, b):
             out = emb.add_edge_any_face(out, a, b)
-            yield out, (a, b), True
+            yield out, (a, b)
 
 
 def _extend(v, ball, mapping, budget, step):

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -204,6 +205,68 @@ def bridge():
                        "4: 1 3\n5: 6 2\n6: 2 5\n")
 
 
+def block_chain(seed):
+    """A seeded chain of 2 to 6 blocks, each a triangle, K4 or stacked
+    triangulation on 5 to 8 vertices, joined to the next by a degree-2
+    connector vertex or by a bridge, with pendant paths of 1 to 3 vertices
+    hung on some vertices.  Every edge between blocks goes in at random
+    corners.  Connectors and the inner vertices of pendant paths are cut
+    vertices, of degree 2 unless a later path hangs on them."""
+    rng = random.Random(seed)
+    rot = []
+
+    def block():
+        kind = rng.randrange(3)
+        g = (emb.build(3, [[1, 2], [2, 0], [0, 1]]) if kind == 0
+             else gen.named_graph("k4") if kind == 1
+             else gen.gen_stacked_triangulation(rng.randint(5, 8),
+                                                rng.randrange(100)))
+        base = len(rot)
+        rot.extend([base + u for u in r] for r in g.rotation)
+        return list(range(base, len(rot)))
+
+    def join(a, b):
+        for x, y in ((a, b), (b, a)):
+            rot[x].insert(rng.randrange(len(rot[x]) + 1), y)
+
+    def new_vertex():
+        rot.append([])
+        return len(rot) - 1
+
+    prev = block()
+    for _ in range(rng.randint(1, 5)):
+        a = rng.choice(prev)
+        prev = block()
+        b = rng.choice(prev)
+        if rng.random() < 0.6:
+            join(a, c := new_vertex())
+            join(c, b)
+        else:
+            join(a, b)
+    for _ in range(rng.randint(0, 3)):
+        x = rng.randrange(len(rot))
+        for _ in range(rng.randint(1, 3)):
+            join(x, x := new_vertex())
+    return emb.build(len(rot), rot)
+
+
+def block_chains():
+    return [block_chain(seed) for seed in range(24)]
+
+
+def degree2_cut_vertices(g):
+    """The vertices of degree 2 whose deletion disconnects g, found by
+    rebuilding g without each."""
+    out = []
+    for v in g.vertices:
+        if len(g.rotation[v]) == 2:
+            try:
+                delete_by_build(g, v)
+            except Disconnected:
+                out.append(v)
+    return out
+
+
 def face_corners_scan(g):
     """Oracle for embedding.trace_faces: each face as the list of directed
     corners (a, b) its walk takes, in trace order.  A walk starts at the
@@ -376,8 +439,7 @@ def replay_trace(g, records):
         if rec["op"] == "add_edge":
             g = emb.mutate_add_edge(g, rec["u"], rec["v"], rec["face"])
         else:
-            *_, (g, _, _) = red._deletion(g, rec["v"], rec.get("edges", []),
-                                          rec.get("anchor"))
+            *_, (g, _) = red._deletion(g, rec["v"], rec.get("edges", []))
     raise AssertionError("trace without a terminal record")
 
 

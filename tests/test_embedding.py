@@ -2,8 +2,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (add_chord_first_visit, add_edge_first_face_scan,
-                      assert_mutations_match_build, assert_same_graph,
-                      bowtie, bridge, cube, delete_by_build, double_pocket,
+                      assert_mutations_match_build, assert_rows_shared,
+                      assert_same_graph, block_chains, bowtie, bridge, cube,
+                      degree2_cut_vertices, delete_by_build, double_pocket,
                       face_corners_scan, single_deletions, small_graphs)
 from psc import embedding as emb
 from psc import generators as gen
@@ -245,14 +246,6 @@ def test_induced_subgraph_unknown_vertex(vertices):
         emb.induced_subgraph(cube(), vertices)
 
 
-@pytest.mark.parametrize("v, anchor, error", [
-    (0, 6, err.NotAdjacent), (0, 0, err.NotAdjacent),
-    (0, -1, err.UnknownVertex), (8, 0, err.UnknownVertex)])
-def test_contract_non_edge(v, anchor, error):
-    with pytest.raises(error):
-        emb.mutate_contract_edge(cube(), v, anchor)
-
-
 def test_delete_vertex():
     g = gen.named_graph("k4")
     g2 = emb.mutate_delete_vertex(g, 0)
@@ -276,13 +269,55 @@ def test_delete_would_disconnect():
 
 
 def test_contract_edge_on_bridge():
-    # two triangles joined through the cut vertex 0 (neighbors 1 and 2)
-    g = emb.from_pg("n 7\n0: 1 2\n1: 3 4 0\n2: 0 5 6\n3: 4 1\n4: 1 3\n"
-                    "5: 6 2\n6: 2 5\n")
-    g2 = emb.mutate_contract_edge(g, 0, 1)
+    # two triangles joined through the cut vertex 0 (neighbors 1 and 2):
+    # bypassing 0 and deleting it contracts the edge 0-1
+    g = bridge()
+    h = emb.add_bypass_chord(g, 0)
+    assert_same_graph(h, emb.build(len(h.rotation), h.rotation))
+    g2 = emb.mutate_delete_vertex(h, 0)
     assert g2.vertices == (1, 2, 3, 4, 5, 6)
     assert g2.rotation == (None, (3, 4, 2), (1, 5, 6), (4, 1), (1, 3), (6, 2),
                            (2, 5))
+
+
+def bypass_by_build(g, v):
+    """Oracle for add_bypass_chord then mutate_delete_vertex: the rotation
+    of g without v's row, each neighbor of v taking the other in v's place,
+    built from scratch."""
+    u, w = g.rotation[v]
+    other = {u: w, w: u}
+    rot = [None if x == v or r is None
+           else [other[x] if y == v else y for y in r]
+           for x, r in enumerate(g.rotation)]
+    return emb.build(len(rot), rot)
+
+
+def test_bypass_matches_build():
+    """At every degree-2 cut vertex of the bridge and of the block chains,
+    the bypass chord equals its own rebuild and reaches only the rows it
+    walks, and deleting v after it equals the build oracle."""
+    checked = 0
+    for g in [bridge()] + block_chains():
+        for v in degree2_cut_vertices(g):
+            h = emb.add_bypass_chord(g, v)
+            assert_same_graph(h, emb.build(len(h.rotation), h.rotation))
+            assert_rows_shared(g, h)
+            g2 = emb.mutate_delete_vertex(h, v)
+            assert_same_graph(g2, bypass_by_build(g, v))
+            assert_rows_shared(h, g2)
+            checked += 1
+    assert checked >= 50
+
+
+def test_bypass_rejects():
+    g = bridge()
+    for v in (-1, 7):
+        with pytest.raises(err.UnknownVertex):
+            emb.add_bypass_chord(g, v)
+    # 3 has degree 2 but is no cut vertex; 1 is a cut vertex of degree 3
+    for h, v in ((g, 3), (g, 1), (bowtie(), 0), (cube(), 0)):
+        with pytest.raises(err.NotOnSameFace):
+            emb.add_bypass_chord(h, v)
 
 
 def test_induced_subgraph():

@@ -7,8 +7,9 @@ content or reduction traces shows up as a digest mismatch.  A fifth column
 pins only the palette and colors of the same forced run (`--json`), so a
 change to the trace's labels or digests leaves it unchanged while any
 change to the coloring does not.  The bridge
-graph is the one input whose reduction contracts an edge, because deleting
-its cut vertex would disconnect it.  The 11-gon bipyramid is the one input
+graph is the one input whose reduction deletes a cut vertex: deleting it
+alone would disconnect the graph, so its two neighbours are first joined
+by a bypass chord.  The 11-gon bipyramid is the one input
 reaching the discharging rule R2: each hub has degree 11 and only weak
 neighbours.  The double pocket (two K4 pockets glued on the edge 0-1) is
 the one input where G minus a separating edge's endpoints has three

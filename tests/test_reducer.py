@@ -7,14 +7,16 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import bridge, cube, double_pocket, glue_pocket, replay_trace
+from conftest import (bowtie, bridge, cube, double_pocket, glue_pocket,
+                      replay_trace)
 from psc import catalog as cat
 from psc import coloring as col
 from psc import embedding as emb
 from psc import generators as gen
 from psc import reducer as red
 from psc.budgets import SMALL, Budget
-from psc.errors import ExtensionStuck, MergeInfeasible, NoWitnessFound
+from psc.errors import (ExtensionStuck, MergeInfeasible, NoWitnessFound,
+                        WouldDisconnect)
 
 
 def applied_kinds(steps):
@@ -125,11 +127,19 @@ def test_base_limit_at_n_is_default(corpus_large, corpus_small):
 
 
 def test_contraction_fallback_on_bridge():
-    # vertex 0 bridges two triangles; deleting it would disconnect the
-    # graph, so the reduction contracts it into its anchor instead
+    # vertex 0 bridges two triangles; deleting it alone would disconnect
+    # the graph, so the reduction first joins its neighbors by a bypass
+    # chord, which contracts the edge 0-1 once 0 is deleted
     g = bridge()
     assert min(g.degree(v) for v in range(g.n)) == 2
-    forced(g, 2)
+    assert forced(g, 2).steps[0]["witness"]["actors"] == [0, 1, 2]
+
+
+def test_deletion_of_other_cut_vertex_raises():
+    # the rank argument of _deletion: no first witness deletes a cut vertex
+    # of degree other than 2, so there is nothing to bypass it by
+    with pytest.raises(WouldDisconnect):
+        list(red._deletion(bowtie(), 0, []))
 
 
 def test_avoiding_permutation_exhaustive():
@@ -198,7 +208,7 @@ def replay_digests(g, records):
 def test_step_digests_match_full_digest(corpus_large, corpus_small):
     # each step re-hashes only the rows it touches; the running digest
     # equals the digest of the whole graph after every step, through
-    # deletions, chords, the bridge's contraction and the pockets' splits
+    # deletions, chords, the bridge's bypass and the pockets' splits
     kinds = set()
     runs = [(g, 6) for g in corpus_large[:6] + corpus_small[:6]]
     runs += [(bridge(), 1), (double_pocket(), 1),

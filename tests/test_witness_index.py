@@ -9,7 +9,8 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import bowtie, bridge, cube, double_pocket, glue_pocket, small_graphs
+from conftest import (block_chains, bowtie, bridge, cube, double_pocket,
+                      glue_pocket, small_graphs)
 from psc import catalog as cat
 from psc import embedding as emb
 from psc import generators as gen
@@ -32,11 +33,13 @@ def assert_cut_flags(index):
 def checked_run(g, base_limit):
     """Color g with the reducer, checking at every witness search that the
     index returns what find_first_witness returns on the same graph and
-    carries the cut vertices of that graph.  Returns (witness searches,
-    derived mutations, rebuilt ones)."""
-    counts = {"first": 0, True: 0, False: 0}
+    carries the cut vertices of that graph, and that no connected part
+    builds its index twice.  Returns (witness searches, bypass chords)."""
+    counts = {"first": 0, "bypass": 0, "index": 0, "parts": 0}
     real_first = cat.WitnessIndex.first
-    real_advance = red._Reduction.advance
+    real_index = cat.WitnessIndex.__init__
+    real_part = red._Reduction.__init__
+    real_bypass = emb.add_bypass_chord
 
     def first(index):
         w = real_first(index)
@@ -45,14 +48,22 @@ def checked_run(g, base_limit):
         counts["first"] += 1
         return w
 
-    def advance(run, h, touched, derived):
-        real_advance(run, h, touched, derived)
-        counts[derived] += 1
+    def counted(key, real):
+        def call(*args):
+            counts[key] += 1
+            return real(*args)
+        return call
 
     with mock.patch.object(cat.WitnessIndex, "first", first), \
-            mock.patch.object(red._Reduction, "advance", advance):
+            mock.patch.object(cat.WitnessIndex, "__init__",
+                              counted("index", real_index)), \
+            mock.patch.object(red._Reduction, "__init__",
+                              counted("parts", real_part)), \
+            mock.patch.object(emb, "add_bypass_chord",
+                              counted("bypass", real_bypass)):
         red.color_within_budget(g, base_limit=base_limit)
-    return counts["first"], counts[True], counts[False]
+    assert counts["index"] <= counts["parts"]
+    return counts["first"], counts["bypass"]
 
 
 def test_carried_state_matches_oracles_on_corpora(corpus_large, corpus_small):
@@ -65,7 +76,7 @@ def test_carried_state_matches_oracles_on_corpora(corpus_large, corpus_small):
 
 @pytest.mark.parametrize("side, base_limit", [(12, 1), (12, 6), (20, 12)])
 def test_carried_state_matches_oracles_on_grids(side, base_limit):
-    searches, _, _ = checked_run(gen.gen_grid(side, side), base_limit)
+    searches, _ = checked_run(gen.gen_grid(side, side), base_limit)
     assert searches >= side * side - base_limit
 
 
@@ -74,10 +85,18 @@ def test_carried_state_matches_oracles_on_split_and_contraction(base_limit):
     pocket = glue_pocket(gen.gen_stacked_triangulation(20, 1), 0, 1)
     for g in (pocket, double_pocket(), cube()):
         checked_run(g, base_limit)
-    # the bridge's cut vertex is contracted, which rebuilds the index,
+    # the bridge's cut vertex is bypassed by a chord before its deletion,
     # unless DSATUR colors its 7 vertices at once
-    rebuilt = checked_run(bridge(), base_limit)[2]
-    assert (rebuilt > 0) == (base_limit in (1, 6))
+    bypasses = checked_run(bridge(), base_limit)[1]
+    assert (bypasses > 0) == (base_limit in (1, 6))
+
+
+@pytest.mark.parametrize("base_limit", [1, 6])
+def test_carried_state_matches_oracles_on_block_chains(base_limit):
+    # the chains' degree-2 cut vertices are bypassed and deleted, each
+    # mutation passed to the index
+    bypasses = sum(checked_run(g, base_limit)[1] for g in block_chains())
+    assert bypasses >= 50
 
 
 @settings(max_examples=10, deadline=None)
