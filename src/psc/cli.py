@@ -125,7 +125,10 @@ def cmd_color(args):
         coloring = col.greedy_color(g)
     if budget is None and args.mode in ("dsatur", "greedy"):
         budget = 5 * g.max_degree() + 1
-    ok, pair = col.verify(g, coloring)
+    if trace is not None:  # color_within_budget verified it, or raised
+        ok, pair = True, None
+    else:
+        ok, pair = col.verify(g, coloring)
     if args.json:
         obj = {**coloring.to_obj(), "verified": ok}
         if trace is not None:

