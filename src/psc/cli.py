@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -246,7 +247,10 @@ def cmd_corpus(args):
     return 1 if failed else 0
 
 
+@functools.cache
 def make_parser():
+    """The psc argument parser, built once per process: parse_args keeps
+    no state between calls, and building it costs about 1 ms."""
     p = argparse.ArgumentParser(
         prog="psc", description="planar square coloring toolkit")
     sub = p.add_subparsers(dest="cmd", required=True)

@@ -1,10 +1,14 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from unittest import mock
 
 import pytest
 from conftest import exact_gap_graph
 
+import psc
 from psc import catalog as cat
 from psc import cli
 from psc import coloring as col
@@ -343,3 +347,25 @@ def test_determinism_cli(tri, tmp_path):
     run(["color", "--mode", "constructive", str(tri), "-o", str(a)])
     run(["color", "--mode", "constructive", str(tri), "-o", str(b)])
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_main_in_a_row_matches_fresh_processes(tri, capsys):
+    """main builds its parser once per process.  Run several times in a
+    row, a usage error among them, it prints and returns for each run what
+    a fresh process does."""
+    assert cli.make_parser() is cli.make_parser()
+    argvs = [["color", "--json", str(tri)],
+             ["color", "--mode", "bogus", str(tri)],
+             ["audit", str(tri)],
+             ["detect", str(tri)]]
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(psc.__file__)))
+    fresh = [subprocess.run([sys.executable, "-m", "psc.cli", *argv],
+                            capture_output=True, text=True, env=env)
+             for argv in argvs]
+    assert [p.returncode for p in fresh] == [0, 2, 0, 0]
+    for _ in range(2):
+        for argv, p in zip(argvs, fresh):
+            code = run(argv)
+            out, err = capsys.readouterr()
+            assert (code, out, err) == (p.returncode, p.stdout, p.stderr), argv

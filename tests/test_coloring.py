@@ -29,6 +29,33 @@ def test_verify_p3_violation():
     assert not ok and set(pair) == {0, 2}
 
 
+def test_verify_names_the_least_clashing_vertex():
+    """On the path 0-4-1-2-3, 1 and 3 clash in N[2], and 0 and 1 in N[4].
+    The scan in id order meets 0 first, though N[2] is the first closed
+    neighbourhood that is not rainbow."""
+    g = emb.from_pg("n 5\n0: 4\n1: 4 2\n2: 1 3\n3: 2\n4: 0 1\n")
+    valid = {0: 1, 1: 3, 2: 1, 3: 2, 4: 2}
+    assert col.verify(g, col.SquareColoring(3, valid)) == (True, None)
+    one = col.SquareColoring(3, {**valid, 3: 3})
+    two = col.SquareColoring(3, {**valid, 3: 3, 0: 3})
+    assert col.verify(g, one) == verify_scan(g, one) == (False, (1, 3))
+    assert col.verify(g, two) == verify_scan(g, two) == (False, (0, 1))
+
+
+def test_verify_scans_one_ball_to_name_a_clash():
+    """On the n = 3000 hub triple, whose square is nearly complete, verify
+    names a clash after reading the distance-2 ball of one vertex only."""
+    g = gen.gen_hub_triple(999, 999, 999, True)
+    c = col.dsatur_color(emb.square(g))
+    colors = dict(c.color_of)
+    colors[2999] = colors[2998]
+    bad = col.SquareColoring(c.palette_size, colors)
+    with mock.patch.object(emb, "dist2_neighborhood",
+                           wraps=emb.dist2_neighborhood) as ball:
+        assert col.verify(g, bad) == (False, (2998, 2999))
+    assert ball.call_count == 1
+
+
 @pytest.mark.parametrize("colors, bad", [
     ({0: 0, 1: 2, 2: 3}, 0),             # color 0
     ({0: 1, 1: 2, 2: 4}, 2),             # color above the palette
@@ -98,8 +125,10 @@ def _color_large_families(n=600, seed=7):
 
 def _planted_clashes(g, coloring):
     """Copies of the coloring in which a vertex v passes its color to one
-    neighbour and to one vertex at distance exactly 2, for a spread of v."""
+    neighbour and to one vertex at distance exactly 2, for a spread of v,
+    and one copy with all of these clashes at once."""
     out = []
+    every = dict(coloring.color_of)
     for v in list(g.vertices)[::max(1, g.n // 6)]:
         near = g.neighbors(v)
         far = emb.dist2_neighborhood(g, v) - near
@@ -108,6 +137,9 @@ def _planted_clashes(g, coloring):
                 colors = dict(coloring.color_of)
                 colors[u] = colors[v]
                 out.append(col.SquareColoring(coloring.palette_size, colors))
+                every[u] = every[v]
+    if out:
+        out.append(col.SquareColoring(coloring.palette_size, every))
     return out
 
 
@@ -215,14 +247,24 @@ def _assert_dsatur_matches_scan(g):
                 == _in_order(dsatur_color_scan(sq, budget))), budget
 
 
+def _twin_class_graphs():
+    """Graphs with twin classes: stars, unequal hub triples, C4 and the
+    octahedron."""
+    return ([_star(k) for k in (1, 2, 3, 7)]
+            + [gen.gen_hub_triple(*p) for p in (
+                (1, 40, 300, False), (2, 1, 7, True), (5, 5, 1, True),
+                (3, 9, 4, False))]
+            + [gen.gen_cycle(4), gen.named_graph("octahedron")])
+
+
 def test_dsatur_matches_scan_on_twin_classes():
-    graphs = ([_star(k) for k in (1, 2, 3, 7)]
-              + [gen.gen_hub_triple(*p) for p in (
-                  (1, 40, 300, False), (2, 1, 7, True), (5, 5, 1, True),
-                  (3, 9, 4, False))]
-              + [gen.gen_cycle(4), gen.named_graph("octahedron")])
-    for g in graphs:
+    for g in _twin_class_graphs():
         _assert_dsatur_matches_scan(g)
+
+
+def test_coloring_matches_scans_on_twin_classes():
+    for g in _twin_class_graphs():
+        _assert_matches_scans(g)
 
 
 def test_dsatur_refuses_inside_a_twin_class():
