@@ -210,11 +210,9 @@ def _corpus_member(task):
     if mode in ("detect", "all"):
         out["detect"] = bool(cat.detect_all(g))
     if mode in ("constructive", "all"):
-        b = Budget.for_graph(g)
-        try:
-            c, _ = red.color_within_budget(g)
-            ok, _pair = col.verify(g, c)
-            out["constructive"] = ok and c.palette_size <= b.palette_size
+        try:  # verifies its coloring within the graph's budget, or raises
+            red.color_within_budget(g)
+            out["constructive"] = True
         except PscError:
             out["constructive"] = False
     return out

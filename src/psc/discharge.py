@@ -9,13 +9,15 @@ total charge of a connected planar embedding is -12 throughout.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import attrgetter
+from typing import NamedTuple
 
 from . import catalog as cat
-from . import embedding as emb
 from .errors import WeakHighDegree
 
 WEAK = "weak"
@@ -26,8 +28,7 @@ def fmt(x):
     return f"{x.numerator}/{x.denominator}"
 
 
-@dataclass(frozen=True)
-class Transfer:
+class Transfer(NamedTuple):
     rule: str
     source: tuple
     target: tuple
@@ -54,8 +55,10 @@ class ChargeLedger:
 
     def applied(self, new_transfers):
         """New ledger with the given transfers applied on top of `final`.
-        Each element's net flow is summed as an integer multiple of 1/L, L
-        the lcm of the batch's denominators, and added to its charge once."""
+        Each element's net flow is summed as an integer k over L, L the lcm
+        of the batch's denominators, and its charge c becomes the one new
+        Fraction (c.numerator * L + k * c.denominator) / (c.denominator * L);
+        equal results share one object."""
         new_transfers = list(new_transfers)
         lcm = math.lcm(*{t.amount.denominator for t in new_transfers})
         net = {}
@@ -64,8 +67,12 @@ class ChargeLedger:
             net[t.source] = net.get(t.source, 0) - k
             net[t.target] = net.get(t.target, 0) + k
         charges = dict(self.final)
+        frac = functools.cache(Fraction)
         for el, k in net.items():
-            charges[el] += Fraction(k, lcm)
+            if k:
+                c = charges[el]
+                charges[el] = frac(c.numerator * lcm + k * c.denominator,
+                                   c.denominator * lcm)
         return ChargeLedger(self.initial, charges,
                             self.transfers + new_transfers)
 
@@ -80,38 +87,46 @@ def _exact_sum(values):
 
 
 def initial_charges(g):
-    charges = {}
-    for v in g.vertices:
-        charges[("v", v)] = Fraction(g.degree(v) - 6)
+    rot = g.rotation
+    whole = functools.cache(Fraction)  # one object per charge value
+    charges = {("v", v): whole(len(rot[v]) - 6) for v in g.vertices}
     for i, f in enumerate(g.faces):
-        charges[("f", i)] = Fraction(2 * len(f) - 6)
+        charges[("f", i)] = whole(2 * len(f) - 6)
     return ChargeLedger(dict(charges), charges, [])
 
 
 def apply_R1(ledger, g):
     """Each d-face pays d-3 to every incident vertex of degree at most 5,
-    once per incidence."""
+    once per incidence, ordered by (source, target)."""
+    rot = g.rotation
+    whole = functools.cache(Fraction)  # one object per face length
     transfers = []
     for i, f in enumerate(g.faces):
-        pay = Fraction(len(f) - 3)
-        if pay == 0:
+        if len(f) == 3:
             continue
-        for v in f:
-            if g.degree(v) <= 5:
-                transfers.append(Transfer("R1", ("f", i), ("v", v), pay))
-    transfers.sort(key=lambda t: (t.source, t.target))
+        pay, source = whole(len(f) - 3), ("f", i)
+        transfers += [Transfer("R1", source, ("v", v), pay)
+                      for v in sorted(f) if len(rot[v]) <= 5]
     return ledger.applied(transfers)
 
 
 def classify(ledger_after_r1, g):
     """Weak vertices are those negative after the face rule."""
+    final, rot = ledger_after_r1.final, g.rotation
     out = {}
     for v in g.vertices:
-        weak = ledger_after_r1.final[("v", v)] < 0
-        if weak and g.degree(v) > 5:
-            raise WeakHighDegree(f"vertex {v} weak with degree {g.degree(v)}")
+        weak = final[("v", v)].numerator < 0
+        if weak and len(rot[v]) > 5:
+            raise WeakHighDegree(f"vertex {v} weak with degree {len(rot[v])}")
         out[v] = WEAK if weak else STRONG
     return out
+
+
+# the amounts of vertex_rule, one object each
+_R2_PAY = Fraction(5, 11)
+_R3_PAYS = (Fraction(1, 2), Fraction(1, 4))
+_R4_PAYS = {d: (Fraction(d - 6, d), Fraction(d - 6, 2 * d))
+            for d in range(7, 11)}
 
 
 def vertex_rule(d, weak):
@@ -142,11 +157,11 @@ def vertex_rule(d, weak):
     if d < 7:
         return []
     if d == 11 and all(weak):
-        return [("R2", i, Fraction(5, 11), None) for i in range(d)]
+        return [("R2", i, _R2_PAY, None) for i in range(d)]
     if d >= 11:
-        rule, pay, bonus = "R3", Fraction(1, 2), Fraction(1, 4)
+        rule, (pay, bonus) = "R3", _R3_PAYS
     else:
-        rule, pay, bonus = "R4", Fraction(d - 6, d), Fraction(d - 6, 2 * d)
+        rule, (pay, bonus) = "R4", _R4_PAYS[d]
     out = []
     for i in range(d):
         if weak[i]:
@@ -159,16 +174,22 @@ def vertex_rule(d, weak):
 
 def apply_R2_R3_R4(ledger, g, ws):
     """The vertex rules of `vertex_rule`, computed simultaneously from the
-    post-face-rule state and ordered by (rule, source, target, via)."""
+    post-face-rule state and ordered by (rule, source, target, via).  Each
+    weak pattern's rows are computed once per call."""
+    weak_of = {v: s == WEAK for v, s in ws.items()}.__getitem__
+    rows_of = {}
     transfers = []
     for u in g.vertices:
         rot = g.rotation[u]
-        weak = tuple(ws[w] == WEAK for w in rot)
-        for rule, i, amount, j in vertex_rule(len(rot), weak):
-            via = () if j is None else (rot[j],)
-            transfers.append(
-                Transfer(rule, ("v", u), ("v", rot[i]), amount, via))
-    transfers.sort(key=lambda t: (t.rule, t.source, t.target, t.via))
+        weak = tuple(map(weak_of, rot))
+        rows = rows_of.get(weak)
+        if rows is None:
+            rows = rows_of[weak] = vertex_rule(len(rot), weak)
+        source = ("v", u)
+        transfers += [Transfer(rule, source, ("v", rot[i]), amount,
+                               () if j is None else (rot[j],))
+                      for rule, i, amount, j in rows]
+    transfers.sort(key=attrgetter("rule", "source", "target", "via"))
     return ledger.applied(transfers)
 
 
@@ -227,24 +248,37 @@ class AuditReport:
 def audit(g):
     """Full discharging pipeline plus negative-element cross-referencing:
     each negative element cites, by index, the witnesses with an actor in
-    its distance-2 ball.  The witnesses are indexed by actor once, so the
-    cost is linear in the balls and the citations, not negatives times
-    witnesses."""
+    its distance-2 ball.  The witnesses are listed per actor id once, and a
+    ball and its citations are set unions of neighbour sets and of those
+    lists, so the cost is linear in the balls and the citations, not
+    negatives times witnesses.  Negative vertices with the same neighbours
+    have the same ball and share one citation list."""
     ledger, ws = charges(g)
-    negatives = sorted((el, c) for el, c in ledger.final.items() if c < 0)
+    negatives = sorted((el, c) for el, c in ledger.final.items()
+                       if c.numerator < 0)
     witnesses = cat.detect_for_audit(g)
-    by_actor = {}
+    cites = [[] for _ in g.rotation]
     for i, w in enumerate(witnesses):
         for x in w.actors:
-            by_actor.setdefault(x, []).append(i)
+            cites[x].append(i)
+    adj = g.adj.__getitem__
+
+    def citations(ball):
+        return sorted(set().union(*map(cites.__getitem__, ball)))
+
+    by_nbrs = {}
     cross = {}
     for el, _ in negatives:
-        if el[0] == "v":
-            ball = emb.dist2_neighborhood(g, el[1]) | {el[1]}
-        else:
-            ball = set()
-            for v in set(g.faces[el[1]]):
-                ball |= emb.dist2_neighborhood(g, v) | {v}
-        cross[el] = sorted(set().union(
-            *(by_actor[x] for x in ball if x in by_actor)))
+        if el[0] == "f":
+            face = g.faces[el[1]]
+            near = set(face).union(*map(adj, face))
+            cross[el] = citations(near.union(*map(adj, near)))
+            continue
+        # a vertex's ball is its neighbours' closed neighbourhoods, plus
+        # itself for K1: vertices with one neighbour set share a list
+        nbrs = g.adj[el[1]]
+        if nbrs not in by_nbrs:
+            by_nbrs[nbrs] = citations(
+                set(nbrs).union({el[1]}, *map(adj, nbrs)))
+        cross[el] = by_nbrs[nbrs]
     return AuditReport(ledger, ws, negatives, witnesses, cross)

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -11,7 +12,8 @@ from psc import generators as gen
 from psc import reducer as red
 from psc.budgets import Budget
 from psc.coloring import SquareColoring
-from psc.errors import Disconnected, NotOnSameFace, WouldDisconnect
+from psc.errors import (Disconnected, NotOnSameFace, WeakHighDegree,
+                        WouldDisconnect)
 
 
 def glue_pocket(g, u, v):
@@ -166,7 +168,7 @@ def audit_cross_refs_scan(g):
     """Oracle for the cross-reference of discharge.audit: every negative
     element's distance-2 ball is tested against every witness,
     O(negatives x witnesses).  Element -> indices into detect_for_audit."""
-    ledger, _ = dis.charges(g)
+    ledger, _ = charges_scan(g)
     witnesses = cat.detect_for_audit(g)
     cross = {}
     for el, c in sorted(ledger.final.items()):
@@ -192,6 +194,52 @@ def applied_scan(ledger, new_transfers):
         charges[t.target] += t.amount
     return dis.ChargeLedger(ledger.initial, charges,
                             ledger.transfers + list(new_transfers))
+
+
+def charges_scan(g):
+    """Oracle for discharge.charges: a new Fraction for every element, face
+    and transfer, each vertex's R2-R4 rows computed afresh by
+    discharge.vertex_rule, and each batch applied by applied_scan.  The
+    final ledger and the weak/strong map."""
+    initial = {("v", v): Fraction(g.degree(v) - 6) for v in g.vertices}
+    for i, f in enumerate(g.faces):
+        initial[("f", i)] = Fraction(2 * len(f) - 6)
+    ledger = dis.ChargeLedger(dict(initial), initial, [])
+    r1 = []
+    for i, f in enumerate(g.faces):
+        pay = Fraction(len(f) - 3)
+        if pay == 0:
+            continue
+        for v in f:
+            if g.degree(v) <= 5:
+                r1.append(dis.Transfer("R1", ("f", i), ("v", v), pay))
+    r1.sort(key=lambda t: (t.source, t.target))
+    ledger = applied_scan(ledger, r1)
+    ws = {}
+    for v in g.vertices:
+        weak = ledger.final[("v", v)] < 0
+        if weak and g.degree(v) > 5:
+            raise WeakHighDegree(f"vertex {v} weak with degree {g.degree(v)}")
+        ws[v] = dis.WEAK if weak else dis.STRONG
+    rest = []
+    for u in g.vertices:
+        rot = g.rotation[u]
+        weak = tuple(ws[w] == dis.WEAK for w in rot)
+        for rule, i, amount, j in dis.vertex_rule(len(rot), weak):
+            via = () if j is None else (rot[j],)
+            rest.append(dis.Transfer(rule, ("v", u), ("v", rot[i]),
+                                     Fraction(amount), via))
+    rest.sort(key=lambda t: (t.rule, t.source, t.target, t.via))
+    return applied_scan(ledger, rest), ws
+
+
+def audit_scan(g):
+    """Oracle for discharge.audit: the ledger of charges_scan, and the
+    citations of audit_cross_refs_scan."""
+    ledger, ws = charges_scan(g)
+    negatives = sorted((el, c) for el, c in ledger.final.items() if c < 0)
+    return dis.AuditReport(ledger, ws, negatives, cat.detect_for_audit(g),
+                           audit_cross_refs_scan(g))
 
 
 def bowtie():

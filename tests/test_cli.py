@@ -341,6 +341,18 @@ def test_corpus_charges_fail_on_broken_rule():
         assert cli._corpus_member(task) == {"charges": False}
 
 
+def test_corpus_constructive_verifies_once():
+    """color_within_budget verifies its coloring within the budget or
+    raises, so the corpus worker verifies each graph once."""
+    graphs = (gen.gen_corpus(3, (20, 40), 9, 5)
+              + gen.gen_corpus(3, (20, 40), 3, 6, delta_max=6))
+    with mock.patch.object(col, "verify", wraps=col.verify) as verify:
+        for g in graphs:
+            task = (emb.to_pg(g), "constructive")
+            assert cli._corpus_member(task) == {"constructive": True}
+    assert verify.call_count == len(graphs)
+
+
 def test_determinism_cli(tri, tmp_path):
     a = tmp_path / "a.txt"
     b = tmp_path / "b.txt"

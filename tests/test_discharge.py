@@ -1,16 +1,24 @@
+import contextlib
+import io
 import itertools
 import json
+import tempfile
 from fractions import Fraction
+from pathlib import Path
+from unittest import mock
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from psc import catalog as cat
+from psc import cli
 from psc import discharge as dis
 from psc import embedding as emb
 from psc import generators as gen
+from psc.errors import WeakHighDegree
 
-from conftest import (applied_scan, audit_cross_refs_scan, bowtie, bridge,
-                      double_pocket)
+from conftest import (applied_scan, audit_cross_refs_scan, audit_scan,
+                      bowtie, bridge, double_pocket)
 
 
 def test_k4_charges():
@@ -98,6 +106,24 @@ def test_audit_json_lists_each_witness_once(corpus_small):
         assert neg["witnesses"] == sorted(set(neg["witnesses"]))
 
 
+@pytest.mark.parametrize("parts, v, d", [((3, 3, 3, False), 0, 6),
+                                         ((4, 5, 2, True), 2, 8)])
+def test_classify_raises_on_weak_high_degree(parts, v, d):
+    # a hand-built post-R1 ledger in which a vertex of degree >= 6 is
+    # negative; R1 pays only degree <= 5, so charges never builds one
+    g = gen.gen_hub_triple(*parts)
+    led = dis.apply_R1(dis.initial_charges(g), g)
+    assert len(g.rotation[v]) == d and led.final[("v", v)] == d - 6
+    final = dict(led.final)
+    final[("v", v)] = Fraction(-1, 7)
+    with pytest.raises(WeakHighDegree,
+                       match=f"vertex {v} weak with degree {d}"):
+        dis.classify(dis.ChargeLedger(led.initial, final, led.transfers), g)
+    final[("v", v)] = Fraction(0)
+    assert dis.classify(dis.ChargeLedger(led.initial, final, led.transfers),
+                        g)[v] == dis.STRONG
+
+
 def test_transfer_serialization():
     t = dis.Transfer("R4", ("v", 1), ("v", 2), Fraction(1, 14), via=(3,))
     assert t.to_obj() == {"rule": "R4", "from": ["v", 1], "to": ["v", 2],
@@ -135,6 +161,19 @@ def test_audit_cross_refs_match_scan_sampled(seed, small):
     else:
         g = gen.gen_corpus(1, (8, 60), 9, seed)[0]
     assert dis.audit(g).cross_refs == audit_cross_refs_scan(g)
+
+
+def test_audit_shares_citations_between_twins():
+    # the negative vertices of the n = 801 hub triple have one of three
+    # neighbour sets, so their 636k citations sit in three lists
+    g = gen.gen_hub_triple(266, 266, 266, True)
+    report = dis.audit(g)
+    assert sum(map(len, report.cross_refs.values())) == 635_994
+    shared = {}
+    for (kind, x), refs in report.cross_refs.items():
+        if kind == "v":
+            assert shared.setdefault(g.adj[x], refs) is refs
+    assert len(shared) == 3
 
 
 def _same_ledger(a, b):
@@ -192,3 +231,51 @@ def test_applied_arbitrary_amounts(start, data):
         assert led.total_initial() == sum(start, Fraction(0))
         assert led.total_final() == sum(led.final.values(), Fraction(0))
         assert led.total_final() == led.total_initial()
+
+
+def _audit_outputs(g):
+    """`psc audit --json` and `psc audit` printed for g, one after the
+    other."""
+    out = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(out):
+        path = str(Path(tmp) / "g.pg")
+        Path(path).write_text(emb.to_pg(g))
+        assert cli.main(["audit", "--json", path]) == 0
+        assert cli.main(["audit", path]) == 0
+    return out.getvalue()
+
+
+def _assert_pipeline_matches_scan(g):
+    ledger, ws = dis.charges(g)
+    want = audit_scan(g)
+    _same_ledger(ledger, want.ledger)
+    assert ws == want.weak_strong
+    assert all(type(c) is Fraction for c in itertools.chain(
+        ledger.initial.values(), ledger.final.values(),
+        (t.amount for t in ledger.transfers)))
+    assert dis.audit(g).to_json() == want.to_json()
+    printed = _audit_outputs(g)  # the file may number g's vertices anew
+    with mock.patch.object(dis, "audit", audit_scan):
+        assert _audit_outputs(g) == printed
+
+
+# hub triples with unequal parts: the degree-2 vertices of one part have
+# one neighbour set, so they share a citation list
+_HUB_PARTS = ((1, 40, 300, False), (2, 7, 30, True), (25, 3, 1, True))
+
+
+def test_pipeline_matches_scan(corpus_large, corpus_small,
+                               forced_intermediates):
+    for g in (_audit_graphs(corpus_large, corpus_small, forced_intermediates)
+              + [gen.gen_hub_triple(*parts) for parts in _HUB_PARTS]):
+        _assert_pipeline_matches_scan(g)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 10_000), st.booleans())
+def test_pipeline_matches_scan_sampled(seed, small):
+    if small:
+        g = gen.gen_corpus(1, (8, 60), 3, seed, delta_max=6)[0]
+    else:
+        g = gen.gen_corpus(1, (8, 60), 9, seed)[0]
+    _assert_pipeline_matches_scan(g)
