@@ -11,6 +11,8 @@ import heapq
 import json
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import chain
 from operator import attrgetter
 from typing import Callable, NamedTuple
 
@@ -41,11 +43,14 @@ def _sort_key(w):
 
 # -- individual detectors ----------------------------------------------------
 #
-# Each kind is defined once, by a function of one vertex, edge or face.  The
-# detectors run it over the whole graph; a WitnessIndex row re-keys through
-# it, by its CATALOG row's _Track, only the elements a mutation marked.
-# These functions take their ids from the graph itself, so they read g.adj
-# and g.rotation without validating each access.
+# Each kind is defined once, by a function of one vertex, edge or face that
+# lists its witnesses there.  A CATALOG row's _Track names that function and
+# the elements it runs over: the row's detector runs it over the whole
+# graph (_scan), and a WitnessIndex row re-runs it only on the elements a
+# mutation marked.  These functions take their ids from the graph itself,
+# so they read g.adj and g.rotation without validating each access.  They
+# list nothing at a removed id, whose rows are None: the vertex functions
+# read its degree as 0.
 
 class _FaceSets(dict):
     """Vertex -> the set of faces on whose boundary it lies, computed on
@@ -66,44 +71,40 @@ class _FaceSets(dict):
 
 
 def find_edge_separator(g):
-    """First edge uv (sorted) whose endpoint removal disconnects the graph.
+    """The EdgeSeparator of the first edge uv, in _edges order, whose
+    endpoint removal disconnects the graph, or None."""
+    return _scan(_SEPARATORS, g)
+
+
+def _separators_at(g):
+    """The witnesses at an edge (u, v), u < v, of g: its EdgeSeparator if
+    G - {u, v} is disconnected, with the component of
+    _smallest_component_without.
 
     Only candidate edges get a BFS: those with a cut-vertex end, and those
-    whose ends share a face other than the two on either side of uv.  Every
-    separating edge is a candidate.  If neither end is a cut vertex, every
-    component of G - {u, v} holds a neighbour of u (else v would be a cut
-    vertex).  Around u the neighbours other than v change component at
-    least twice, at most once across v, so some x, y consecutive around u
-    lie in different components.  The face at the corner x-u-y is not
-    beside uv, and its walk from y back to x avoids u (a face walk visits
-    a non-cut vertex once), so it passes through v.  The first candidate
-    that separates is therefore the first separating edge."""
-    if g.n < 4:
-        return None
-    at = _FaceSets(g)
-    for u in g.vertices:
-        for v in sorted(x for x in g.adj[u] if x > u):
-            comp = _separating_component(g, at, u, v)
+    whose ends share a face other than the two on either side of uv (both
+    hold u and v; when they are one face, uv is a bridge and has a
+    cut-vertex end).  Every separating edge is a candidate.  If neither end
+    is a cut vertex, every component of G - {u, v} holds a neighbour of u
+    (else v would be a cut vertex).  Around u the neighbours other than v
+    change component at least twice, at most once across v, so some x, y
+    consecutive around u lie in different components.  The face at the
+    corner x-u-y is not beside uv, and its walk from y back to x avoids u
+    (a face walk visits a non-cut vertex once), so it passes through v."""
+    at, adj = _FaceSets(g), g.adj
+
+    def of(e):
+        u, v = e
+        if adj[u] is not None and v in adj[u] and (
+                at.is_cut(u) or at.is_cut(v) or len(at[u] & at[v]) > 2):
+            comp = _smallest_component_without(g, u, v)
             if comp is not None:
-                return _separator_witness(u, v, comp)
-    return None
-
-
-def _separating_component(g, at, u, v):
-    """For the edge uv, the component of _smallest_component_without if uv
-    is a candidate (see find_edge_separator) and G - {u, v} is
-    disconnected, else None; `at` is a _FaceSets of g.  Both faces beside
-    uv hold u and v; when they are one face, uv is a bridge and has a
-    cut-vertex end."""
-    if at.is_cut(u) or at.is_cut(v) or len(at[u] & at[v]) > 2:
-        return _smallest_component_without(g, u, v)
-    return None
-
-
-def _separator_witness(u, v, comp):
-    return ConfigWitness(kind="EdgeSeparator", actors=(u, v),
-                         recipe={"op": "split", "u": u, "v": v,
-                                 "component": sorted(comp)})
+                return [ConfigWitness(
+                    kind="EdgeSeparator", actors=(u, v),
+                    recipe={"op": "split", "u": u, "v": v,
+                            "component": sorted(comp)})]
+        return []
+    return of
 
 
 def _smallest_component_without(g, u, v):
@@ -121,36 +122,36 @@ def _smallest_component_without(g, u, v):
     return comp if len(comp) <= len(other) else other
 
 
-def _two_small(g, face, cap):
-    """On a face of length 4 or more, the first pair in walk order of
-    non-adjacent vertices of degree below cap, smaller id first; else
-    None."""
-    if len(face) < 4:
-        return None
+def _two_small_at(g, cap):
+    """The witnesses at a face f of g: its FaceTwoSmall if f has length 4
+    or more and carries non-adjacent vertices of degree below cap, for the
+    first such pair in walk order, smaller id first, with the chord
+    recipe.  A face changes, or the degrees or adjacencies of its vertices
+    do, only if it passes through a touched id, so the row re-keys the
+    faces through touched ids before and after a mutation."""
     rot, adj = g.rotation, g.adj
-    small = [v for v in dict.fromkeys(face) if len(rot[v]) < cap]
-    for i, u in enumerate(small):
-        for v in small[i + 1:]:
-            if v not in adj[u]:
-                return (u, v) if u < v else (v, u)
-    return None
 
-
-def _face_two_small_witness(f, a, b):
-    return ConfigWitness(kind="FaceTwoSmall", actors=(a, b),
-                         faces=(emb.face_dart(f),),
-                         recipe={"op": "add_edge", "u": a, "v": b,
-                                 "face": emb.face_dart(f)})
+    def of(f):
+        if len(f) < 4 or emb.dart_face(g, emb.face_dart(f)) != f:
+            return []
+        small = [v for v in dict.fromkeys(f) if len(rot[v]) < cap]
+        for i, u in enumerate(small):
+            for v in small[i + 1:]:
+                if v not in adj[u]:
+                    a, b = _pair(u, v)
+                    return [ConfigWitness(
+                        kind="FaceTwoSmall", actors=(a, b),
+                        faces=(emb.face_dart(f),),
+                        recipe={"op": "add_edge", "u": a, "v": b,
+                                "face": emb.face_dart(f)})]
+        return []
+    return of
 
 
 def find_face_two_small(g, cap):
-    """A 4+ face carrying two non-adjacent vertices of degree below cap,
-    with the chord recipe."""
-    for face in g.faces:
-        pair = _two_small(g, face, cap)
-        if pair is not None:
-            return _face_two_small_witness(face, *pair)
-    return None
+    """The FaceTwoSmall of the first face of g, by least corner, that
+    carries one, or None."""
+    return _scan(_FACES, g, cap)
 
 
 def _is_triangulated(g, v):
@@ -165,7 +166,7 @@ def _triangle_corners(g, v):
 
 def _low_degree(g, v):
     """The Deg1 or Deg2 witness of v, as a list."""
-    r = g.rotation[v]
+    r = g.rotation[v] or ()
     if len(r) == 1:
         return [ConfigWitness(
             kind="Deg1", actors=(v,), recipe={"op": "delete", "v": v})]
@@ -180,13 +181,13 @@ def _low_degree(g, v):
 
 def _low_degree_configs(g):
     """A Deg1 or Deg2 witness for every vertex of degree 1 or 2."""
-    return [w for v in g.vertices for w in _low_degree(g, v)]
+    return _scan(_LOW_DEGREE, g)
 
 
-def _small_vertex(g, v, cap):
+def _small_vertex(g, cap, v):
     """The degree-3 and degree-4 configurations at v for maximum degree
     cap."""
-    d = len(g.rotation[v])
+    d = len(g.rotation[v] or ())
     if d == 3:
         return _deg3_configs(g, v, cap)
     if d == 4:
@@ -198,8 +199,7 @@ def find_small_vertex_configs(g, cap):
     """All matches of the degree-3 and degree-4 forbidden configurations
     for maximum degree cap (the degree-1/2 ones come from
     _low_degree_configs)."""
-    return sorted((w for v in g.vertices for w in _small_vertex(g, v, cap)),
-                  key=_sort_key)
+    return _scan(_SMALL_VERTEX, g, cap)
 
 
 def _deg3_configs(g, v, cap):
@@ -266,20 +266,18 @@ def deletable_vertex_check(g, v, budget):
     return True
 
 
-def _deletable(g, v, budget):
+def _deletable(g, budget, v):
     """The GenericDeletable witness of v, as a list."""
-    if deletable_vertex_check(g, v, budget):
+    if g.rotation[v] is not None and deletable_vertex_check(g, v, budget):
         return [ConfigWitness(kind="GenericDeletable", actors=(v,),
                               recipe={"op": "delete", "v": v})]
     return []
 
 
 def find_generic_deletable(g, budget):
-    for v in g.vertices:
-        found = _deletable(g, v, budget)
-        if found:
-            return found[0]
-    return None
+    """The GenericDeletable of the least vertex that passes
+    deletable_vertex_check, or None."""
+    return _scan(_DELETABLE, g, budget)
 
 
 def _missing_edge(g, *pairs):
@@ -293,7 +291,7 @@ def _missing_edge(g, *pairs):
 def _weak(g, v):
     """The small-degree configurations at v for maximum degree at most 6;
     raises DeltaTooLarge if v's degree is above 6."""
-    rot = g.rotation[v]
+    rot = g.rotation[v] or ()
     d = len(rot)
     if d > 6:
         raise DeltaTooLarge(f"Delta = {g.max_degree()} > 6")
@@ -334,88 +332,67 @@ def _weak(g, v):
 def find_weak_configs_delta6(g):
     """Small-degree catalog for maximum degree at most 6; raises
     DeltaTooLarge on a graph of larger maximum degree."""
-    return sorted((w for v in g.vertices for w in _weak(g, v)),
-                  key=_sort_key)
+    return _scan(_WEAK, g)
 
 
 # -- the catalog -------------------------------------------------------------
 
 class _Track(NamedTuple):
-    """How a WitnessIndex row follows its detector across mutations:
-    elements(g), the row's vertices, edges u < v or faces of g;
-    key(g, *args), the function that gives an element e its heap key in
-    g, or None when e has no witness or is not in g (made once per g, so
-    that the elements share its work); witness(g, e, *args), the witness
-    of a keyed e, and the detector's first witness for the least key;
-    marks(m), the elements whose key the _Mutation m can have changed."""
+    """A catalog row's definition, read by its detector and by its
+    WitnessIndex row: elements(g), the row's vertices, edges u < v or faces
+    of g, in the detector's order; at(g, *args), the function that lists
+    the witnesses at an element e of g, empty when e has none or is not in
+    g (made once per g, so that the elements share its work); first, None
+    if the detector reports every witness, else first(g, e), e's place in
+    elements(g), for a detector that reports the least witness at the
+    first element that has one; marks(m), the elements whose witnesses the
+    _Mutation m can have changed."""
     elements: Callable
-    key: Callable
-    witness: Callable
+    at: Callable
+    first: Callable
     marks: Callable
 
 
+def _scan(track, g, *args):
+    """A row's detector on g: every witness, sorted, or the first one (see
+    _Track.first) or None."""
+    at = track.at(g, *args)
+    if track.first is None:
+        return sorted(chain.from_iterable(map(at, track.elements(g))),
+                      key=_sort_key)
+    found = next(filter(None, map(at, track.elements(g))), None)
+    return found and _least(found)
+
+
+def _least(witnesses):
+    return min(witnesses, key=_sort_key)
+
+
+def _itself(g, e):
+    return e
+
+
 def _per_vertex(fn, marks):
-    """The _Track of a row whose witnesses, listed by fn(g, v, *args), are
-    centred on their first actor v; v's key is their least (rank, actors).
-    A vertex's witnesses change only when its row changes, or, unless
-    they read its own row only, a neighbor's row or a face at it or at a
-    neighbor changes: then it is touched, a neighbor of a touched id, or
-    on or next to a face the mutation made (touched ids still present lie
-    on such faces).  `marks` names the _Mutation field the row re-keys:
-    "touched" if its witnesses read their own row only, else "near"."""
+    """The _Track of a row that reports every witness fn(g, *args, v) lists
+    at a vertex v, each with v as its first actor.  A vertex's witnesses
+    change only when its row changes, or, unless they read its own row
+    only, a neighbor's row or a face at it or at a neighbor changes: then
+    it is touched, a neighbor of a touched id, or on or next to a face the
+    mutation made (touched ids still present lie on such faces).  `marks`
+    names the _Mutation field the row re-keys: "touched" if its witnesses
+    read their own row only, else "near"."""
 
-    def key(g, *args):
-        def of(v):
-            found = v in g and fn(g, v, *args)
-            return min(map(_sort_key, found)) if found else None
-        return of
-
-    def witness(g, v, *args):
-        return min(fn(g, v, *args), key=_sort_key)
-
-    return _Track(attrgetter("vertices"), key, witness, attrgetter(marks))
-
-
-def _face_key(g, cap):
-    """find_face_two_small's key in g: a face f of g that carries a pair
-    is keyed by its least corner (vertex, rotation position), the order of
-    g.faces; any other f has None.  A face changes, or the degrees or
-    adjacencies of its vertices do, only if it passes through a touched
-    id, so the row re-keys the faces through touched ids before and after
-    a mutation."""
-
-    def of(f):
-        if (len(f) >= 4 and emb.dart_face(g, emb.face_dart(f)) == f
-                and _two_small(g, f, cap)):
-            return emb.least_corner(g, f)
-        return None
-    return of
-
-
-def _face_row_witness(g, f, cap):
-    return _face_two_small_witness(f, *_two_small(g, f, cap))
+    def at(g, *args):
+        return partial(fn, g, *args)
+    return _Track(attrgetter("vertices"), at, None, attrgetter(marks))
 
 
 def _edges(g):
-    return [(u, v) for u in g.vertices for v in g.adj[u] if u < v]
-
-
-def _separator_key(g):
-    """find_edge_separator's key in g: an edge e (u < v) of g whose ends
-    separate g is its own key; any other pair has None."""
-    at = _FaceSets(g)
-
-    def of(e):
-        u, v = e
-        if (u in g and v in g.adj[u]
-                and _separating_component(g, at, u, v) is not None):
-            return e
-        return None
-    return of
-
-
-def _separator_row_witness(g, e):
-    return _separator_witness(*e, _separating_component(g, _FaceSets(g), *e))
+    """The edges (u, v), u < v, of g in increasing order, the order of
+    their places (_itself)."""
+    adj = g.adj
+    return ((u, v) for u in g.vertices
+            for v in sorted(x for x in adj[u] if x > u))
 
 
 def _pair(x, y):
@@ -458,30 +435,37 @@ def _no_args(budget):
     return ()
 
 
+# The rows' definitions; the separator, face and deletable rows report only
+# their first match.
+_LOW_DEGREE = _per_vertex(_low_degree, "touched")
+_SEPARATORS = _Track(_edges, _separators_at, _itself, _separator_marks)
+_FACES = _Track(attrgetter("faces"), _two_small_at, emb.least_corner,
+                attrgetter("faces"))
+_SMALL_VERTEX = _per_vertex(_small_vertex, "near")
+_WEAK = _per_vertex(_weak, "near")
+_DELETABLE = _per_vertex(_deletable, "near")._replace(first=_itself)
+
 # The catalog: one row per detector, ordered by the lowest rank it emits.
 # A row holds the detector's name (looked up in this module at call time),
 # the kinds it emits with their reducer priority, the regimes it runs in,
 # a function budget -> the detector's arguments after g, and the _Track
-# through which a WitnessIndex keeps the row's first witness.
+# that defines the row for its detector and for a WitnessIndex.
 CATALOG = (
     ("_low_degree_configs", {"Deg1": 0, "Deg2": 1}, (LARGE, SMALL), _no_args,
-     _per_vertex(_low_degree, "touched")),
+     _LOW_DEGREE),
     ("find_edge_separator", {"EdgeSeparator": 2}, (LARGE, SMALL), _no_args,
-     _Track(_edges, _separator_key, _separator_row_witness,
-            _separator_marks)),
+     _SEPARATORS),
     ("find_face_two_small", {"FaceTwoSmall": 3}, (LARGE, SMALL),
-     lambda b: (b.delta_context,),
-     _Track(attrgetter("faces"), _face_key, _face_row_witness,
-            attrgetter("faces"))),
+     lambda b: (b.delta_context,), _FACES),
     ("find_small_vertex_configs",
      {"Deg3SmallNbr": 4, "Deg3TwoTriangles": 5, "Deg3TriTwoSquares": 6,
       "Deg4Tri5Tri": 7}, (LARGE,), lambda b: (b.delta_context,),
-     _per_vertex(_small_vertex, "near")),
+     _SMALL_VERTEX),
     ("find_weak_configs_delta6",
      {"W_Deg3Triangle": 4, "W_Deg4ThreeTriangles": 5, "W_Tri5": 6}, (SMALL,),
-     _no_args, _per_vertex(_weak, "near")),
+     _no_args, _WEAK),
     ("find_generic_deletable", {"GenericDeletable": 8}, (LARGE, SMALL),
-     lambda b: (b.palette_size,), _per_vertex(_deletable, "near")),
+     lambda b: (b.palette_size,), _DELETABLE),
 )
 
 KIND_RANK = {kind: rank for _, kinds, *_ in CATALOG
@@ -523,18 +507,27 @@ def detect_for_audit(g):
 
 def find_first_witness(g, budget):
     """The witness detect_all(g, budget) lists first (`psc detect`; the
-    reducer keeps it up to date with a WitnessIndex).  Rows run in rank
-    order and the search stops once no later row can emit a kind ranked
-    below the best witness so far."""
-    best = []
-    for detector, kinds, regimes, args, _ in CATALOG:
-        if budget.regime not in regimes:
-            continue
-        if best and KIND_RANK[best[0].kind] < min(kinds.values()):
+    reducer keeps it up to date with a WitnessIndex)."""
+    rows = ((min(kinds.values()), (detector, args(budget)))
+            for detector, kinds, regimes, args, _ in CATALOG
+            if budget.regime in regimes)
+    return _first_by_rank(rows, lambda row: min(
+        _run_row(row[0], g, row[1]), key=_sort_key, default=None))
+
+
+def _first_by_rank(rows, first):
+    """The least, by (rank, actors), of the witnesses first(row) gives for
+    the rows, pairs (the lowest rank the row emits, row) in rank order.
+    The search stops once no later row can emit a kind ranked below the
+    best witness so far."""
+    best = None
+    for lowest, row in rows:
+        if best is not None and KIND_RANK[best.kind] < lowest:
             break
-        found = best + _run_row(detector, g, args(budget))
-        best = [min(found, key=_sort_key)] if found else []
-    return best[0] if best else None
+        w = first(row)
+        if w is not None and (best is None or _sort_key(w) < _sort_key(best)):
+            best = w
+    return best
 
 
 # -- the first witness across a reduction -----------------------------------
@@ -564,8 +557,8 @@ def _repeated(f):
 class WitnessIndex:
     """find_first_witness(g, budget) kept across the mutations of a
     reduction.  Each catalog row of the budget's regime is a _Row driven
-    by the row's _Track: a mutation marks the elements whose keys it can
-    have changed, and the row re-keys them only when first() reaches it,
+    by the row's _Track: a mutation marks the elements whose witnesses it
+    can have changed, and the row re-keys them only when first() reaches it,
     so a row behind the winner costs nothing.
 
     cut[v] counts the faces of g whose walk visits v more than once, so v
@@ -587,15 +580,8 @@ class WitnessIndex:
 
     def first(self):
         """The witness find_first_witness(self.g, self.budget) returns."""
-        best = None
-        for lowest, row in self._rows.values():
-            if best is not None and KIND_RANK[best.kind] < lowest:
-                break
-            w = row.first(self.g)
-            if w is not None and (best is None
-                                  or _sort_key(w) < _sort_key(best)):
-                best = w
-        return best
+        return _first_by_rank(self._rows.values(),
+                              lambda row: row.first(self.g))
 
     def update(self, g, touched):
         """Move to g, made from self.g by one deletion (mutate_delete_vertex)
@@ -630,8 +616,11 @@ class WitnessIndex:
 
 class _Row:
     """A catalog row kept by a WitnessIndex: the key of each element that
-    has one, in a heap of (key, element) whose stale entries are skipped,
-    and the elements marked since first() last re-keyed them."""
+    has witnesses, in a heap of (key, element) whose stale entries are
+    skipped, and the elements marked since first() last re-keyed them.  The
+    key is the element's place (_Track.first) in a row whose detector
+    reports its first witness, else the least (rank, actors) of its
+    witnesses."""
 
     def __init__(self, g, track, args):
         self.track = track
@@ -646,19 +635,21 @@ class _Row:
     def first(self, g):
         """The least, by (rank, actors), of the witnesses the row's
         detector reports on g."""
-        args, key, heap = self.args, self.key, self.heap
-        key_of = self.track.key(g, *args)
+        place, key, heap = self.track.first, self.key, self.heap
+        at = self.track.at(g, *self.args)
         for e in self.dirty:
-            k = key_of(e)
-            if k is None:
+            found = at(e)
+            if not found:
                 key.pop(e, None)
-            elif key.get(e) != k:
+                continue
+            k = min(map(_sort_key, found)) if place is None else place(g, e)
+            if key.get(e) != k:
                 key[e] = k
                 heapq.heappush(heap, (k, e))
         self.dirty.clear()
         while heap and key.get(heap[0][1]) != heap[0][0]:
             heapq.heappop(heap)
-        return self.track.witness(g, heap[0][1], *args) if heap else None
+        return _least(at(heap[0][1])) if heap else None
 
 
 # -- independent predicate checkers (used by tests) --------------------------

@@ -96,13 +96,14 @@ def initial_charges(g):
 
 
 def apply_R1(ledger, g):
-    """Each d-face pays d-3 to every incident vertex of degree at most 5,
-    once per incidence, ordered by (source, target)."""
+    """Each d-face with d >= 4 pays d-3 to every incident vertex of degree
+    at most 5, once per incidence, ordered by (source, target).  A 3-face
+    pays 0, and K2's one face, a walk of length 2, pays nothing."""
     rot = g.rotation
     whole = functools.cache(Fraction)  # one object per face length
     transfers = []
     for i, f in enumerate(g.faces):
-        if len(f) == 3:
+        if len(f) < 4:
             continue
         pay, source = whole(len(f) - 3), ("f", i)
         transfers += [Transfer("R1", source, ("v", v), pay)

@@ -208,7 +208,7 @@ def charges_scan(g):
     r1 = []
     for i, f in enumerate(g.faces):
         pay = Fraction(len(f) - 3)
-        if pay == 0:
+        if pay <= 0:
             continue
         for v in f:
             if g.degree(v) <= 5:

@@ -163,6 +163,24 @@ def test_face_two_small_square_face():
     assert cat.check_witness(g, w)
 
 
+def test_face_two_small_reports_first_face():
+    # the row reports the witness of the first face by least corner, not
+    # the least witness: the other face's (0, 2) sorts lower
+    g = gen.gen_cycle(6)
+    w = cat.find_face_two_small(g, 6)
+    assert (w.actors, w.faces) == ((0, 4), ([0, 5],))
+    other = cat._two_small_at(g, 6)(emb.dart_face(g, [0, 1]))
+    assert [x.actors for x in other] == [(0, 2)]
+    assert cat._sort_key(other[0]) < cat._sort_key(w)
+
+
+def test_first_match_detectors_find_none():
+    g = gen.named_graph("k4")
+    assert cat.find_edge_separator(g) is None
+    assert cat.find_face_two_small(g, 9) is None
+    assert cat.find_generic_deletable(g, 1) is None
+
+
 def test_wegner_deg2_witnesses():
     g = gen.gen_wegner(11)
     ws = [w for w in cat.detect_all(g) if w.kind == "Deg2"]

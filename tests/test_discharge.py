@@ -38,6 +38,16 @@ def test_c4_face_charges():
     assert ledger.total_final() == -12
 
 
+def test_k2_face_pays_nothing():
+    # K2's one face is a walk of length 2; the face rule pays only from
+    # faces of length 4 or more
+    obj = dis.audit(emb.build(2, [[1], [0]])).to_obj()
+    assert obj["transfers"] == []
+    want = {"f0": "-2/1", "v0": "-5/1", "v1": "-5/1"}
+    assert obj["initial"] == obj["final"] == want
+    assert obj["sum_initial"] == obj["sum_final"] == "-12/1"
+
+
 def test_icosahedron_charges():
     g = gen.named_graph("icosahedron")
     ledger, _ = dis.charges(g)

@@ -97,6 +97,37 @@ def test_small_split_and_merge():
     forced(glue_pocket(gen.named_graph("k4"), 0, 1), 3)
 
 
+def minus_edge(g, u, v):
+    """g without the edge uv, its rotation rebuilt."""
+    return emb.build(g.n, [[y for y in r if {x, y} != {u, v}]
+                           for x, r in enumerate(g.rotation)])
+
+
+def test_every_kind_applied_but_one():
+    """Each ranked kind is applied by a reduction with base_limit=1 on one
+    pinned graph, except Deg3TriTwoSquares: no input measured reaches it
+    (ROADMAP item 6)."""
+    large = gen.gen_corpus(30, (12, 60), 9, 11)
+    small = gen.gen_corpus(30, (12, 60), 3, 11, delta_max=6)
+    pinned = [
+        (large[0], {"Deg1", "Deg2"}),
+        (large[1], {"Deg3SmallNbr", "Deg3TwoTriangles"}),
+        (small[0], {"FaceTwoSmall", "W_Deg3Triangle",
+                    "W_Deg4ThreeTriangles"}),
+        (small[2], {"W_Tri5"}),
+        (minus_edge(gen.gen_stacked_triangulation(8, 0), 0, 2),
+         {"EdgeSeparator"}),
+        (minus_edge(gen.gen_stacked_triangulation(9, 0), 1, 2),
+         {"GenericDeletable"}),
+        (minus_edge(gen.gen_stacked_triangulation(11, 1), 0, 2),
+         {"Deg4Tri5Tri"}),
+    ]
+    for g, kinds in pinned:
+        assert kinds <= applied_kinds(forced(g, 1).steps), emb.to_pg(g)
+    reached = set().union(*(kinds for _, kinds in pinned))
+    assert set(cat.KIND_RANK) - reached == {"Deg3TriTwoSquares"}
+
+
 def induction_graphs(corpus_large, corpus_small):
     k1 = emb.from_pg("n 1\n0:\n")
     k2 = emb.from_pg("n 2\n0: 1\n1: 0\n")
