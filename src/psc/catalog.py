@@ -483,11 +483,23 @@ def _run_row(detector, g, args):
 
 
 def _detect(g, budget, regimes):
+    """The witnesses of the rows run in the regimes, sorted.  Each row's
+    list is sorted already and the rows come in rank order, so a row is
+    appended as it is unless its first witness sorts before the last one
+    so far.  That happens only where two rows' ranks overlap (the small
+    regime's weak row, ranks 4-6, and the large regime's small-vertex row,
+    ranks 4-7, both run for the audit): that row is merged in, the earlier
+    row's witness first on a tie, as a stable sort would put it."""
     found = []
     for detector, _, in_regimes, args, _ in CATALOG:
-        if not regimes.isdisjoint(in_regimes):
-            found += _run_row(detector, g, args(budget))
-    return sorted(found, key=_sort_key)
+        if regimes.isdisjoint(in_regimes):
+            continue
+        row = _run_row(detector, g, args(budget))
+        if found and row and _sort_key(row[0]) < _sort_key(found[-1]):
+            found = list(heapq.merge(found, row, key=_sort_key))
+        else:
+            found += row
+    return found
 
 
 def detect_all(g, budget=None):

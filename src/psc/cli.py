@@ -159,9 +159,13 @@ def cmd_audit(args):
         lines = [f"sum={dis.fmt(led.total_final())}",
                  f"transfers={len(led.transfers)}",
                  f"weak={sorted(v for v, s in report.weak_strong.items() if s == dis.WEAK)}"]
+        kinds_of = {}  # citation list id -> its kinds; twins share a list
         for el, c in report.negatives:
-            kinds = sorted({report.witnesses[i].kind
-                            for i in report.cross_refs[el]})
+            refs = report.cross_refs[el]
+            kinds = kinds_of.get(id(refs))
+            if kinds is None:
+                kinds = kinds_of[id(refs)] = sorted(
+                    {report.witnesses[i].kind for i in refs})
             lines.append(f"negative {el[0]}{el[1]} {dis.fmt(c)} witnesses={kinds}")
         _emit("\n".join(lines) + "\n", args.output)
     return 0

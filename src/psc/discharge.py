@@ -35,11 +35,6 @@ class Transfer(NamedTuple):
     amount: Fraction
     via: tuple = ()
 
-    def to_obj(self):
-        return {"rule": self.rule, "from": list(self.source),
-                "to": list(self.target), "amount": fmt(self.amount),
-                "via": list(self.via)}
-
 
 @dataclass
 class ChargeLedger:
@@ -226,24 +221,58 @@ class AuditReport:
     witnesses: list          # ConfigWitness, as detect_for_audit lists them
     cross_refs: dict         # element -> indices into witnesses
 
-    def to_obj(self):
-        led = self.ledger
-        return {
-            "sum_initial": fmt(led.total_initial()),
-            "sum_final": fmt(led.total_final()),
-            "initial": {f"{k[0]}{k[1]}": fmt(c) for k, c in sorted(led.initial.items())},
-            "final": {f"{k[0]}{k[1]}": fmt(c) for k, c in sorted(led.final.items())},
-            "weak": sorted(v for v, s in self.weak_strong.items() if s == WEAK),
-            "transfers": [t.to_obj() for t in led.transfers],
-            "witnesses": [w.to_obj() for w in self.witnesses],
-            "negatives": [
-                {"element": list(el), "final": fmt(c),
-                 "witnesses": self.cross_refs[el]}
-                for el, c in self.negatives],
-        }
-
     def to_json(self):
-        return json.dumps(self.to_obj())
+        """The report as the text json.dumps gives for it with its default
+        separators: sum_initial, sum_final, the initial and final charge
+        maps, weak, transfers, witnesses and negatives, in that order.  All
+        but the witnesses, one json.dumps of their objects, are written
+        directly.  Every string written that way is an element tag ("v" or
+        "f"), a rule name, a fixed key or a rational of digits, "-" and
+        "/", so none needs escaping, and a list of ints is its repr.  Each
+        distinct Fraction object's text is made once (the rules share their
+        amounts, and a batch its equal results), and so is each distinct
+        citation list's (twins share one)."""
+        led = self.ledger
+        # keyed by id: the report holds every object keyed for the whole call
+        texts = {}
+
+        def q(x):  # a ledger Fraction's text, once per object
+            s = texts.get(id(x))
+            if s is None:
+                s = texts[id(x)] = f'"{x.numerator}/{x.denominator}"'
+            return s
+
+        def charge_map(charges):
+            return ", ".join([f'"{k}{i}": {q(c)}'
+                              for (k, i), c in sorted(charges.items())])
+
+        lists = {}
+        negatives = []
+        for (k, i), c in self.negatives:
+            refs = self.cross_refs[(k, i)]
+            text = lists.get(id(refs))
+            if text is None:
+                text = lists[id(refs)] = _list_text(refs)
+            negatives.append(f'{{"element": ["{k}", {i}], "final": {q(c)}, '
+                             f'"witnesses": {text}}}')
+        transfers = [
+            f'{{"rule": "{t.rule}", "from": ["{t.source[0]}", {t.source[1]}], '
+            f'"to": ["{t.target[0]}", {t.target[1]}], "amount": {q(t.amount)}, '
+            f'"via": {list(t.via)}}}' for t in led.transfers]
+        weak = sorted(v for v, s in self.weak_strong.items() if s == WEAK)
+        witnesses = json.dumps([w.to_obj() for w in self.witnesses])
+        return (f'{{"sum_initial": "{fmt(led.total_initial())}", '
+                f'"sum_final": "{fmt(led.total_final())}", '
+                f'"initial": {{{charge_map(led.initial)}}}, '
+                f'"final": {{{charge_map(led.final)}}}, '
+                f'"weak": {weak}, "transfers": [{", ".join(transfers)}], '
+                f'"witnesses": {witnesses}, '
+                f'"negatives": [{", ".join(negatives)}]}}')
+
+
+def _list_text(ints):
+    """A citation list's JSON text, its repr."""
+    return repr(ints)
 
 
 def audit(g):

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -240,6 +241,39 @@ def audit_scan(g):
     negatives = sorted((el, c) for el, c in ledger.final.items() if c < 0)
     return dis.AuditReport(ledger, ws, negatives, cat.detect_for_audit(g),
                            audit_cross_refs_scan(g))
+
+
+def audit_json_scan(report):
+    """Oracle for discharge.AuditReport.to_json: the report as one tree of
+    dicts and lists, one dict per transfer, charge and negative, handed to
+    json.dumps, which encodes a shared citation list again for every
+    negative that cites it."""
+    led, fmt = report.ledger, dis.fmt
+    return json.dumps({
+        "sum_initial": fmt(led.total_initial()),
+        "sum_final": fmt(led.total_final()),
+        "initial": {f"{k}{i}": fmt(c) for (k, i), c in sorted(led.initial.items())},
+        "final": {f"{k}{i}": fmt(c) for (k, i), c in sorted(led.final.items())},
+        "weak": sorted(v for v, s in report.weak_strong.items()
+                       if s == dis.WEAK),
+        "transfers": [{"rule": t.rule, "from": list(t.source),
+                       "to": list(t.target), "amount": fmt(t.amount),
+                       "via": list(t.via)} for t in led.transfers],
+        "witnesses": [w.to_obj() for w in report.witnesses],
+        "negatives": [{"element": list(el), "final": fmt(c),
+                       "witnesses": report.cross_refs[el]}
+                      for el, c in report.negatives],
+    })
+
+
+def detect_scan(g, budget, regimes):
+    """Oracle for catalog._detect: the witnesses of the rows run in the
+    regimes, concatenated in catalog order and sorted stably."""
+    found = []
+    for detector, _, in_regimes, args, _ in cat.CATALOG:
+        if not regimes.isdisjoint(in_regimes):
+            found += cat._run_row(detector, g, args(budget))
+    return sorted(found, key=cat._sort_key)
 
 
 def bowtie():

@@ -4,13 +4,13 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (bowtie, bridge, cube, double_pocket,
+from conftest import (bowtie, bridge, cube, detect_scan, double_pocket,
                       find_edge_separator_scan, glue_pocket, single_deletions,
                       small_graphs)
 from psc import catalog as cat
 from psc import embedding as emb
 from psc import generators as gen
-from psc.budgets import Budget
+from psc.budgets import LARGE, Budget
 from psc.errors import DeltaTooLarge, NotOnSameFace
 
 
@@ -238,6 +238,25 @@ def test_detect_all_sorted(corpus_large):
         ws = cat.detect_all(g)
         keys = [cat._sort_key(w) for w in ws]
         assert keys == sorted(keys)
+
+
+def test_detect_merges_rows_as_sorted(corpus_large, corpus_small):
+    # detect_all and detect_for_audit merge the rows' sorted lists; in the
+    # small regime the audit also runs the large regime's small-vertex row,
+    # whose ranks 4-7 overlap the weak row's 4-6, so equal keys of two rows
+    # meet, and the earlier row's witness must come first
+    hubs = [gen.gen_hub_triple(*parts) for parts in
+            ((1, 40, 300, False), (2, 7, 30, True), (25, 3, 1, True),
+             (266, 266, 266, True))]
+    ties = 0
+    for g in corpus_large + corpus_small + hubs:
+        b = Budget.for_graph(g)
+        assert cat.detect_all(g, b) == detect_scan(g, b, {b.regime})
+        ws = cat.detect_for_audit(g)
+        assert ws == detect_scan(g, b, {LARGE, b.regime})
+        ties += sum(cat._sort_key(v) == cat._sort_key(w) and v.kind != w.kind
+                    for v, w in zip(ws, ws[1:]))
+    assert ties
 
 
 def test_first_witness_prefers_deg1():

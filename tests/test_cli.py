@@ -139,6 +139,26 @@ def test_audit_json(tmp_path, capsys):
     assert len(obj["negatives"]) == 4
 
 
+def test_audit_and_detect_json_are_canonical(tmp_path, capsys):
+    # psc audit --json writes its text directly; it must read back to the
+    # very text json.dumps gives for it, as psc detect --all's does
+    graphs = {"k2": emb.build(2, [[1], [0]]),
+              "hub": gen.gen_hub_triple(2, 7, 30, True),
+              "c6": gen.gen_cycle(6),
+              "icosahedron": gen.named_graph("icosahedron")}
+    graphs.update((f"s{i}", g) for i, g in enumerate(
+        gen.gen_corpus(4, (20, 60), 9, 11)
+        + gen.gen_corpus(4, (20, 60), 3, 11, delta_max=6)))
+    for name, g in graphs.items():
+        path = tmp_path / f"{name}.pg"
+        path.write_text(emb.to_pg(g))
+        for argv in (["audit", "--json"], ["detect", "--all"]):
+            run([*argv, str(path)])
+            text = capsys.readouterr().out
+            assert text.endswith("\n")
+            assert json.dumps(json.loads(text)) == text[:-1], (name, argv)
+
+
 def test_detect(tmp_path, capsys):
     k4 = tmp_path / "k4.pg"
     run(["gen", "--family", "k4", "-o", str(k4)])

@@ -17,8 +17,8 @@ from psc import embedding as emb
 from psc import generators as gen
 from psc.errors import WeakHighDegree
 
-from conftest import (applied_scan, audit_cross_refs_scan, audit_scan,
-                      bowtie, bridge, double_pocket)
+from conftest import (applied_scan, audit_cross_refs_scan, audit_json_scan,
+                      audit_scan, bowtie, bridge, double_pocket)
 
 
 def test_k4_charges():
@@ -41,7 +41,7 @@ def test_c4_face_charges():
 def test_k2_face_pays_nothing():
     # K2's one face is a walk of length 2; the face rule pays only from
     # faces of length 4 or more
-    obj = dis.audit(emb.build(2, [[1], [0]])).to_obj()
+    obj = json.loads(dis.audit(emb.build(2, [[1], [0]])).to_json())
     assert obj["transfers"] == []
     want = {"f0": "-2/1", "v0": "-5/1", "v1": "-5/1"}
     assert obj["initial"] == obj["final"] == want
@@ -82,8 +82,7 @@ def test_fmt():
 
 
 def test_audit_k4():
-    report = dis.audit(gen.named_graph("k4"))
-    obj = report.to_obj()
+    obj = json.loads(dis.audit(gen.named_graph("k4")).to_json())
     assert obj["sum_final"] == "-12/1"
     assert len(obj["negatives"]) == 4
     kinds = {obj["witnesses"][i]["kind"]
@@ -136,8 +135,18 @@ def test_classify_raises_on_weak_high_degree(parts, v, d):
 
 def test_transfer_serialization():
     t = dis.Transfer("R4", ("v", 1), ("v", 2), Fraction(1, 14), via=(3,))
-    assert t.to_obj() == {"rule": "R4", "from": ["v", 1], "to": ["v", 2],
-                          "amount": "1/14", "via": [3]}
+    u = dis.Transfer("R1", ("f", 0), ("v", 1), Fraction(-2))
+    charges = {("f", 0): Fraction(0), ("v", 1): Fraction(-1, 2)}
+    report = dis.AuditReport(dis.ChargeLedger(charges, charges, [t, u]),
+                             {1: dis.WEAK}, [(("v", 1), Fraction(-1, 2))],
+                             [], {("v", 1): []})
+    text = report.to_json()
+    assert json.loads(text)["transfers"] == [
+        {"rule": "R4", "from": ["v", 1], "to": ["v", 2], "amount": "1/14",
+         "via": [3]},
+        {"rule": "R1", "from": ["f", 0], "to": ["v", 1], "amount": "-2/1",
+         "via": []}]
+    assert text == audit_json_scan(report)
 
 
 @settings(max_examples=20, deadline=None)
@@ -153,6 +162,30 @@ def _audit_graphs(corpus_large, corpus_small, forced_intermediates):
             + [g for g, _ in forced_intermediates]
             + [emb.from_pg("n 1\n0:\n"), emb.build(2, [[1], [0]]),
                bowtie(), bridge(), double_pocket()])
+
+
+# hub triples with unequal parts: the degree-2 vertices of one part have
+# one neighbour set, so they share a citation list
+_HUB_PARTS = ((1, 40, 300, False), (2, 7, 30, True), (25, 3, 1, True))
+
+
+def test_audit_json_matches_scan(corpus_large, corpus_small,
+                                 forced_intermediates):
+    for g in (_audit_graphs(corpus_large, corpus_small, forced_intermediates)
+              + [gen.gen_hub_triple(*parts) for parts in _HUB_PARTS]):
+        report = dis.audit(g)
+        assert report.to_json() == audit_json_scan(report)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 10_000), st.booleans())
+def test_audit_json_matches_scan_sampled(seed, small):
+    if small:
+        g = gen.gen_corpus(1, (8, 60), 3, seed, delta_max=6)[0]
+    else:
+        g = gen.gen_corpus(1, (8, 60), 9, seed)[0]
+    report = dis.audit(g)
+    assert report.to_json() == audit_json_scan(report)
 
 
 def test_audit_cross_refs_match_scan(corpus_large, corpus_small,
@@ -175,7 +208,8 @@ def test_audit_cross_refs_match_scan_sampled(seed, small):
 
 def test_audit_shares_citations_between_twins():
     # the negative vertices of the n = 801 hub triple have one of three
-    # neighbour sets, so their 636k citations sit in three lists
+    # neighbour sets, so their 636k citations sit in three lists, and
+    # to_json encodes each of them once
     g = gen.gen_hub_triple(266, 266, 266, True)
     report = dis.audit(g)
     assert sum(map(len, report.cross_refs.values())) == 635_994
@@ -184,6 +218,12 @@ def test_audit_shares_citations_between_twins():
         if kind == "v":
             assert shared.setdefault(g.adj[x], refs) is refs
     assert len(shared) == 3
+    faces = sum(kind == "f" for kind, _ in report.cross_refs)
+    with mock.patch.object(dis, "_list_text",
+                           wraps=dis._list_text) as encode:
+        text = report.to_json()
+    assert encode.call_count == 3 + faces
+    assert text == audit_json_scan(report)
 
 
 def _same_ledger(a, b):
@@ -267,11 +307,6 @@ def _assert_pipeline_matches_scan(g):
     printed = _audit_outputs(g)  # the file may number g's vertices anew
     with mock.patch.object(dis, "audit", audit_scan):
         assert _audit_outputs(g) == printed
-
-
-# hub triples with unequal parts: the degree-2 vertices of one part have
-# one neighbour set, so they share a citation list
-_HUB_PARTS = ((1, 40, 300, False), (2, 7, 30, True), (25, 3, 1, True))
 
 
 def test_pipeline_matches_scan(corpus_large, corpus_small,
