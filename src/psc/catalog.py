@@ -11,7 +11,7 @@ import heapq
 import json
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from itertools import chain
 from operator import attrgetter
 from typing import Callable, NamedTuple
@@ -421,11 +421,18 @@ def _separator_marks(m):
       visits x and y, or one of them twice, a cut vertex after the
       deletion.  It leaves G - S - w connected when G - S is not only if
       {w} is a component of G - S, so the neighbors of w, which all lie on
-      the merged face, are x and y, or x alone, a cut vertex before it."""
+      the merged face, are x and y, or x alone, a cut vertex before it.
+    - If w has degree 1, only the edges at its neighbor are re-tested.
+      Disconnecting G - S needs w to have neighbors in two components of
+      G - S - w, which is impossible at degree 1.  Reconnecting needs {w}
+      to be a component of G - S, so its neighbor lies in S."""
     old, g, on_new, cut = m.old, m.new, m.on_new, m.cut
     for x in m.touched:
         if x not in g:
             yield from (_pair(x, y) for y in old.adj[x])
+            if len(old.adj[x]) == 1:
+                yield from (_pair(y, z) for y in old.adj[x] for z in g.adj[y])
+                return
     for x in on_new:
         every = x in cut
         yield from (_pair(x, y) for y in g.adj[x] if every or y in on_new)
@@ -518,28 +525,10 @@ def detect_for_audit(g):
 
 
 def find_first_witness(g, budget):
-    """The witness detect_all(g, budget) lists first (`psc detect`; the
-    reducer keeps it up to date with a WitnessIndex)."""
-    rows = ((min(kinds.values()), (detector, args(budget)))
-            for detector, kinds, regimes, args, _ in CATALOG
-            if budget.regime in regimes)
-    return _first_by_rank(rows, lambda row: min(
-        _run_row(row[0], g, row[1]), key=_sort_key, default=None))
-
-
-def _first_by_rank(rows, first):
-    """The least, by (rank, actors), of the witnesses first(row) gives for
-    the rows, pairs (the lowest rank the row emits, row) in rank order.
-    The search stops once no later row can emit a kind ranked below the
-    best witness so far."""
-    best = None
-    for lowest, row in rows:
-        if best is not None and KIND_RANK[best.kind] < lowest:
-            break
-        w = first(row)
-        if w is not None and (best is None or _sort_key(w) < _sort_key(best)):
-            best = w
-    return best
+    """The witness detect_all(g, budget) lists first, from a fresh
+    WitnessIndex (`psc detect`; the reducer keeps its index across
+    mutations)."""
+    return WitnessIndex(g, budget).first()
 
 
 # -- the first witness across a reduction -----------------------------------
@@ -567,33 +556,42 @@ def _repeated(f):
 
 
 class WitnessIndex:
-    """find_first_witness(g, budget) kept across the mutations of a
+    """find_first_witness(g, budget), kept across the mutations of a
     reduction.  Each catalog row of the budget's regime is a _Row driven
     by the row's _Track: a mutation marks the elements whose witnesses it
     can have changed, and the row re-keys them only when first() reaches it,
     so a row behind the winner costs nothing.
 
-    cut[v] counts the faces of g whose walk visits v more than once, so v
-    is a cut vertex exactly when it is nonzero (see _FaceSets.is_cut).  A
-    mutation changes it only for the vertices of the faces it destroys
-    and makes."""
+    cut[v], built on first use, counts the faces of g whose walk visits v
+    more than once, so v is a cut vertex exactly when it is nonzero (see
+    _FaceSets.is_cut).  A mutation changes it only for the vertices of the
+    faces it destroys and makes."""
 
     def __init__(self, g, budget):
         self.g = g
         self.budget = budget
-        self.cut = [0] * len(g.rotation)
-        for f in g.faces:
-            for x in _repeated(f):
-                self.cut[x] += 1
         self._rows = {
             detector: (min(kinds.values()), _Row(g, track, args(budget)))
             for detector, kinds, regimes, args, track in CATALOG
             if budget.regime in regimes}
 
+    @cached_property
+    def cut(self):
+        return Counter(x for f in self.g.faces for x in _repeated(f))
+
     def first(self):
-        """The witness find_first_witness(self.g, self.budget) returns."""
-        return _first_by_rank(self._rows.values(),
-                              lambda row: row.first(self.g))
+        """The least, by (rank, actors), of the rows' first witnesses on
+        self.g, the witness detect_all(self.g, self.budget) lists first.
+        The rows come in rank order, and the search stops once no later
+        row can emit a kind ranked below the best witness so far."""
+        best = None
+        for lowest, row in self._rows.values():
+            if best is not None and KIND_RANK[best.kind] < lowest:
+                break
+            w = row.first(self.g)
+            if w and (best is None or _sort_key(w) < _sort_key(best)):
+                best = w
+        return best
 
     def update(self, g, touched):
         """Move to g, made from self.g by one deletion (mutate_delete_vertex)
@@ -612,7 +610,7 @@ class WitnessIndex:
         made = after - before
         on_new = set().union(*made)
         near = set(touched).union(on_new, *(g.adj[x] for x in on_new))
-        was_cut = {x for x in on_new if cut[x]}
+        was_cut = {x for x in on_new if cut.get(x)}
         for f in before - after:
             for x in _repeated(f):
                 cut[x] -= 1
@@ -620,7 +618,7 @@ class WitnessIndex:
             for x in _repeated(f):
                 cut[x] += 1
         m = _Mutation(old, g, touched, before | after, on_new, near,
-                      was_cut.union(x for x in on_new if cut[x]))
+                      was_cut.union(x for x in on_new if cut.get(x)))
         for _, row in self._rows.values():
             row.mark(m)
         self.g = g
@@ -629,17 +627,32 @@ class WitnessIndex:
 class _Row:
     """A catalog row kept by a WitnessIndex: the key of each element that
     has witnesses, in a heap of (key, element) whose stale entries are
-    skipped, and the elements marked since first() last re-keyed them.  The
-    key is the element's place (_Track.first) in a row whose detector
-    reports its first witness, else the least (rank, actors) of its
-    witnesses."""
+    skipped, the elements marked since first() last re-keyed them, and
+    `todo`, an iterator over the elements of the index's first graph,
+    `start`, in place order.  The key is the element's place
+    (_Track.first) in a row whose detector reports its first witness, else
+    the least (rank, actors) of its witnesses.
+
+    A row that reports every witness reads all of `todo` the first time
+    first() reaches it.  A first-match row pulls elements from it only
+    while their place is at most the heap top's, and keeps the one it
+    pulled past the top, so a fresh row stops at its first witness, as its
+    detector does.  A pulled element's place is taken on `start`, which is
+    exact for an element no mutation has marked: edges and vertices are
+    their own places, and a face's place moves only when its least-corner
+    vertex is touched, which marks the face.  Marked elements are re-keyed
+    on g before anything is pulled, so the heap top is exact, and a pulled
+    element that is keyed already is not listed again."""
 
     def __init__(self, g, track, args):
         self.track = track
         self.args = args
         self.key = {}
         self.heap = []
-        self.dirty = set(track.elements(g))
+        self.dirty = set()
+        self.start = g
+        self.todo = iter(track.elements(g))
+        self.pulled = None
 
     def mark(self, m):
         self.dirty.update(self.track.marks(m))
@@ -649,6 +662,8 @@ class _Row:
         detector reports on g."""
         place, key, heap = self.track.first, self.key, self.heap
         at = self.track.at(g, *self.args)
+        if place is None:
+            self.dirty.update(self.todo)
         for e in self.dirty:
             found = at(e)
             if not found:
@@ -661,6 +676,17 @@ class _Row:
         self.dirty.clear()
         while heap and key.get(heap[0][1]) != heap[0][0]:
             heapq.heappop(heap)
+        if place is not None:
+            e = next(self.todo, None) if self.pulled is None else self.pulled
+            while e is not None and not (
+                    heap and heap[0][0] < place(self.start, e)):
+                if e not in key and at(e):
+                    key[e] = k = place(self.start, e)
+                    heapq.heappush(heap, (k, e))
+                    e = None
+                else:
+                    e = next(self.todo, None)
+            self.pulled = e
         return _least(at(heap[0][1])) if heap else None
 
 

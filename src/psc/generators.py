@@ -115,6 +115,9 @@ class _RotationBuilder:
     def degree(self, v):
         return len(self.rot[v])
 
+    def max_degree(self):
+        return max(map(len, self.rot))
+
     def insert_in_triangle(self, a, b, c):
         """Insert a new vertex joined to the corners of oriented 3-face
         (a->b),(b->c),(c->a); returns the id and the three new faces."""
@@ -151,6 +154,11 @@ def gen_stacked_triangulation(n, seed=0):
     insertion of a vertex in a random face."""
     if n < 4:
         raise BadDelta("stacked triangulation needs n >= 4")
+    return _gen_stacked(n, seed).build()
+
+
+def _gen_stacked(n, seed):
+    """The _RotationBuilder of gen_stacked_triangulation(n, seed)."""
     rng = random.Random(seed)
     rb = _RotationBuilder(K4_ROTATION)
     faces = [(0, 1, 3), (0, 2, 1), (0, 3, 2), (1, 2, 3)]
@@ -160,12 +168,12 @@ def gen_stacked_triangulation(n, seed=0):
         _, new_faces = rb.insert_in_triangle(a, b, c)
         faces[i] = new_faces[0]
         faces.extend(new_faces[1:])
-    return rb.build()
+    return rb
 
 
 def _gen_grown_sparse(n, seed, delta_max=None):
     """Cycle seeded graph grown by parallel degree-2 insertions; produces a
-    mix of 3-faces and larger faces."""
+    mix of 3-faces and larger faces.  Returns its _RotationBuilder."""
     rng = random.Random(seed)
     base = max(3, min(n, 3 + rng.randrange(8)))
     rb = _RotationBuilder([[(i - 1) % base, (i + 1) % base] for i in range(base)])
@@ -179,21 +187,19 @@ def _gen_grown_sparse(n, seed, delta_max=None):
         if delta_max is not None and (rb.degree(h) >= delta_max or rb.degree(u) >= delta_max):
             continue
         rb.attach_parallel(h, u)
-    return rb.build()
+    return rb
 
 
 def _gen_dense_mixed(n, seed):
     """Stacked triangulation with extra degree-2 insertions that break some
-    triangles into larger faces."""
+    triangles into larger faces.  Returns its _RotationBuilder."""
     rng = random.Random(seed)
-    core = max(4, (2 * n) // 3)
-    g = gen_stacked_triangulation(core, seed)
-    rb = _RotationBuilder(g.rotation)
+    rb = _gen_stacked(max(4, (2 * n) // 3), seed)
     while rb.n < n:
         h = rng.randrange(rb.n)
         u = rng.choice(rb.rot[h])
         rb.attach_parallel(h, u)
-    return rb.build()
+    return rb
 
 
 def gen_corpus(count, n_range, delta_min, seed, delta_max=None):
@@ -224,7 +230,7 @@ def gen_corpus(count, n_range, delta_min, seed, delta_max=None):
                     cols = max(2, int(round(n ** 0.5)))
                     g = gen_grid(max(2, n // cols), cols)
             elif family == 0 or (n < 6 and family != 2):
-                g = gen_stacked_triangulation(max(4, n), sub)
+                g = _gen_stacked(max(4, n), sub)
             elif family == 1:
                 g = _gen_dense_mixed(n, sub)
             elif family == 2:
@@ -239,10 +245,10 @@ def gen_corpus(count, n_range, delta_min, seed, delta_max=None):
         if delta_min and g.max_degree() < delta_min:
             if delta_max is not None and delta_min > delta_max:
                 continue
-            rb = _RotationBuilder(g.rotation)
-            rb.boost_to(delta_min, rng)
-            g = rb.build()
+            if isinstance(g, emb.EmbeddedGraph):
+                g = _RotationBuilder(g.rotation)
+            g.boost_to(delta_min, rng)
         if delta_max is not None and g.max_degree() > delta_max:
             continue
-        out.append(g)
+        out.append(g if isinstance(g, emb.EmbeddedGraph) else g.build())
     return out

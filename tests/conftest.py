@@ -276,6 +276,37 @@ def detect_scan(g, budget, regimes):
     return sorted(found, key=cat._sort_key)
 
 
+def find_first_witness_scan(g, budget):
+    """Oracle for catalog.find_first_witness: each row of the budget's
+    regime run by its detector over the whole graph, in rank order, until
+    no later row can emit a kind ranked below the best witness so far."""
+    best = None
+    for detector, kinds, regimes, args, _ in cat.CATALOG:
+        if budget.regime not in regimes:
+            continue
+        if best is not None and cat.KIND_RANK[best.kind] < min(kinds.values()):
+            break
+        w = min(cat._run_row(detector, g, args(budget)), key=cat._sort_key,
+                default=None)
+        if w is not None and (best is None
+                              or cat._sort_key(w) < cat._sort_key(best)):
+            best = w
+    return best
+
+
+def k4_chain(k):
+    """k copies of K4, block i on 4i..4i+3, each joined to the next by the
+    bridge from 4i+3 to 4i+4: no vertex has degree 1 or 2, and every edge
+    at a bridge end separates."""
+    rot = []
+    for i in range(k):
+        rot += [[4 * i + x for x in r] for r in gen.K4_ROTATION]
+        if i:
+            rot[4 * i].insert(0, 4 * i - 1)
+            rot[4 * i - 1].append(4 * i)
+    return emb.build(len(rot), rot)
+
+
 def bowtie():
     # two triangles sharing vertex 0
     return emb.build(5, [[1, 2, 3, 4], [2, 0], [0, 1], [4, 0], [0, 3]])

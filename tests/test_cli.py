@@ -15,6 +15,7 @@ from psc import coloring as col
 from psc import discharge as dis
 from psc import embedding as emb
 from psc import generators as gen
+from psc import reducer as red
 from psc.budgets import Budget
 
 
@@ -114,6 +115,28 @@ def test_color_constructive_verifies_once(tri, capsys):
         assert run(["color", "--json", str(tri)]) == 0
     assert verify.call_count == 1
     assert json.loads(capsys.readouterr().out)["verified"] is True
+
+
+def test_color_json_nests_a_split_per_block(tmp_path, capsys):
+    """A forced run on a chain of k blocks splits k - 1 times, and its
+    trace nests three JSON levels per split: `psc color` writes, and
+    `psc verify` reads, a trace 1500 splits deep."""
+    path, out = tmp_path / "k4.pg", tmp_path / "c.json"
+    path.write_text(emb.to_pg(gen.named_graph("k4")))
+    coloring = col.SquareColoring(4, {v: v + 1 for v in range(4)})
+    terminal = {"n": 4, "palette": 4, "digest": "0" * 16}
+    steps = []
+    for _ in range(1500):
+        steps = [{"witness": None}, {"split_parts": [
+            [{"terminal": terminal}], [*steps, {"terminal": terminal}]]}]
+    trace = red.ReductionTrace(steps, terminal)
+    with mock.patch.object(red, "color_within_budget",
+                           lambda *args, **kwargs: (coloring, trace)):
+        assert run(["color", "--json", "-o", str(out), str(path)]) == 0
+        assert run(["color", str(path)]) == 0
+    assert json.loads(out.read_text())["trace"] == trace.to_obj()
+    assert capsys.readouterr().out.count("split_parts") == 1500
+    assert run(["verify", str(path), str(out)]) == 0
 
 
 def test_color_greedy(tri, capsys):

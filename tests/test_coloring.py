@@ -120,7 +120,8 @@ def _color_large_families(n=600, seed=7):
     p = n // 3 - 1
     return [gen.gen_hub_triple(p, p, p, True),
             gen.gen_stacked_triangulation(n, seed),
-            gen._gen_dense_mixed(n, seed), gen._gen_grown_sparse(n, seed)]
+            gen._gen_dense_mixed(n, seed).build(),
+            gen._gen_grown_sparse(n, seed).build()]
 
 
 def _planted_clashes(g, coloring):

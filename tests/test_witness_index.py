@@ -1,5 +1,5 @@
 """The state the reducer carries across reduction steps, against the
-whole-graph oracles: WitnessIndex against find_first_witness and each
+whole-graph oracles: WitnessIndex against find_first_witness_scan and each
 catalog row's detector."""
 
 import random
@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (block_chains, bowtie, bridge, cube, double_pocket,
-                      glue_pocket, small_graphs)
+                      find_first_witness_scan, glue_pocket, k4_chain,
+                      small_graphs)
 from psc import catalog as cat
 from psc import embedding as emb
 from psc import generators as gen
@@ -32,7 +33,7 @@ def assert_cut_flags(index):
 
 def checked_run(g, base_limit):
     """Color g with the reducer, checking at every witness search that the
-    index returns what find_first_witness returns on the same graph and
+    index returns what find_first_witness_scan returns on the same graph and
     carries the cut vertices of that graph, and that no connected part
     builds its index twice.  Returns (witness searches, bypass chords)."""
     counts = {"first": 0, "bypass": 0, "index": 0, "parts": 0}
@@ -43,7 +44,8 @@ def checked_run(g, base_limit):
 
     def first(index):
         w = real_first(index)
-        assert w == cat.find_first_witness(index.g, index.budget), emb.to_pg(index.g)
+        assert w == find_first_witness_scan(index.g, index.budget), (
+            emb.to_pg(index.g))
         assert_cut_flags(index)
         counts["first"] += 1
         return w
@@ -176,7 +178,8 @@ def test_rows_match_detectors_under_random_mutations(seed):
 
 def test_separator_row_after_pendant_deletion():
     # 0-1 stops separating although 1 is not on the face the deletion
-    # makes: 0 is a cut vertex before it, so every edge at 0 is re-tested
+    # makes: 0 is the deleted pendant's neighbour, so every edge at 0 is
+    # re-tested
     g = k4_with_pendant()
     index = cat.WitnessIndex(g, Budget.for_graph(g))
     row = index._rows["find_edge_separator"][1]
@@ -190,19 +193,29 @@ def test_separator_row_after_pendant_deletion():
 def test_key_evaluations_per_step_do_not_grow_with_n():
     """Every row of the index re-keys a bounded number of elements per
     step: for each row, the mean per step of the key evaluations in
-    _Row.first differs by less than 1.5x between two sizes of forced runs,
-    grids of 144 and 784 vertices (small regime) and stacked
-    triangulations of 200 and 800 vertices (large regime).  A step re-keys
-    the faces at the ids it touches, so the stacked means creep up with
-    their hubs' degrees."""
+    _Row.first, marked elements and elements pulled from the row's `todo`,
+    differs by less than 1.5x between two sizes of forced runs, grids of
+    144 and 784 vertices (small regime) and stacked triangulations of 200
+    and 800 vertices (large regime).  A step re-keys the faces at the ids it
+    touches, so the stacked means creep up with their hubs' degrees."""
     detector_of = {track: d for d, *_, track in cat.CATALOG}
     real = cat._Row.first
 
     def means(g, base_limit):
         evaluated = Counter()
+        counting = set()
+
+        def pulled(todo, detector):
+            for item in todo:
+                evaluated[detector] += 1
+                yield item
 
         def first(row, h):
-            evaluated[detector_of[row.track]] += len(row.dirty)
+            d = detector_of[row.track]
+            if row not in counting:
+                counting.add(row)
+                row.todo = pulled(row.todo, d)
+            evaluated[d] += len(row.dirty)
             return real(row, h)
 
         with mock.patch.object(cat._Row, "first", first):
@@ -217,3 +230,89 @@ def test_key_evaluations_per_step_do_not_grow_with_n():
         for d in at_lo_n:
             lo, hi = sorted((at_lo_n[d], at_hi_n[d]))
             assert hi < 1.5 * lo, (d, at_lo_n[d], at_hi_n[d])
+
+
+def one_shot_graphs():
+    pocket = glue_pocket(gen.gen_stacked_triangulation(20, 1), 0, 1)
+    return ([gen.gen_grid(k, k) for k in (2, 5, 12, 30)]
+            + [k4_chain(k) for k in (1, 2, 7, 40)]
+            + block_chains() + [pocket, double_pocket(), cube(), bowtie(),
+                                bridge(), k4_with_pendant()])
+
+
+def test_one_shot_search_matches_scan(corpus_large, corpus_small):
+    """A fresh index's first witness is the scan's, and so is every fresh
+    row's first witness, whether or not the search reaches it."""
+    for g in corpus_large + corpus_small + one_shot_graphs():
+        budget = Budget.for_graph(g)
+        assert cat.find_first_witness(g, budget) == find_first_witness_scan(
+            g, budget), emb.to_pg(g)
+        for detector, _, regimes, args, track in cat.CATALOG:
+            if budget.regime in regimes:
+                row = cat._Row(g, track, args(budget))
+                want = row_outcome(lambda: min(
+                    cat._run_row(detector, g, args(budget)),
+                    key=cat._sort_key, default=None))
+                assert row_outcome(lambda: row.first(g)) == want, detector
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10_000), st.booleans(), st.integers(4, 90))
+def test_one_shot_search_matches_scan_sampled(seed, large, n):
+    if large:
+        g = gen.gen_corpus(1, (n, n), 9, seed)[0]
+    else:
+        g = gen.gen_corpus(1, (n, n), 3, seed, delta_max=6)[0]
+    budget = Budget.for_graph(g)
+    assert cat.find_first_witness(g, budget) == find_first_witness_scan(
+        g, budget)
+
+
+def test_one_shot_search_on_grid_lists_no_edge():
+    """A 60x60 grid's first witness is a corner's Deg2, which ranks before
+    every EdgeSeparator: a fresh index neither pulls an edge nor runs the
+    separator lister on one.  On a K4 chain the separator row lists the
+    edges up to the first separating one, and pulls one more at most."""
+    pulled, listed = [], []
+
+    def elements(g):
+        for e in cat._edges(g):
+            pulled.append(e)
+            yield e
+
+    def at(g):
+        of = cat._separators_at(g)
+        return lambda e: listed.append(e) or of(e)
+
+    catalog = tuple(
+        (*row[:4], cat._SEPARATORS._replace(elements=elements, at=at))
+        if row[4] is cat._SEPARATORS else row for row in cat.CATALOG)
+    g, h = gen.gen_grid(60, 60), k4_chain(20)
+    with mock.patch.object(cat, "CATALOG", catalog):
+        assert cat.find_first_witness(g, Budget.for_graph(g)).kind == "Deg2"
+        assert not pulled and not listed
+        w = cat.find_first_witness(h, Budget.for_graph(h))
+    edges = list(cat._edges(h))
+    reached = edges[:edges.index(w.actors) + 1]
+    assert w.kind == "EdgeSeparator" and set(listed) == set(reached)
+    assert pulled[:len(reached)] == reached
+    assert len(pulled) <= len(reached) + 1
+
+
+@pytest.mark.parametrize("k", [50, 200])
+def test_forced_k4_chain_tests_few_separators(k):
+    """A forced run on a chain of k K4 blocks runs at most 6 BFS per block:
+    deleting the pendant that a split leaves re-tests only the edges at
+    its neighbour, not every edge at the cut vertices of the chain's outer
+    face."""
+    calls = 0
+    real = emb.component
+
+    def component(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    with mock.patch.object(emb, "component", component):
+        red.color_within_budget(k4_chain(k), base_limit=12)
+    assert calls <= 6 * k
