@@ -642,7 +642,9 @@ class _Row:
     their own places, and a face's place moves only when its least-corner
     vertex is touched, which marks the face.  Marked elements are re-keyed
     on g before anything is pulled, so the heap top is exact, and a pulled
-    element that is keyed already is not listed again."""
+    element that is keyed already is not listed again.  The witnesses of
+    the heap top are the list its re-key or pull made in the same call, and
+    are listed anew only for a top that this call did not list."""
 
     def __init__(self, g, track, args):
         self.track = track
@@ -662,6 +664,7 @@ class _Row:
         detector reports on g."""
         place, key, heap = self.track.first, self.key, self.heap
         at = self.track.at(g, *self.args)
+        listed = {}  # element -> its witnesses, for those listed here
         if place is None:
             self.dirty.update(self.todo)
         for e in self.dirty:
@@ -669,6 +672,7 @@ class _Row:
             if not found:
                 key.pop(e, None)
                 continue
+            listed[e] = found
             k = min(map(_sort_key, found)) if place is None else place(g, e)
             if key.get(e) != k:
                 key[e] = k
@@ -680,14 +684,18 @@ class _Row:
             e = next(self.todo, None) if self.pulled is None else self.pulled
             while e is not None and not (
                     heap and heap[0][0] < place(self.start, e)):
-                if e not in key and at(e):
+                if e not in key and (found := at(e)):
+                    listed[e] = found
                     key[e] = k = place(self.start, e)
                     heapq.heappush(heap, (k, e))
                     e = None
                 else:
                     e = next(self.todo, None)
             self.pulled = e
-        return _least(at(heap[0][1])) if heap else None
+        if not heap:
+            return None
+        top = heap[0][1]
+        return _least(listed.get(top) or at(top))
 
 
 # -- independent predicate checkers (used by tests) --------------------------

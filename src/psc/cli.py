@@ -81,6 +81,7 @@ GEN_FAMILIES = {
                 ("n", "seed")),
     "cycle": (lambda a: gen.gen_cycle(a.n), ("n",)),
     "grid": (lambda a: gen.gen_grid(a.n, a.n), ("n",)),
+    "k4chain": (lambda a: gen.gen_k4_chain(a.n), ("n",)),
     **{name: (lambda a: gen.named_graph(a.family), ())
        for name in ("k4", "octahedron", "icosahedron")},
 }

@@ -10,8 +10,10 @@ is renumbered; a removed id keeps a None row in `rotation`, `adj`, `face_at`.
 
 from __future__ import annotations
 
+import struct
 from bisect import bisect_left
 from collections.abc import Mapping
+from hashlib import blake2b
 
 from .errors import (
     AlreadyAdjacent,
@@ -24,9 +26,6 @@ from .errors import (
     UnknownVertex,
     WouldDisconnect,
 )
-
-FNV_OFFSET = 0xCBF29CE484222325
-FNV_PRIME = 0x100000001B3
 
 
 class EmbeddedGraph:
@@ -427,14 +426,16 @@ def from_pg(text):
 
 
 def row_hash(g, v):
-    """The FNV-1a hash of the row "v: r0 r1 ..." of the live id v."""
-    h = FNV_OFFSET
-    for byte in f"{v}: {' '.join(map(str, g.rotation[v]))}".encode():
-        h = ((h ^ byte) * FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
-    return h
+    """The hash of the row of the live id v with rotation r1 ... rk: the
+    8-byte BLAKE2b digest of the ids v, r1, ..., rk, each packed as a
+    little-endian signed 64-bit int, read as a little-endian integer."""
+    row = g.rotation[v]
+    data = struct.pack(f"<{len(row) + 1}q", v, *row)
+    return int.from_bytes(blake2b(data, digest_size=8).digest(), "little")
 
 
 def graph_digest(g):
-    """64-bit digest of the graph: the sum mod 2**64 of its row hashes, a
-    multiset hash that a step updates per changed row; not forgery-proof."""
+    """64-bit digest of the graph: the sum mod 2**64 of its BLAKE2b row
+    hashes (row_hash), a multiset hash that a step updates per changed
+    row; not forgery-proof."""
     return sum(row_hash(g, v) for v in g.vertices) % 2**64

@@ -102,6 +102,21 @@ def gen_wegner(delta):
     return gen_hub_triple(k, k, k, True)
 
 
+def gen_k4_chain(k):
+    """k copies of K4, block i on 4i..4i+3, each joined to the next by the
+    bridge from 4i+3 to 4i+4: no vertex has degree 1 or 2, and every edge
+    at a bridge end separates."""
+    if k < 1:
+        raise BadDelta("k4chain needs k >= 1")
+    rot = []
+    for i in range(k):
+        rot += [[4 * i + x for x in r] for r in K4_ROTATION]
+        if i:
+            rot[4 * i].insert(0, 4 * i - 1)
+            rot[4 * i - 1].append(4 * i)
+    return emb.build(len(rot), rot)
+
+
 class _RotationBuilder:
     """Mutable rotation lists supporting fast local planar operations."""
 

@@ -57,9 +57,10 @@ def color_within_budget(g, budget=None, base_limit=None):
 
 class _Reduction:
     """A graph under reduction and what is carried from one mutation to the
-    next: the digest with the hash of each live row, and, built on first
-    use, the witness index.  A mutation changes only the rotation rows of
-    the ids it touches, so only those rows are re-hashed."""
+    next: the digest (emb.graph_digest) with the BLAKE2b hash of each live
+    row (emb.row_hash), and, built on first use, the witness index.  A
+    mutation changes only the rotation rows of the ids it touches, so only
+    those rows are re-hashed."""
 
     def __init__(self, g, budget):
         self.g = g

@@ -295,16 +295,8 @@ def find_first_witness_scan(g, budget):
 
 
 def k4_chain(k):
-    """k copies of K4, block i on 4i..4i+3, each joined to the next by the
-    bridge from 4i+3 to 4i+4: no vertex has degree 1 or 2, and every edge
-    at a bridge end separates."""
-    rot = []
-    for i in range(k):
-        rot += [[4 * i + x for x in r] for r in gen.K4_ROTATION]
-        if i:
-            rot[4 * i].insert(0, 4 * i - 1)
-            rot[4 * i - 1].append(4 * i)
-    return emb.build(len(rot), rot)
+    """k copies of K4 joined by bridges (generators.gen_k4_chain)."""
+    return gen.gen_k4_chain(k)
 
 
 def bowtie():

@@ -58,6 +58,24 @@ def test_gen_cycle_grid(family, n, size, tmp_path):
     assert (g.n, g.m) == size
 
 
+@pytest.mark.parametrize("k", [1, 2, 7])
+def test_gen_k4chain(k, tmp_path):
+    # reference: the chain built block by block, each block's first and
+    # last vertex joined to its neighbours' by the bridges
+    rot = []
+    for i in range(k):
+        rot += [[4 * i + x for x in r] for r in gen.K4_ROTATION]
+        if i:
+            rot[4 * i].insert(0, 4 * i - 1)
+            rot[4 * i - 1].append(4 * i)
+    path = tmp_path / "k4c.pg"
+    assert run(["gen", "--family", "k4chain", "--n", str(k),
+                "-o", str(path)]) == 0
+    assert path.read_text() == emb.to_pg(emb.build(4 * k, rot))
+    g = emb.from_pg(path.read_text())
+    assert (g.n, g.m) == (4 * k, 7 * k - 1)
+
+
 def test_gen_bad_delta(capsys):
     assert run(["gen", "--family", "wegner", "--delta", "8"]) == 2
     assert "delta" in capsys.readouterr().err
@@ -315,6 +333,10 @@ def test_detect_budget_override(tri, capsys):
     ["gen", "--family", "grid", "--n", "3", "--delta", "9"],
     ["gen", "--family", "wegner"],
     ["gen", "--family", "grid", "-o", "{out}"],
+    ["gen", "--family", "k4chain"],
+    ["gen", "--family", "k4chain", "--n", "3", "--delta", "9"],
+    ["gen", "--family", "k4chain", "--n", "3", "--seed", "3"],
+    ["gen", "--family", "k4chain", "--n", "0"],
     ["corpus", "--n", "0"],
     ["corpus", "--n", "-3", "--json"],
     ["color", "--budget", "0", "{g}"],

@@ -1,3 +1,6 @@
+import hashlib
+import struct
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -362,6 +365,35 @@ def test_digest_stable():
     g = gen.named_graph("k4")
     assert emb.graph_digest(g) == emb.graph_digest(gen.named_graph("k4"))
     assert emb.graph_digest(g) != emb.graph_digest(gen.gen_cycle(4))
+
+
+def row_hash_spec(v, row):
+    """The README's row hash: the 8-byte BLAKE2b digest of the ids v, r1,
+    ..., rk, each packed as a little-endian signed 64-bit int, read as a
+    little-endian unsigned integer."""
+    data = b"".join(struct.pack("<q", x) for x in (v, *row))
+    digest = hashlib.blake2b(data, digest_size=8).digest()
+    return struct.unpack("<Q", digest)[0]
+
+
+def test_digest_matches_spec(corpus_large, corpus_small):
+    removed = single_deletions(small_graphs()[:6])
+    graphs = [*corpus_large, *corpus_small, *block_chains(), *removed]
+    assert any(len(g.rotation) > g.n for g in graphs)
+    for g in graphs:
+        hashes = [row_hash_spec(v, g.rotation[v]) for v in g.vertices]
+        assert [emb.row_hash(g, v) for v in g.vertices] == hashes
+        assert emb.graph_digest(g) == sum(hashes) % 2**64
+
+
+@pytest.mark.parametrize("g, digest", [
+    (emb.from_pg("n 1\n0:\n"), "18cc49ca5bea08ca"),
+    (gen.named_graph("k4"), "5752b530ce4ee378"),
+    (gen.named_graph("icosahedron"), "1c84a692f2c919ac"),
+], ids=["K1", "K4", "icosahedron"])
+def test_digest_pinned(g, digest):
+    # a slip in byte order or row layout changes these
+    assert f"{emb.graph_digest(g):016x}" == digest
 
 
 @settings(max_examples=20, deadline=None)

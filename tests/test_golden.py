@@ -72,70 +72,70 @@ GOLDEN = {
         "b940c5ab504eb04e6467575468dc9e76a3a3f49545a0aaf05db0b45913bcd397",
         "b940c5ab504eb04e6467575468dc9e76a3a3f49545a0aaf05db0b45913bcd397",
         "c4019eea3f9b25edfa932a6dcef4a26ef630fe2247a7e382693ece0823b3ce27",
-        "9cd59d150ce5996e0d0c7c5723540f25ea7b975b2cf60ff6b8bd04d95f386f71",
+        "cb538313fff93803dffc65f417257303c32d7d70ec3283033d0fd4afafc67b6b",
         "ace3904472e229d272f2740c35b9319cf3323c3565f9797d6d9bf2b34a7e0bc9",
     ),
     "bridge": (
         "d01041f61681bb7ff09d601f608f6aa68ad4aac4da983acf8bbdf8f81c804ecd",
         "988216d221227ed0e00fa5416efd6a2913b1a9dc66da01a1557156b8121335aa",
         "436f5824f3da3494a195003a9a4104e98f12b6696c1c701d035eadad8cde1070",
-        "9eebc920e0cb9695a8670691ae91e2e288a3fcd238b2ff3245a352886c427842",
+        "59b9e984978429b9f5823e2af925db0af008d9b5c5c609dddcdd16ef393a3e06",
         "42b90f0f20917b9c467b54ea0841e6d1c8ec5bc79e1e709afea89c2bc4100f39",
     ),
     "cube": (
         "e31db4b3b4efcbb68ebcbb27a8c02b5af24de58933626b945bcaa8ede1824ce1",
         "3d630c0d7c0a77547fa12d5f42b5532524749dab6cafde0630485feda85050f1",
         "c6ec0c10626897b7048867be3600cbeee7ff74f52b11a4bf1f45fec5a78216fd",
-        "b8799865f95ed19b914d649889249ca8f98b562809d95565ea6810961dff3e47",
+        "af5a11748a7680f404dcac96f0a6fcda68ccdb9d51167ed56104119b11551755",
         "dacbb48591ace001b6443f5db2ae3971a409227126483d4eb1315b7ce3cf75b9",
     ),
     "double_pocket": (
         "1060f1018cdcf93e80f53c18470170451f2e8cb2402d4c275efc0fc6f3ddb534",
         "f2554ff95337d8084de82b92f20f1aabb4db41c28a65b2711f383627617169a9",
         "600f502d2aa52756fc18a480df08029bc0d875d204ae147008cc34c550cf2111",
-        "048798ac0f039175b0fa3ad627fc720a42d8e3b22a0fade8a4bca165fac0ebd1",
+        "0b67977c0d54c686d8cb9899f77ef7c6d883d4a4db2aa7f290032708db9d6199",
         "99ff6d90add21b85f0528c700c8811be801722ea99fa24c976f97766853d0c87",
     ),
     "large0": (
         "be0c31b25023f5843da2097173c6b4394fab7491ae922273a3c0dff390ac8a35",
         "283f246de29227b3b6e6f422e97fa33b6a87dcb140e4afe04d0c822eebfa014d",
         "3e6c3a0af843534c5c108ac04f12fed69be1aaf617bbd2794a205580e220c910",
-        "c500d4cc851ff67162b1346b3b7a293cd325739c85daf1b2aa0ad2a69f5a9a70",
+        "bdc4c6f8f13091e5cf54ca1a2f83d4eac340ca8bb5d70c67bbc49a9a5fb6d46e",
         "1536eed6411e4cf466a475b923b8a2c9bd08d92bc00ea1f0b0365f19dfec7f51",
     ),
     "large1": (
         "185582d855e1b21530af95a3c571c77bc45c620ededb7872a5771f6407c87c20",
         "6890820ecbb082b36ca06b3e21df55cfe7c1369dbfde2a41bdd76660cf966eda",
         "ed88266f1d46f1d5d54d3a8fd6f0c69164799e685b74daecdf1d74c4fc0599c4",
-        "440a1cd80ae8b54649abd2f0d5bc4e6e178154dd79f324b87b4d6d5dbb3bc117",
+        "3f08ca902fb9ed16e70922f04f4e4a8dcbbbf48d12a5a0265562e8ce77253f76",
         "51e0a24a2db5a1d7116ea2059aab30d87932adf30d96a3e3f956d4978d24c53c",
     ),
     "large2": (
         "07763bf47aa88e6eec65d5b3c2602493a0de98594af367e55bc263a963d88dca",
         "4c482b690ca7805be0cee0c47ecc8ff20d646ba18ceec34a85aaad9834db46d7",
         "ac680fa11bdec78ea1b7d00d2a20441e6b0c62fcb7f6e461fe53c04f1aa91bd4",
-        "6811a92866a7c79d2b014d6b931bfb2d05bae3203e9d156d49a11044e3d6019a",
+        "054ec5648591d55eae42d1eed0416e155ba9c603128f5f5fc5296471ca080df5",
         "2843745776a594cbf59a20c055e891f00f548c5e8addc5a449be2e6016dfde16",
     ),
     "pocket": (
         "7a1b68c3151ecae149fe66b99f55e5c60ea7837a15028f42325e4cc3ccf1f212",
         "e67590bd663ed7f4aa8254628afc5d0b2b1d5c89882e4f52333516c4dc281c8a",
         "bd220064d638c9a93aca0f71d59b971a8758e29ac70253157557f836eb63e974",
-        "7866aa4bde1312747dc95f47a7f478b14269de05ba2b3c13a47a7ea198b49b3a",
+        "ee68ae4c7d8d31c62513d1f87dc5d732cb370d4330dcb11efbef7871b12eb82b",
         "bcd849b753fd2782eda151fe5e98a98e27d751448980871eba63973e13a4c617",
     ),
     "small0": (
         "297779fd6eb75b3e2755dda4e3592cf118264a6edea7ac1e9ed88d1772336e3a",
         "482f3cf57112f90bb5cde98b8663a4b181d80976a99bad033962a2939bdff542",
         "c73b583d2b690db6e2285a2178ce80a96e4d707a6613b0b7eda8218686876708",
-        "785bd7b7846f10056a5dbf7dfe2269ac5a6a2382f453a891a970003fdc24ce94",
+        "3e46c61604ffad4311a3089b317fb149e86cfde6aacaaaa096e9384ca42d703a",
         "cb441705e59f3e98f9f44ae24907e0d6a64c2feb6cb2bb5361d8db8ea1bdc62f",
     ),
     "small1": (
         "82faa61b19d87e1073e24ae062ec051e8867114677a7b8e1bbd4715c5fabce4c",
         "10064dc1e4e27d6d42aeb5f5f911299fac7d5c1fe93735b5952dfba351e5f3f5",
         "8ba3e342a67ccf1a6c79245a8d12fbaaaa1bde60221622944535edef2fe15f98",
-        "d940a1686af0f12ea20928843a830c4c6a24bc00b40e7b4d11ecd3d9b7f11042",
+        "58b5fca10e501f5c37c819337990ae894cf79395f449f735082dcc6f85f9b92a",
         "95df824fe073dbca5c3b42b421d2a6ea668efe642e99a6ddc9ec29001886555a",
     ),
 }
