@@ -313,9 +313,6 @@ def make_parser():
 
 
 def main(argv=None):
-    # the reducer recurses, and its JSON trace nests three levels, once per
-    # edge-separator split, and a chain of k blocks splits k - 1 times
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 10_000))
     parser = make_parser()
     try:
         args = parser.parse_args(argv)

@@ -321,27 +321,30 @@ def exact_chi2(g, time_limit=60.0):
         for i, v in enumerate(order):
             if v in clique:
                 colors[i] = clique.index(v) + 1
-
-        def bt(i, max_used):
+        # the clique holds positions 0..len-1, colored 1..len.  Depth-first
+        # from there without recursion: untried holds, per open position,
+        # the colors it has yet to try, ascending, and high[-1] is the
+        # largest color used before position i
+        i = len(clique)
+        untried, high = [], [i]
+        while True:
             if time.monotonic() > deadline:
                 raise _Timeout
             if i == g.n:
-                return True
+                return {order[i]: colors[i] for i in range(g.n)}
             forbidden = {colors[j] for j in nbr_pos[i] if j < i}
-            cap = min(k, max_used + 1)
-            for c in range(1, cap + 1):
-                if c in forbidden:
-                    continue
-                colors[i] = c
-                if bt(i + 1, max(max_used, c)):
-                    return True
-            colors[i] = 0
-            return False
-
-        # the clique holds positions 0..len-1, colored 1..len
-        if bt(len(clique), len(clique)):
-            return {order[i]: colors[i] for i in range(g.n)}
-        return None
+            cap = min(k, high[-1] + 1)
+            untried.append(iter([c for c in range(1, cap + 1)
+                                 if c not in forbidden]))
+            while (c := next(untried[-1], None)) is None:
+                untried.pop()
+                if not untried:
+                    return None
+                high.pop()
+                i -= 1
+            colors[i] = c
+            high.append(max(high[-1], c))
+            i += 1
 
     exact = True
     while ub > lb:

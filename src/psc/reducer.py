@@ -11,6 +11,7 @@ deterministic and produces a replayable trace, in the input's vertex ids.
 
 from __future__ import annotations
 
+import functools
 import json
 
 from . import catalog as cat
@@ -21,17 +22,19 @@ from .errors import ExtensionStuck, MergeInfeasible, NoWitnessFound
 
 
 class ReductionTrace:
-    def __init__(self, steps, terminal):
-        self.steps = steps
-        self.terminal = terminal
+    """The trace records in pre-order: each step, and after each base case
+    its {"terminal": ...} record.  A split step is followed by part 1's
+    records, then part 2's, each part ending with its own terminal record,
+    so the last record is the final base case's."""
+
+    def __init__(self, records):
+        self.records = records
 
     def to_obj(self):
-        """The trace records: each step, then {"terminal": ...}.  Each part
-        of a split ends with its own terminal record in the same way."""
-        return [*self.steps, {"terminal": self.terminal}]
+        return self.records
 
     def to_jsonl(self):
-        return "".join(json.dumps(r) + "\n" for r in self.to_obj())
+        return "".join(json.dumps(r) + "\n" for r in self.records)
 
 
 def color_within_budget(g, budget=None, base_limit=None):
@@ -43,7 +46,7 @@ def color_within_budget(g, budget=None, base_limit=None):
         budget = Budget.for_graph(g)
     if g.max_degree() > budget.delta_context:
         raise ExtensionStuck("Delta exceeds the budget's delta_context")
-    mapping, steps, terminal = _solve(g, budget, base_limit)
+    mapping, records = _solve(g, budget, base_limit)
     palette = max(mapping.values(), default=1)
     coloring = col.SquareColoring(palette, mapping)
     ok, pair = col.verify(g, coloring)
@@ -52,7 +55,7 @@ def color_within_budget(g, budget=None, base_limit=None):
     if palette > budget.palette_size:
         raise ExtensionStuck(
             f"palette {palette} exceeds budget {budget.palette_size}")
-    return coloring, ReductionTrace(steps, terminal)
+    return coloring, ReductionTrace(records)
 
 
 class _Reduction:
@@ -91,17 +94,39 @@ class _Reduction:
 
 def _solve(g, budget, base_limit):
     """Color one connected graph within the budget; returns (vertex ->
-    color, the trace steps, the terminal record of the last base case).
+    color, the trace records).
 
-    Chain reductions (delete / add edge) are handled iteratively; only
-    edge-separator splits recurse.  A step changes only the rows of a
-    chord's ends, or of the deleted vertex and its neighbors (recipe edges
-    and a bypass chord join only those), and degree-checks them.  A recipe
-    is applied one mutation at a time, each passed to the carried state,
-    whose witness index is proved correct for one deletion or one chord.
+    One loop over a stack of tasks, with no recursion.  A task is a graph
+    to reduce, the extension of a deleted vertex, or the merge of a
+    split's two colorings, and the colorings solved so far are a stack as
+    well: a base case pushes one, an extension colors its vertex in the
+    top one, and a merge replaces the top two by one.  A split pushes its
+    merge, part 2, then part 1, the smaller side, so that part 1 is solved
+    first, and the records come in pre-order.  A graph's extensions are
+    pushed below what its reduction ends in, so they unwind in reverse,
+    onto the coloring of the graph it was reduced to.  Only one graph is
+    under reduction at a time, and a merge holds no graph."""
+    records, colorings, tasks = [], [], [g]
+    while tasks:
+        task = tasks.pop()
+        if isinstance(task, emb.EmbeddedGraph):
+            _reduce(task, budget, base_limit, records, tasks, colorings)
+        else:
+            task(colorings)
+    return colorings.pop(), records
+
+
+def _reduce(g, budget, base_limit, records, tasks, colorings):
+    """Reduce g until a base case colors it, pushed onto colorings, or
+    until an edge separator splits it into two tasks; each deletion pushes
+    its extension task.
+
+    A step changes only the rows of a chord's ends, or of the deleted
+    vertex and its neighbors (recipe edges and a bypass chord join only
+    those), and degree-checks them.  A recipe is applied one mutation at a
+    time, each passed to the carried state, whose witness index is proved
+    correct for one deletion or one chord.
     """
-    steps = []
-    pending = []  # extension records, unwound in reverse
     run = _Reduction(g, budget)
     while True:
         current = run.g
@@ -109,24 +134,31 @@ def _solve(g, budget, base_limit):
         if base_limit is None or current.n <= base_limit:
             base = col.dsatur_color(emb.square(current), budget.palette_size)
         if base is not None:
-            terminal = {"n": current.n, "palette": base.palette_size,
-                        "digest": f"{run.digest:016x}"}
-            mapping = dict(base.color_of)
-            break
+            records.append({"terminal": {
+                "n": current.n, "palette": base.palette_size,
+                "digest": f"{run.digest:016x}"}})
+            colorings.append(dict(base.color_of))
+            return
         w = run.first_witness()
         if w is None:
             raise NoWitnessFound(
                 "no reducible configuration found (would contradict the "
                 "structure theorem)", graph_text=emb.to_pg(current))
         step = {"witness": w.to_obj(), "before": f"{run.digest:016x}"}
+        records.append(step)
         op = w.recipe["op"]
         if op == "split":
             step["after"] = None
             step["extension"] = "merge"
-            mapping, parts, terminal = _merge_separator(
-                current, w, budget, base_limit)
-            steps += [step, {"split_parts": parts}]
-            break
+            u, v = w.recipe["u"], w.recipe["v"]
+            comp = set(w.recipe["component"])
+            near = set(current.neighbors(u)) | set(current.neighbors(v))
+            part2 = sorted(set(current.vertices) - comp)
+            tasks += [functools.partial(_merge, u, v, sorted(near & comp),
+                                        sorted(near - comp - {u, v}), budget),
+                      emb.induced_subgraph(current, part2),
+                      emb.induced_subgraph(current, sorted(comp | {u, v}))]
+            return
         if op == "add_edge":
             touched = (w.recipe["u"], w.recipe["v"])
             run.advance(emb.mutate_add_edge(current, *touched,
@@ -136,7 +168,8 @@ def _solve(g, budget, base_limit):
             touched = (v, *current.adj[v])
             edges = w.recipe.get("edges", []) if op == "delete_and_add" else []
             # the extension reads only v's ball, so the graph is not kept
-            pending.append((v, emb.dist2_neighborhood(current, v), step))
+            tasks.append(functools.partial(
+                _extend, v, emb.dist2_neighborhood(current, v), budget, step))
             for nxt, changed in _deletion(current, v, edges):
                 run.advance(nxt, changed)
         if any(len(run.g.rotation[x]) > budget.delta_context
@@ -145,10 +178,6 @@ def _solve(g, budget, base_limit):
                                  f"{budget.delta_context}")
         step["after"] = f"{run.digest:016x}"
         step["extension"] = None
-        steps.append(step)
-    for v, ball, step in reversed(pending):
-        _extend(v, ball, mapping, budget, step)
-    return mapping, steps, terminal
 
 
 def _deletion(g, v, edges):
@@ -178,10 +207,11 @@ def _deletion(g, v, edges):
             yield out, (a, b)
 
 
-def _extend(v, ball, mapping, budget, step):
+def _extend(v, ball, budget, step, colorings):
     """Color the deleted vertex v with the smallest color absent from its
-    distance-2 ball `ball` in the pre-deletion graph, writing it into
-    mapping, which colors the reduced graph."""
+    distance-2 ball `ball` in the pre-deletion graph, writing it into the
+    top coloring, that of the reduced graph."""
+    mapping = colorings[-1]
     forbidden = {mapping[u] for u in ball}
     for c in range(1, budget.palette_size + 1):
         if c not in forbidden:
@@ -193,30 +223,20 @@ def _extend(v, ball, mapping, budget, step):
         f"{budget.palette_size} (witness {step['witness']['kind']})")
 
 
-def _merge_separator(g, w, budget, base_limit):
-    """Returns (merged coloring, each part's records, part 2's terminal)."""
-    u, v = w.recipe["u"], w.recipe["v"]
-    comp = w.recipe["component"]
-    part1 = sorted(set(comp) | {u, v})
-    part2 = sorted(set(g.vertices) - set(comp))
-    m1, sub1, t1 = _solve(emb.induced_subgraph(g, part1), budget, base_limit)
-    m2, sub2, t2 = _solve(emb.induced_subgraph(g, part2), budget, base_limit)
-    parts = [[*sub1, {"terminal": t1}], [*sub2, {"terminal": t2}]]
-    col1 = _normalize_uv(m1, u, v)
-    col2 = _normalize_uv(m2, u, v)
-    n1 = sorted((set(g.neighbors(u)) | set(g.neighbors(v))) & set(comp))
-    n2 = sorted(((set(g.neighbors(u)) | set(g.neighbors(v))) - set(comp))
-                - {u, v})
+def _merge(u, v, n1, n2, budget, colorings):
+    """Replace the top two colorings, of a split's part 1 and part 2, by
+    their merge.  Both are normalized to color u 1 and v 2, and part 2's
+    colors are permuted so that its neighbors of u and v, n2, avoid the
+    colors of part 1's, n1."""
+    col2 = _normalize_uv(colorings.pop(), u, v)
+    col1 = _normalize_uv(colorings[-1], u, v)
     sigma = _avoiding_permutation(
         budget.palette_size,
         sources=sorted({col2[x] for x in n2}),
         blocked={col1[x] for x in n1})
-    merged = dict(col1)
-    for x in part2:
-        merged[x] = sigma[col2[x]]
-    if merged[u] != col1[u] or merged[v] != col1[v]:
+    if sigma[1] != 1 or sigma[2] != 2:  # u and v, in both parts
         raise MergeInfeasible("separator endpoints recolored by permutation")
-    return merged, parts, t2
+    colorings[-1] = {**col1, **{x: sigma[c] for x, c in col2.items()}}
 
 
 def _normalize_uv(mapping, u, v):

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -496,6 +497,63 @@ def naive_chi2(g):
     return best
 
 
+def exact_chi2_recursive(g, time_limit=60.0):
+    """Oracle for coloring.exact_chi2: the same search with one recursive
+    call per position, which tries each position's colors in the same
+    order.  It needs a frame per vertex, so it is kept to small graphs."""
+    sq = emb.square(g)
+    clique = col.greedy_clique(sq)
+    lb = max(len(clique), g.max_degree() + 1)
+    best = col.dsatur_color(sq)
+    ub = best.palette_size
+    deadline = time.monotonic() + time_limit
+    adj = dict(sq.adj)
+    order = sorted(g.vertices,
+                   key=lambda v: (v not in clique, -len(adj[v]), v))
+    pos = {v: i for i, v in enumerate(order)}
+    nbr_pos = [sorted(pos[u] for u in adj[v]) for v in order]
+
+    def feasible(k):
+        colors = [0] * g.n  # by position in order
+        for i, v in enumerate(order):
+            if v in clique:
+                colors[i] = clique.index(v) + 1
+
+        def bt(i, max_used):
+            if time.monotonic() > deadline:
+                raise col._Timeout
+            if i == g.n:
+                return True
+            forbidden = {colors[j] for j in nbr_pos[i] if j < i}
+            cap = min(k, max_used + 1)
+            for c in range(1, cap + 1):
+                if c in forbidden:
+                    continue
+                colors[i] = c
+                if bt(i + 1, max(max_used, c)):
+                    return True
+            colors[i] = 0
+            return False
+
+        # the clique holds positions 0..len-1, colored 1..len
+        if bt(len(clique), len(clique)):
+            return {order[i]: colors[i] for i in range(g.n)}
+        return None
+
+    exact = True
+    while ub > lb:
+        try:
+            sol = feasible(ub - 1)
+        except col._Timeout:
+            exact = False
+            break
+        if sol is None:
+            break
+        best = SquareColoring(ub - 1, sol)
+        ub -= 1
+    return col.ExactResult(ub, best, clique, exact)
+
+
 def add_edge_first_face_scan(g, u, v):
     """Oracle for embedding.add_edge_any_face: add uv inside the first face,
     in trace order, whose walk visits both endpoints, O(m)."""
@@ -527,21 +585,24 @@ def replay_trace(g, records):
     """Replay a trace from g, in input ids, through the mutations its
     recipes name: yields (graph, record) for each step record, with the
     graph its witness was found on, and for each terminal record, with the
-    base-case graph.  A split's parts follow its step, each replayed on its
-    induced subgraph."""
-    for i, r in enumerate(records):
+    base-case graph.  A split's step is followed by its parts' records,
+    part 1's then part 2's, each replayed on its induced subgraph; a stack
+    holds the parts not yet reached, so nothing recurses."""
+    parts = []  # the next part to replay on top
+    for r in records:
         yield g, r
         if "terminal" in r:
-            return
+            if not parts:
+                return
+            g = parts.pop()
+            continue
         rec = r["witness"]["recipe"]
         if rec["op"] == "split":
             comp = set(rec["component"])
-            parts = (sorted(comp | {rec["u"], rec["v"]}),
-                     sorted(set(g.vertices) - comp))
-            for part, sub in zip(parts, records[i + 1]["split_parts"]):
-                yield from replay_trace(emb.induced_subgraph(g, part), sub)
-            return
-        if rec["op"] == "add_edge":
+            parts.append(emb.induced_subgraph(
+                g, sorted(set(g.vertices) - comp)))
+            g = emb.induced_subgraph(g, sorted(comp | {rec["u"], rec["v"]}))
+        elif rec["op"] == "add_edge":
             g = emb.mutate_add_edge(g, rec["u"], rec["v"], rec["face"])
         else:
             *_, (g, _) = red._deletion(g, rec["v"], rec.get("edges", []))

@@ -135,26 +135,27 @@ def test_color_constructive_verifies_once(tri, capsys):
     assert json.loads(capsys.readouterr().out)["verified"] is True
 
 
-def test_color_json_nests_a_split_per_block(tmp_path, capsys):
+def test_color_json_writes_a_flat_trace(tmp_path, capsys):
     """A forced run on a chain of k blocks splits k - 1 times, and its
-    trace nests three JSON levels per split: `psc color` writes, and
-    `psc verify` reads, a trace 1500 splits deep."""
+    trace stays flat: each split step is followed by its parts' records in
+    pre-order, each part ending with its own terminal.  `psc color` writes,
+    and `psc verify` reads, a trace of 1500 splits, and neither changes
+    the recursion limit."""
     path, out = tmp_path / "k4.pg", tmp_path / "c.json"
     path.write_text(emb.to_pg(gen.named_graph("k4")))
     coloring = col.SquareColoring(4, {v: v + 1 for v in range(4)})
-    terminal = {"n": 4, "palette": 4, "digest": "0" * 16}
-    steps = []
-    for _ in range(1500):
-        steps = [{"witness": None}, {"split_parts": [
-            [{"terminal": terminal}], [*steps, {"terminal": terminal}]]}]
-    trace = red.ReductionTrace(steps, terminal)
+    terminal = {"terminal": {"n": 4, "palette": 4, "digest": "0" * 16}}
+    trace = red.ReductionTrace([{"witness": None}, terminal] * 1500
+                               + [terminal])
+    limit = sys.getrecursionlimit()
     with mock.patch.object(red, "color_within_budget",
                            lambda *args, **kwargs: (coloring, trace)):
         assert run(["color", "--json", "-o", str(out), str(path)]) == 0
         assert run(["color", str(path)]) == 0
     assert json.loads(out.read_text())["trace"] == trace.to_obj()
-    assert capsys.readouterr().out.count("split_parts") == 1500
+    assert capsys.readouterr().out.count("terminal") == 1501
     assert run(["verify", str(path), str(out)]) == 0
+    assert sys.getrecursionlimit() == limit
 
 
 def test_color_greedy(tri, capsys):

@@ -1,11 +1,13 @@
 import json
 import random
+import sys
 import tracemalloc
 from unittest import mock
 
 import pytest
-from conftest import (dsatur_color_scan, exact_gap_graph, greedy_color_scan,
-                      naive_chi2, smallest_last_order_scan, verify_scan)
+from conftest import (dsatur_color_scan, exact_chi2_recursive, exact_gap_graph,
+                      greedy_color_scan, naive_chi2, small_graphs,
+                      smallest_last_order_scan, verify_scan)
 from hypothesis import given, settings, strategies as st
 
 from psc import cli
@@ -341,6 +343,28 @@ def test_exact_clique_lower_bound():
     sq = emb.square(g)
     cl = res.lower_bound_clique
     assert all(b in sq.adj[a] for i, a in enumerate(cl) for b in cl[i + 1:])
+
+
+def test_exact_matches_recursive_search():
+    # the search's stack tries each position's colors in the order of the
+    # recursive search, so bounds, verdict and witness are the same
+    graphs = (small_graphs() + [gen.gen_cycle(n) for n in range(4, 30)]
+              + [gen.gen_grid(4, 5)])
+    for g in graphs:
+        a, b = col.exact_chi2(g), exact_chi2_recursive(g)
+        assert (a.chi2, a.exact, a.witness) == (b.chi2, b.exact, b.witness)
+
+
+def test_exact_long_cycle_at_default_recursion_limit():
+    # the recursive search needed a frame per vertex
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        res = col.exact_chi2(gen.gen_cycle(1501))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert (res.chi2, res.exact) == (4, True)
+    assert col.verify(gen.gen_cycle(1501), res.witness)[0]
 
 
 def test_json_roundtrip():

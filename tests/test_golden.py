@@ -93,7 +93,7 @@ GOLDEN = {
         "1060f1018cdcf93e80f53c18470170451f2e8cb2402d4c275efc0fc6f3ddb534",
         "f2554ff95337d8084de82b92f20f1aabb4db41c28a65b2711f383627617169a9",
         "600f502d2aa52756fc18a480df08029bc0d875d204ae147008cc34c550cf2111",
-        "0b67977c0d54c686d8cb9899f77ef7c6d883d4a4db2aa7f290032708db9d6199",
+        "36a4b8a5555d82db0f1736d554694ab81d5ea89e5e99f0a82452d1216a6713e9",
         "99ff6d90add21b85f0528c700c8811be801722ea99fa24c976f97766853d0c87",
     ),
     "large0": (
@@ -121,7 +121,7 @@ GOLDEN = {
         "7a1b68c3151ecae149fe66b99f55e5c60ea7837a15028f42325e4cc3ccf1f212",
         "e67590bd663ed7f4aa8254628afc5d0b2b1d5c89882e4f52333516c4dc281c8a",
         "bd220064d638c9a93aca0f71d59b971a8758e29ac70253157557f836eb63e974",
-        "ee68ae4c7d8d31c62513d1f87dc5d732cb370d4330dcb11efbef7871b12eb82b",
+        "e07c575741ae14e11f18d731a64cd241afe64c44afb81ae910b95abafcec6163",
         "bcd849b753fd2782eda151fe5e98a98e27d751448980871eba63973e13a4c617",
     ),
     "small0": (

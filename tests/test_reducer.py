@@ -1,6 +1,8 @@
 import dataclasses
+import inspect
 import itertools
 import json
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -8,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (bowtie, bridge, cube, double_pocket, glue_pocket,
-                      replay_trace)
+                      k4_chain, replay_trace)
 from psc import catalog as cat
 from psc import coloring as col
 from psc import embedding as emb
@@ -19,15 +21,9 @@ from psc.errors import (ExtensionStuck, MergeInfeasible, NoWitnessFound,
                         WouldDisconnect)
 
 
-def applied_kinds(steps):
-    """The witness kinds of the steps, split parts included."""
-    out = set()
-    for s in steps:
-        if "witness" in s:
-            out.add(s["witness"]["kind"])
-        for part in s.get("split_parts", []):
-            out |= applied_kinds(part)
-    return out
+def applied_kinds(records):
+    """The witness kinds of a trace's steps, split parts included."""
+    return {r["witness"]["kind"] for r in records if "witness" in r}
 
 
 def forced(g, base_limit):
@@ -38,8 +34,8 @@ def forced(g, base_limit):
     c, tr = red.color_within_budget(g, base_limit=base_limit)
     assert col.verify(g, c)[0]
     assert c.palette_size <= Budget.for_graph(g).palette_size
-    assert tr.steps
-    assert tr.terminal["n"] <= base_limit
+    assert "witness" in tr.records[0]
+    assert tr.records[-1]["terminal"]["n"] <= base_limit
     return tr
 
 
@@ -48,7 +44,7 @@ def test_base_case_named():
         g = gen.named_graph(name)
         c, tr = red.color_within_budget(g)
         assert col.verify(g, c)[0]
-        assert not tr.steps  # DSATUR already fits
+        assert len(tr.records) == 1  # the terminal: DSATUR already fits
 
 
 def test_corpus_within_budget(corpus_large, corpus_small):
@@ -62,14 +58,14 @@ def test_corpus_within_budget(corpus_large, corpus_small):
 def test_forced_reduction_large(corpus_large):
     kinds = set()
     for g in corpus_large[:12]:
-        kinds |= applied_kinds(forced(g, 6).steps)
+        kinds |= applied_kinds(forced(g, 6).records)
     assert {"Deg2", "Deg3SmallNbr", "Deg3TwoTriangles"} <= kinds
 
 
 def test_forced_reduction_small(corpus_small):
     kinds = set()
     for g in corpus_small[:12]:
-        kinds |= applied_kinds(forced(g, 4).steps)
+        kinds |= applied_kinds(forced(g, 4).records)
     assert kinds  # at least one catalog kind exercised
 
 
@@ -77,20 +73,23 @@ def test_forced_reduction_triangulations():
     kinds = set()
     for seed in range(6):
         g = gen.gen_stacked_triangulation(35 + seed, seed)
-        kinds |= applied_kinds(forced(g, 5).steps)
+        kinds |= applied_kinds(forced(g, 5).records)
     assert "Deg3SmallNbr" in kinds
 
 
 def test_split_and_merge():
     g = glue_pocket(gen.gen_stacked_triangulation(22, 3), 0, 1)
-    tr = forced(g, 5)
-    assert "EdgeSeparator" in applied_kinds(tr.steps)
-    # each part's trace ends with the base case that colored it
-    part1, part2 = next(s["split_parts"] for s in tr.steps
-                        if "split_parts" in s)
-    assert part1[-1]["terminal"]["n"] == 4
-    assert part2[-1]["terminal"]["n"] == 5
-    assert tr.to_obj()[-1] == {"terminal": tr.terminal} == part2[-1]
+    records = forced(g, 5).records
+    # the split step, then part 1's records, then part 2's, each ending
+    # with the base case that colored it
+    i = next(i for i, r in enumerate(records) if "witness" in r
+             and r["witness"]["kind"] == "EdgeSeparator")
+    ends = [j for j, r in enumerate(records) if "terminal" in r]
+    assert [records[j]["terminal"]["n"] for j in ends] == [4, 5]
+    assert i < ends[0] < ends[1] == len(records) - 1
+    assert all("witness" in r for r in records[i + 1:ends[0]])
+    assert all("witness" in r for r in records[ends[0] + 1:-1])
+    assert "split_parts" not in json.dumps(records)
 
 
 def test_small_split_and_merge():
@@ -123,7 +122,7 @@ def test_every_kind_applied_but_one():
          {"Deg4Tri5Tri"}),
     ]
     for g, kinds in pinned:
-        assert kinds <= applied_kinds(forced(g, 1).steps), emb.to_pg(g)
+        assert kinds <= applied_kinds(forced(g, 1).records), emb.to_pg(g)
     reached = set().union(*(kinds for _, kinds in pinned))
     assert set(cat.KIND_RANK) - reached == {"Deg3TriTwoSquares"}
 
@@ -142,10 +141,10 @@ def test_induction_without_dsatur(corpus_large, corpus_small):
     kinds = set()
     for g in induction_graphs(corpus_large, corpus_small):
         c, tr = red.color_within_budget(g, base_limit=1)
-        assert tr.terminal["n"] == 1
+        assert tr.records[-1]["terminal"]["n"] == 1
         assert col.verify(g, c)[0]
         assert c.palette_size <= Budget.for_graph(g).palette_size
-        kinds |= applied_kinds(tr.steps)
+        kinds |= applied_kinds(tr.records)
     assert "Deg1" in kinds
 
 
@@ -163,7 +162,7 @@ def test_contraction_fallback_on_bridge():
     # chord, which contracts the edge 0-1 once 0 is deleted
     g = bridge()
     assert min(g.degree(v) for v in range(g.n)) == 2
-    assert forced(g, 2).steps[0]["witness"]["actors"] == [0, 1, 2]
+    assert forced(g, 2).records[0]["witness"]["actors"] == [0, 1, 2]
 
 
 def test_deletion_of_other_cut_vertex_raises():
@@ -203,7 +202,7 @@ def test_four_regular_quadrangulation():
            "16: 9 17 19 15\n17: 10 18 20 16\n18: 11 12 20 17\n"
            "19: 16 20 14 15\n20: 17 18 13 19\n")
     g = emb.from_pg(txt)
-    assert "FaceTwoSmall" in applied_kinds(forced(g, 4).steps)
+    assert "FaceTwoSmall" in applied_kinds(forced(g, 4).records)
 
 
 def test_trace_jsonl_format(corpus_large):
@@ -308,7 +307,7 @@ def test_trace_names_input_ids(corpus_large):
     g = corpus_large[3]
     _, tr = red.color_within_budget(g, base_limit=6)
     gone = set()
-    for r in tr.steps:
+    for r in tr.records[:-1]:
         rec = r["witness"]["recipe"]
         named = {*r["witness"]["actors"], *(x for e in rec.get("edges", ())
                                             for x in e)}
@@ -316,12 +315,12 @@ def test_trace_names_input_ids(corpus_large):
         assert named <= set(range(g.n)) - gone
         if rec["op"] != "add_edge":
             gone.add(rec["v"])
-    assert tr.terminal["n"] == g.n - len(gone)
+    assert tr.records[-1]["terminal"]["n"] == g.n - len(gone)
 
 
 def test_trace_digests_chain(corpus_large):
     tr = forced(corpus_large[1], 6)
-    chain = [s for s in tr.steps if s.get("after")]
+    chain = [s for s in tr.records if s.get("after")]
     for a, b in zip(chain, chain[1:]):
         assert a["after"] == b["before"]
 
@@ -375,3 +374,28 @@ def test_forced_reduction_memory():
     finally:
         tracemalloc.stop()
     assert peak < 2_000_000
+
+
+def test_forced_k4_chain_needs_no_stack_per_split():
+    # a split pushes tasks rather than recursing: 99 splits fit in 100
+    # frames above the caller's, where two frames per split did not
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        forced(k4_chain(100), 12)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_forced_k4_chain_memory():
+    # a pending merge holds no graph, and a split drops its reduction, so
+    # the 99 splits do not keep a graph each alive: recursing, the peak
+    # was about 20 MB, and the task loop's is under 1 MB
+    g = k4_chain(100)
+    tracemalloc.start()
+    try:
+        red.color_within_budget(g, base_limit=12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3_000_000
