@@ -32,8 +32,9 @@ class EmbeddedGraph:
     """Immutable simple connected planar graph with a fixed embedding: live
     ids `vertices` (increasing) and their count `n`, the rotation, neighbor
     sets `adj`, and the `faces` and `face_at` of `trace_faces`.  `build`
-    makes one; deletions and chords derive one equal to what it makes,
-    whose `faces` are read off `face_at` on first use."""
+    makes one whose `adj` is made on first read (_LazyAdj); deletions and
+    chords derive one equal to what it makes, whose `faces` are read off
+    `face_at` on first use."""
 
     __slots__ = ("vertices", "n", "rotation", "adj", "_faces", "face_at")
 
@@ -41,7 +42,8 @@ class EmbeddedGraph:
         self.vertices = vertices
         self.n = len(vertices)
         self.rotation = rotation
-        self.adj = adj
+        if adj is not None:  # else left unset for _LazyAdj to make
+            self.adj = adj
         self._faces = faces
         self.face_at = face_at
 
@@ -94,13 +96,36 @@ class EmbeddedGraph:
         return f"EmbeddedGraph(n={self.n}, m={self.m})"
 
 
+class _LazyAdj(EmbeddedGraph):
+    """What `build` returns: an EmbeddedGraph whose `adj` slot is unset
+    until it is first read, when it is made from the rotation and the
+    graph becomes a plain EmbeddedGraph.  Only a missing attribute reaches
+    __getattr__, so reads of set slots cost what they cost on the base."""
+
+    __slots__ = ()
+
+    def __getattr__(self, name):
+        if name != "adj":
+            raise AttributeError(name)
+        self.adj = tuple(None if r is None else frozenset(r)
+                         for r in self.rotation)
+        self.__class__ = EmbeddedGraph
+        return self.adj
+
+    def __reduce_ex__(self, protocol):
+        """Pickle or copy the graph as a plain EmbeddedGraph: pickle reads
+        the class before the slots, and reading adj changes the class."""
+        self.__getattr__("adj")
+        return object.__reduce_ex__(self, protocol)
+
+
 def build(n, rotation):
     """Validate a rotation system of n rows and return the embedded graph.
     A None row marks a removed id, which no row may list.
 
-    Raises AsymmetricAdjacency, DuplicateNeighbor, Disconnected or
-    NonPlanarEmbedding when the input is not a simple connected genus-zero
-    embedding.
+    Raises DuplicateNeighbor, UnknownVertex or AsymmetricAdjacency (from
+    trace_faces), Disconnected or NonPlanarEmbedding when the input is not
+    a simple connected genus-zero embedding.
     """
     if len(rotation) != n:
         raise UnknownVertex(f"expected {n} rotation lists, got {len(rotation)}")
@@ -108,28 +133,13 @@ def build(n, rotation):
     live = [v for v, r in enumerate(rot) if r is not None]
     if not live:
         raise UnknownVertex("vertex count must be positive")
-    ids = frozenset(live)
-    adj = [None] * n
-    for v in live:
-        r = rot[v]
-        s = set(r)
-        if len(s) != len(r):
-            raise DuplicateNeighbor(f"vertex {v} lists a neighbor twice")
-        if v in s:
-            raise DuplicateNeighbor(f"vertex {v} lists itself")
-        if not s <= ids:
-            raise UnknownVertex(f"vertex {v} lists unknown ids {sorted(s - ids)}")
-        adj[v] = frozenset(s)
-    for v in live:
-        for u in rot[v]:
-            if v not in adj[u]:
-                raise AsymmetricAdjacency(f"{v} lists {u} but {u} does not list {v}")
-    reached = len(component(adj, live[0], ()))
+    faces, face_at = trace_faces(rot)
+    reached = len(component(rot, live[0], ()))
     if reached != len(live):
         raise Disconnected(
             f"only {reached} of {len(live)} vertices reachable from {live[0]}")
     vertices = range(n) if len(live) == n else tuple(live)
-    g = EmbeddedGraph(vertices, rot, tuple(adj), *trace_faces(rot))
+    g = _LazyAdj(vertices, rot, None, faces, face_at)
     nv, m, f = g.n, g.m, len(g.faces)
     if nv - m + f != 2:
         raise NonPlanarEmbedding(f"Euler count n-m+f = {nv}-{m}+{f} = {nv - m + f} != 2")
@@ -144,8 +154,23 @@ def trace_faces(rot):
     A face is the tuple of vertices its corner walk visits from its least
     corner: corner i is (f[i] -> f[i+1]), read cyclically, so a cut vertex
     appears once per visit.  Entry i of face_at[v] is the face holding the
-    corner (v -> rot[v][i]).  A graph without edges has one face, ()."""
-    pos = [r and {u: i for i, u in enumerate(r)} for r in rot]
+    corner (v -> rot[v][i]).  A graph without edges has one face, ().
+
+    A None row is a removed id.  Raises DuplicateNeighbor, UnknownVertex
+    or AsymmetricAdjacency for the first bad row, or else the first pair
+    (v, u) in vertex order where v lists u but u does not list v."""
+    ids = frozenset(v for v, r in enumerate(rot) if r is not None)
+    pos = [None] * len(rot)
+    for v, r in enumerate(rot):
+        if r is None:
+            continue
+        pos[v] = p = {u: i for i, u in enumerate(r)}
+        if len(p) != len(r):
+            raise DuplicateNeighbor(f"vertex {v} lists a neighbor twice")
+        if v in p:
+            raise DuplicateNeighbor(f"vertex {v} lists itself")
+        if not ids.issuperset(r):
+            raise UnknownVertex(f"vertex {v} lists unknown ids {sorted(set(r) - ids)}")
     face_at = [None if r is None else [None] * len(r) for r in rot]
     faces = []
     for v, r in enumerate(rot):
@@ -159,7 +184,13 @@ def trace_faces(rot):
                 b = rot[a][j]
                 face_at[a][j] = fi
                 walk.append(a)
-                a, j = b, (pos[b][a] + 1) % len(rot[b])
+                k = pos[b].get(a)
+                if k is None:  # name the first such pair, as a scan would
+                    x, y = next((x, y) for x in sorted(ids) for y in rot[x]
+                                if x not in pos[y])
+                    raise AsymmetricAdjacency(
+                        f"{x} lists {y} but {y} does not list {x}")
+                a, j = b, (k + 1) % len(rot[b])
             faces.append(tuple(walk))
     faces = tuple(faces) or ((),)
     return faces, [r and list(map(faces.__getitem__, r)) for r in face_at]
@@ -182,8 +213,9 @@ def dart_face(g, dart):
 
 
 def component(adj, start, removed):
-    """Vertices reachable from start in the graph with neighbor sets adj
-    once the vertices in `removed` are deleted (breadth-first)."""
+    """Vertices reachable from start in the graph whose neighbours of x are
+    adj[x] (a set, or a rotation row) once the vertices in `removed` are
+    deleted (breadth-first)."""
     seen = {start, *removed}
     queue = [start]
     for x in queue:  # the list grows while it is read

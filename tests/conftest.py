@@ -14,8 +14,9 @@ from psc import generators as gen
 from psc import reducer as red
 from psc.budgets import Budget
 from psc.coloring import SquareColoring
-from psc.errors import (Disconnected, NotOnSameFace, WeakHighDegree,
-                        WouldDisconnect)
+from psc.errors import (AsymmetricAdjacency, Disconnected, DuplicateNeighbor,
+                        NonPlanarEmbedding, NotOnSameFace, UnknownVertex,
+                        WeakHighDegree, WouldDisconnect)
 
 
 def glue_pocket(g, u, v):
@@ -418,6 +419,45 @@ def assert_same_graph(a, b):
     assert a.adj == b.adj
     assert a.faces == b.faces
     assert a.face_at == b.face_at
+
+
+def build_oracle(n, rotation):
+    """Oracle for embedding.build's checks: a neighbour set per row, a
+    separate symmetry loop over those sets, and a BFS over them, each done
+    before the faces are traced.  Returns an EmbeddedGraph whose adj holds
+    those sets."""
+    if len(rotation) != n:
+        raise UnknownVertex(f"expected {n} rotation lists, got {len(rotation)}")
+    rot = tuple(None if r is None else tuple(r) for r in rotation)
+    live = [v for v, r in enumerate(rot) if r is not None]
+    if not live:
+        raise UnknownVertex("vertex count must be positive")
+    ids = frozenset(live)
+    adj = [None] * n
+    for v in live:
+        r = rot[v]
+        s = set(r)
+        if len(s) != len(r):
+            raise DuplicateNeighbor(f"vertex {v} lists a neighbor twice")
+        if v in s:
+            raise DuplicateNeighbor(f"vertex {v} lists itself")
+        if not s <= ids:
+            raise UnknownVertex(f"vertex {v} lists unknown ids {sorted(s - ids)}")
+        adj[v] = frozenset(s)
+    for v in live:
+        for u in rot[v]:
+            if v not in adj[u]:
+                raise AsymmetricAdjacency(f"{v} lists {u} but {u} does not list {v}")
+    reached = len(emb.component(adj, live[0], ()))
+    if reached != len(live):
+        raise Disconnected(
+            f"only {reached} of {len(live)} vertices reachable from {live[0]}")
+    vertices = range(n) if len(live) == n else tuple(live)
+    g = emb.EmbeddedGraph(vertices, rot, tuple(adj), *emb.trace_faces(rot))
+    nv, m, f = g.n, g.m, len(g.faces)
+    if nv - m + f != 2:
+        raise NonPlanarEmbedding(f"Euler count n-m+f = {nv}-{m}+{f} = {nv - m + f} != 2")
+    return g
 
 
 def delete_by_build(g, v):

@@ -1,14 +1,21 @@
+import copy
+import functools
+import gc
 import hashlib
+import pickle
 import struct
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import psc
 from conftest import (add_chord_first_visit, add_edge_first_face_scan,
                       assert_mutations_match_build, assert_rows_shared,
-                      assert_same_graph, block_chains, bowtie, bridge, cube,
-                      degree2_cut_vertices, delete_by_build, double_pocket,
-                      face_corners_scan, single_deletions, small_graphs)
+                      assert_same_graph, block_chains, bowtie, bridge,
+                      build_oracle, cube, degree2_cut_vertices,
+                      delete_by_build, double_pocket, face_corners_scan,
+                      single_deletions, small_graphs)
 from psc import embedding as emb
 from psc import generators as gen
 from psc import errors as err
@@ -86,6 +93,170 @@ def test_build_rejects_nonplanar_rotation():
     # K4 with one rotation reversed fails the Euler count
     with pytest.raises(err.NonPlanarEmbedding):
         emb.build(4, [[1, 2, 3], [0, 3, 2], [0, 1, 3], [0, 1, 2]])
+
+
+@pytest.mark.parametrize("rot, error, message", [
+    (((1,), (0, 2), (0,)), err.AsymmetricAdjacency,
+     "1 lists 2 but 2 does not list 1"),
+    (((1, 5), (0,)), err.UnknownVertex, "vertex 0 lists unknown ids [5]"),
+    (((1,), None), err.UnknownVertex, "vertex 0 lists unknown ids [1]"),
+    (((1, 1), (0, 0)), err.DuplicateNeighbor,
+     "vertex 0 lists a neighbor twice"),
+    (((0, 1), (0,)), err.DuplicateNeighbor, "vertex 0 lists itself"),
+], ids=["asymmetric", "unknown", "removed", "duplicate", "self-loop"])
+def test_trace_faces_rejects_what_build_rejects(rot, error, message):
+    # the public trace_faces raises build's error and message, not a
+    # KeyError, IndexError or TypeError, and returns no faces
+    for call in (psc.trace_faces, lambda rot: emb.build(len(rot), rot)):
+        with pytest.raises(error) as info:
+            call(rot)
+        assert str(info.value) == message
+
+
+def corrupt(rot, kind, v, at, pick):
+    """One fault put into rot (lists, None for a removed id) in place, at
+    the live id v: drop, repeat or self-list an entry of its row, list an
+    id that is not live (negative, out of range or removed), remove v and
+    every entry naming it, reverse its row, or add a second component.
+    at and pick choose a position and an entry, modulo what there is."""
+    r = rot[v]
+    at %= len(r) + 1
+    if kind == "drop" and r:
+        del r[at % len(r)]
+    elif kind == "repeat" and r:
+        r.insert(at, r[pick % len(r)])
+    elif kind == "self":
+        r.insert(at, v)
+    elif kind == "unknown":
+        ids = [-1, len(rot), *(x for x, row in enumerate(rot) if row is None)]
+        r.insert(at, ids[pick % len(ids)])
+    elif kind == "remove":
+        for row in rot:
+            if row:
+                row[:] = [y for y in row if y != v]
+        rot[v] = None
+    elif kind == "reverse":
+        r.reverse()
+    elif kind == "split":
+        k = len(rot)
+        rot += [[k + 1, k + 2], [k + 2, k], [k, k + 1]]
+
+
+FAULTS = ("drop", "repeat", "self", "unknown", "remove", "reverse", "split")
+
+
+def assert_build_matches_oracle(rot):
+    """build and build_oracle on rot raise the same class with the same
+    message, or return graphs equal field by field, adj included once it
+    is read; returns the oracle's class or error class."""
+    def outcome(make):
+        try:
+            return make(len(rot), rot)
+        except err.PscError as e:
+            return type(e), str(e)
+
+    want, got = outcome(build_oracle), outcome(emb.build)
+    if isinstance(want, tuple):
+        assert got == want
+        return want[0]
+    assert_same_graph(got, want)
+    return type(want)
+
+
+@functools.cache
+def _small():
+    return small_graphs()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_build_matches_oracle(corpus_large, corpus_small, data):
+    g = data.draw(st.sampled_from(corpus_large + corpus_small + _small()))
+    rot = [None if r is None else list(r) for r in g.rotation]
+    for _ in range(data.draw(st.integers(1, 2))):
+        live = [v for v, r in enumerate(rot) if r is not None]
+        kind = data.draw(st.sampled_from(FAULTS))
+        v, at, pick = data.draw(st.tuples(st.sampled_from(live),
+                                          st.integers(0, 20),
+                                          st.integers(0, 20)))
+        corrupt(rot, kind, v, at, pick)
+    assert_build_matches_oracle(rot)
+
+
+@pytest.mark.parametrize("faults, error", [
+    ([("drop", 0, 1, 0)], err.AsymmetricAdjacency),
+    ([("repeat", 3, 0, 2)], err.DuplicateNeighbor),
+    ([("self", 5, 2, 0)], err.DuplicateNeighbor),
+    ([("unknown", 2, 0, 0)], err.UnknownVertex),
+    ([("unknown", 2, 4, 1)], err.UnknownVertex),
+    ([("remove", 0, 0, 0)], emb.EmbeddedGraph),
+    ([("remove", 0, 0, 0), ("unknown", 7, 1, 2)], err.UnknownVertex),
+    ([("reverse", 4, 0, 0)], err.NonPlanarEmbedding),
+    ([("split", 0, 0, 0)], err.Disconnected),
+    ([("reverse", 4, 0, 0), ("drop", 9, 3, 0)], err.AsymmetricAdjacency),
+], ids=["drop", "repeat", "self", "negative", "out-of-range", "remove",
+        "removed", "reverse", "split", "reverse+drop"])
+def test_build_matches_oracle_on_each_fault(faults, error):
+    rot = [list(r) for r in gen.named_graph("icosahedron").rotation]
+    for fault in faults:
+        corrupt(rot, *fault)
+    assert assert_build_matches_oracle(rot) is error
+
+
+def test_adj_is_made_on_first_read():
+    for g in (gen.gen_stacked_triangulation(30, 7),
+              emb.build(4, [None, [2, 3], [3, 1], [1, 2]])):
+        assert type(g) is not emb.EmbeddedGraph
+        want = tuple(None if r is None else frozenset(r) for r in g.rotation)
+        assert g.adj == want
+        assert type(g) is emb.EmbeddedGraph and g.adj is g.adj
+        with pytest.raises(AttributeError):
+            g.not_a_field  # noqa: B018
+
+
+@pytest.mark.parametrize("copier", [lambda g: pickle.loads(pickle.dumps(g)),
+                                    copy.copy, copy.deepcopy],
+                         ids=["pickle", "copy", "deepcopy"])
+def test_graph_whose_adj_was_never_read_copies(copier):
+    g = gen.gen_stacked_triangulation(30, 7)
+    h = copier(g)
+    assert type(g) is type(h) is emb.EmbeddedGraph
+    assert_same_graph(h, g)
+
+
+def test_mutations_before_adj_is_read():
+    # a deletion and a chord on a built graph whose adj was never read
+    # equal build's graph
+    rot = gen.gen_stacked_triangulation(30, 7).rotation
+    g = emb.build(len(rot), rot)
+    v = max(g.vertices, key=g.degree)
+    h = emb.mutate_delete_vertex(g, v)
+    assert_same_graph(h, delete_by_build(g, v))
+    face = max(h.faces, key=len)
+    u, w = next((a, b) for a in face for b in face
+                if a != b and not h.adjacent(a, b))
+    fresh = emb.build(len(h.rotation), h.rotation)
+    assert type(fresh) is not emb.EmbeddedGraph
+    k = emb.mutate_add_edge(fresh, u, w, emb.face_dart(face))
+    assert_same_graph(k, emb.build(len(k.rotation), k.rotation))
+    assert_same_graph(k, add_chord_first_visit(h, u, w, emb.face_dart(face)))
+    b = bridge()
+    assert_same_graph(emb.add_bypass_chord(b, 0),
+                      emb.add_bypass_chord(build_oracle(7, b.rotation), 0))
+
+
+def test_gen_corpus_holds_no_neighbour_sets():
+    # eight 400-vertex graphs hold their rotations and faces; with a
+    # frozenset per vertex as well they held 2.3 MB
+    gc.collect()
+    tracemalloc.start()
+    try:
+        graphs = gen.gen_corpus(8, (400, 400), 9, 1)
+        gc.collect()
+        current, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(graphs) == 8 and current <= 1.6e6, current
 
 
 def test_faces_k4():
