@@ -11,7 +11,7 @@ import heapq
 import json
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import partial
 from itertools import chain
 from operator import attrgetter
 from typing import Callable, NamedTuple
@@ -76,27 +76,39 @@ def find_edge_separator(g):
     return _scan(_SEPARATORS, g)
 
 
-def _separators_at(g):
+def _separators_at(g, cut=None):
     """The witnesses at an edge (u, v), u < v, of g: its EdgeSeparator if
     G - {u, v} is disconnected, with the component of
-    _smallest_component_without.
+    _smallest_component_without.  cut.get(x) is nonzero exactly at the cut
+    vertices x of g: a WitnessIndex passes the counts it carries, and by
+    default each vertex is tested on first use (_FaceSets.is_cut).
 
-    Only candidate edges get a BFS: those with a cut-vertex end, and those
-    whose ends share a face other than the two on either side of uv (both
-    hold u and v; when they are one face, uv is a bridge and has a
-    cut-vertex end).  Every separating edge is a candidate.  If neither end
-    is a cut vertex, every component of G - {u, v} holds a neighbour of u
-    (else v would be a cut vertex).  Around u the neighbours other than v
-    change component at least twice, at most once across v, so some x, y
-    consecutive around u lie in different components.  The face at the
-    corner x-u-y is not beside uv, and its walk from y back to x avoids u
-    (a face walk visits a non-cut vertex once), so it passes through v."""
+    Only candidate edges get a BFS: those with a cut-vertex end, and the
+    face chords, whose ends lie on one face walk without being consecutive
+    on it.  If neither end is a cut vertex, each face walk visits u and v
+    once at most, so uv is a face chord exactly when they share a face
+    other than the two on either side of uv, whose walks pass along uv;
+    and uv separates exactly when it is a face chord.
+    - If uv separates, every component of G - {u, v} holds a neighbour of
+      u (else v would be a cut vertex).  Around u the neighbours other
+      than v change component at least twice, at most once across v, so
+      some x, y consecutive around u lie in different components.  The
+      face at the corner x-u-y is not beside uv, and its walk from y back
+      to x avoids u (a face walk visits a non-cut vertex once), so it
+      passes through v, and u lies between x and y on it, not next to v.
+    - If the walk of a face F is u P v Q u with P and Q non-empty, a curve
+      through F from u to v closes with the edge uv into a Jordan curve
+      that meets the graph in u, v and uv only.  At u it parts the edge to
+      the last vertex of Q from the edge to the first vertex of P, the two
+      that flank F's corner, so these two lie on opposite sides of it and
+      in different components of G - {u, v}."""
     at, adj = _FaceSets(g), g.adj
+    is_cut = at.is_cut if cut is None else cut.get
 
     def of(e):
         u, v = e
         if adj[u] is not None and v in adj[u] and (
-                at.is_cut(u) or at.is_cut(v) or len(at[u] & at[v]) > 2):
+                is_cut(u) or is_cut(v) or len(at[u] & at[v]) > 2):
             comp = _smallest_component_without(g, u, v)
             if comp is not None:
                 return [ConfigWitness(
@@ -346,7 +358,8 @@ class _Track(NamedTuple):
     if the detector reports every witness, else first(g, e), e's place in
     elements(g), for a detector that reports the least witness at the
     first element that has one; marks(m), the elements whose witnesses the
-    _Mutation m can have changed."""
+    _Mutation m can have changed, where a first-match row may leave out
+    those that can only have lost witnesses (see _Row)."""
     elements: Callable
     at: Callable
     first: Callable
@@ -399,43 +412,57 @@ def _pair(x, y):
     return (x, y) if x < y else (y, x)
 
 
-def _separator_marks(m):
-    """The edges find_edge_separator's row re-tests after m: the edges of
-    a removed id, which are gone, and the edges the rule below names.
+def _chords(adj, f):
+    """The pairs (x, y), x < y, of vertices of the face walk f that adj
+    joins and that are not consecutive at a visit of x; a walk shorter
+    than 4 has none.  A vertex visited once is joined to the two beside
+    it, so only one joined to more of f can have such a pair."""
+    k = len(f)
+    if k < 4:
+        return []
+    on, found = set(f), []
+    for i, near in enumerate(map(on.intersection, map(adj.__getitem__, f))):
+        if len(near) > 2:
+            x = f[i]
+            found += [(x, y) for y in near
+                      if x < y and y != f[i - 1] and y != f[i + 1 - k]]
+    return found
 
-    A deletion or a chord changes whether an edge xy it keeps separates
-    only if x and y both lie on faces it made, or one of them does and is
-    a cut vertex before or after it; only those edges, and a chord itself,
-    are re-tested.  Let S = {x, y}.  A closed walk through vertices of two
-    components of K - S meets S on each of its two arcs between them, so
-    it visits both x and y, or one of them twice; and a face walk visits a
-    vertex twice only at a cut vertex.
-    - A chord ab in a face F cannot disconnect G - S, and it connects G - S
-      only if a and b lie in different components of it.  The walk of F
-      passes through a and b, so it visits x and y, and the faces the chord
-      splits F into hold both, or it visits one of them twice, a cut vertex
-      before the chord.  The chord's ends lie on both halves.
-    - Deleting w, not a cut vertex, leaves G - S - w disconnected when
-      G - S is connected only if w has neighbors p and q in different
-      components of G - S - w.  Both lie on the merged face, so its walk
-      visits x and y, or one of them twice, a cut vertex after the
-      deletion.  It leaves G - S - w connected when G - S is not only if
-      {w} is a component of G - S, so the neighbors of w, which all lie on
-      the merged face, are x and y, or x alone, a cut vertex before it.
-    - If w has degree 1, only the edges at its neighbor are re-tested.
-      Disconnecting G - S needs w to have neighbors in two components of
-      G - S - w, which is impossible at degree 1.  Reconnecting needs {w}
-      to be a component of G - S, so its neighbor lies in S."""
-    old, g, on_new, cut = m.old, m.new, m.on_new, m.cut
-    for x in m.touched:
-        if x not in g:
-            yield from (_pair(x, y) for y in old.adj[x])
-            if len(old.adj[x]) == 1:
-                yield from (_pair(y, z) for y in old.adj[x] for z in g.adj[y])
-                return
-    for x in on_new:
-        every = x in cut
-        yield from (_pair(x, y) for y in g.adj[x] if every or y in on_new)
+
+def _separator_marks(m):
+    """The edges find_edge_separator's row re-tests after m: those that
+    can have come to separate.  After a chord, that is the chord itself,
+    the pair of ids it touched.  After the deletion of a vertex of degree
+    2 or more, they are the face chords (_chords) of the face it made and
+    the edges at each vertex that face visits twice.  After the deletion
+    of a vertex of degree 1, there are none.  An edge that stopped
+    separating, or is gone, keeps its key until it reaches the heap top,
+    where _Row.first drops it.
+
+    Let xy be an edge of the graph after m, S = {x, y}, and K the graph
+    before m.
+    - After a chord ab other than xy, the graph minus S is K - S with at
+      most the edge ab added, so it is connected if K - S is.
+    - A deletion of w leaves K - S - w disconnected when K - S is
+      connected only if w has neighbours p and q in different components
+      of K - S - w, so never at degree 1.  Otherwise p and q lie on the
+      merged face, and each of the two arcs of its walk between them
+      meets S, else that arc would join them in K - S - w.  So the walk
+      visits x or y twice, or it visits each once, on different arcs:
+      then x and y are not consecutive on it, and xy is a face chord of
+      it."""
+    rot, adj = m.new.rotation, m.new.adj
+    removed = [x for x in m.touched if rot[x] is None]
+    if not removed:
+        return [_pair(*m.touched)]
+    if len(m.old.rotation[removed[0]]) == 1:
+        return []
+    out = []
+    for f in m.made:
+        out += _chords(adj, f)
+        for x in _repeated(f):
+            out += [_pair(x, y) for y in adj[x]]
+    return out
 
 
 def _no_args(budget):
@@ -536,21 +563,21 @@ def find_first_witness(g, budget):
 class _Mutation(NamedTuple):
     """One deletion or chord from `old` to `new`, as the rows read it: the
     ids whose rows it changed, the faces through them before and after,
-    the vertices on the faces it made, those with their neighbors plus
-    the touched ids (`near`), and the vertices on the faces it made that
-    are cut vertices before or after it (`cut`)."""
+    the faces it made, the vertices on those, and those with their
+    neighbors plus the touched ids (`near`)."""
     old: emb.EmbeddedGraph
     new: emb.EmbeddedGraph
     touched: tuple
     faces: set
+    made: set
     on_new: set
     near: set
-    cut: set
 
 
 def _repeated(f):
-    """The vertices the walk of face f visits more than once."""
-    if len(set(f)) == len(f):
+    """The vertices the walk of face f visits more than once; a walk
+    shorter than 4 visits none twice, for a simple graph has no loop."""
+    if len(f) < 4 or len(set(f)) == len(f):
         return ()
     return [x for x, k in Counter(f).items() if k > 1]
 
@@ -558,26 +585,26 @@ def _repeated(f):
 class WitnessIndex:
     """find_first_witness(g, budget), kept across the mutations of a
     reduction.  Each catalog row of the budget's regime is a _Row driven
-    by the row's _Track: a mutation marks the elements whose witnesses it
-    can have changed, and the row re-keys them only when first() reaches it,
-    so a row behind the winner costs nothing.
+    by the row's _Track: at every mutation each row marks the elements
+    whose witnesses it can have changed (_Track.marks), and it re-keys
+    them only when first() reaches it, so a row behind the winner lists
+    nothing.
 
-    cut[v], built on first use, counts the faces of g whose walk visits v
-    more than once, so v is a cut vertex exactly when it is nonzero (see
-    _FaceSets.is_cut).  A mutation changes it only for the vertices of the
-    faces it destroys and makes."""
+    cut[v] counts the faces of g whose walk visits v more than once, so v
+    is a cut vertex exactly when it is nonzero (see _FaceSets.is_cut).  A
+    mutation changes it only for the vertices of the faces it destroys and
+    makes.  The separator row reads it in place of testing each vertex."""
 
     def __init__(self, g, budget):
         self.g = g
         self.budget = budget
+        self.cut = Counter(x for f in g.faces for x in _repeated(f))
         self._rows = {
-            detector: (min(kinds.values()), _Row(g, track, args(budget)))
+            detector: (min(kinds.values()), _Row(
+                g, track, (self.cut,) if track is _SEPARATORS
+                else args(budget)))
             for detector, kinds, regimes, args, track in CATALOG
             if budget.regime in regimes}
-
-    @cached_property
-    def cut(self):
-        return Counter(x for f in self.g.faces for x in _repeated(f))
 
     def first(self):
         """The least, by (rank, actors), of the rows' first witnesses on
@@ -595,8 +622,9 @@ class WitnessIndex:
 
     def update(self, g, touched):
         """Move to g, made from self.g by one deletion (mutate_delete_vertex)
-        or one chord inside a face (mutate_add_edge, add_bypass_chord) that
-        changed the rotation rows of `touched` only.
+        or one chord inside a face (mutate_add_edge, add_bypass_chord).
+        `touched` names the ids whose rotation rows it changed: the deleted
+        vertex and its neighbors, or the chord's two ends.
 
         A face of g that is not a face of self.g passes through a touched
         id, for a walk through unchanged rows only is an old walk; so the
@@ -610,15 +638,13 @@ class WitnessIndex:
         made = after - before
         on_new = set().union(*made)
         near = set(touched).union(on_new, *(g.adj[x] for x in on_new))
-        was_cut = {x for x in on_new if cut.get(x)}
         for f in before - after:
             for x in _repeated(f):
                 cut[x] -= 1
         for f in made:
             for x in _repeated(f):
                 cut[x] += 1
-        m = _Mutation(old, g, touched, before | after, on_new, near,
-                      was_cut.union(x for x in on_new if cut.get(x)))
+        m = _Mutation(old, g, touched, before | after, made, on_new, near)
         for _, row in self._rows.values():
             row.mark(m)
         self.g = g
@@ -641,10 +667,12 @@ class _Row:
     exact for an element no mutation has marked: edges and vertices are
     their own places, and a face's place moves only when its least-corner
     vertex is touched, which marks the face.  Marked elements are re-keyed
-    on g before anything is pulled, so the heap top is exact, and a pulled
-    element that is keyed already is not listed again.  The witnesses of
-    the heap top are the list its re-key or pull made in the same call, and
-    are listed anew only for a top that this call did not list."""
+    on g before anything is pulled, and a pulled element that is keyed
+    already is not listed again.  The heap top is listed too, unless its
+    re-key made its list in the same call, and it leaves the heap when it
+    has no witness; so the top is exact.  A place does not move when an
+    element loses its witnesses, so a first-match row's marks can leave
+    such an element out: it is dropped once it reaches the top."""
 
     def __init__(self, g, track, args):
         self.track = track
@@ -678,7 +706,14 @@ class _Row:
                 key[e] = k
                 heapq.heappush(heap, (k, e))
         self.dirty.clear()
-        while heap and key.get(heap[0][1]) != heap[0][0]:
+        while heap:  # drop stale entries and a top without witnesses
+            k, top = heap[0]
+            if key.get(top) == k:
+                if top not in listed:
+                    listed[top] = at(top)
+                if listed[top]:
+                    break
+                del key[top]
             heapq.heappop(heap)
         if place is not None:
             e = next(self.todo, None) if self.pulled is None else self.pulled
@@ -692,10 +727,7 @@ class _Row:
                 else:
                     e = next(self.todo, None)
             self.pulled = e
-        if not heap:
-            return None
-        top = heap[0][1]
-        return _least(listed.get(top) or at(top))
+        return _least(listed[heap[0][1]]) if heap else None
 
 
 # -- independent predicate checkers (used by tests) --------------------------

@@ -177,9 +177,8 @@ def test_rows_match_detectors_under_random_mutations(seed):
 
 
 def test_separator_row_after_pendant_deletion():
-    # 0-1 stops separating although 1 is not on the face the deletion
-    # makes: 0 is the deleted pendant's neighbour, so every edge at 0 is
-    # re-tested
+    # 0-1 stops separating when the pendant 4 goes, and the deletion marks
+    # no edge: the row re-lists its heap top 0-1 and drops it
     g = k4_with_pendant()
     index = cat.WitnessIndex(g, Budget.for_graph(g))
     row = index._rows["find_edge_separator"][1]
@@ -188,6 +187,65 @@ def test_separator_row_after_pendant_deletion():
     assert 1 not in h.face_at[0][h.rotation[0].index(3)]
     index.update(h, (4, 0))
     assert row.first(h) is None is cat.find_edge_separator(h)
+
+
+def chord_beside_cut_vertex():
+    """The square 0-2-1-3 with the diagonal 0-1, the path 2-4-3 around 0
+    and the pendant 5 at 2.  Deleting 4 makes the face 0 2 5 2 1 3, which
+    visits the cut vertex 2 twice and has 0-1 as a chord: 0-1 comes to
+    separate 2 from 3, and it sorts before every edge at 2."""
+    return emb.build(6, [[2, 1, 3], [0, 2, 3], [5, 1, 0, 4], [4, 0, 1],
+                         [2, 3], [2]])
+
+
+def test_separator_row_after_deletion_beside_cut_vertex():
+    # the chords of a made face that visits a cut vertex twice are
+    # re-tested too, not only the edges at that vertex
+    g = chord_beside_cut_vertex()
+    index = cat.WitnessIndex(g, Budget.for_graph(g))
+    row = index._rows["find_edge_separator"][1]
+    assert row.first(g).actors == (0, 2)
+    h = emb.mutate_delete_vertex(g, 4)
+    assert (0, 2, 5, 2, 1, 3) in h.faces
+    index.update(h, (4, 2, 3))
+    assert row.first(h) == cat.find_edge_separator(h)
+    assert row.first(h).actors == (0, 1)
+
+
+def is_face_chord(g, u, v):
+    """Whether u and v, each visited at most once by every face walk, lie
+    on one face walk without being consecutive on it."""
+    return any(u in f and v in f
+               and (f.index(u) - f.index(v)) % len(f) not in (1, len(f) - 1)
+               for f in g.faces)
+
+
+def test_non_cut_edges_separate_exactly_at_face_chords(corpus_large,
+                                                       corpus_small):
+    """An edge uv whose ends are not cut vertices separates exactly when
+    it is a face chord (catalog._separators_at), on the corpora, the block
+    chains, pocket graphs and the graphs random_mutation reaches."""
+    rng = random.Random(0)
+    pocket = glue_pocket(gen.gen_stacked_triangulation(20, 1), 0, 1)
+    graphs = (corpus_large + corpus_small + block_chains()
+              + [pocket, double_pocket(), chord_beside_cut_vertex()])
+    for g in small_graphs() + [cube(), double_pocket(), gen.gen_grid(5, 5)]:
+        while g.n > 1 and (step := random_mutation(g, rng)) is not None:
+            g = step[0]
+            graphs.append(g)
+    edges = separating = 0
+    for g in graphs:
+        at = cat._FaceSets(g)
+        for u, v in cat._edges(g):
+            if at.is_cut(u) or at.is_cut(v):
+                continue
+            rest = [x for x in g.vertices if x != u and x != v]
+            splits = bool(rest) and len(
+                emb.component(g.adj, rest[0], (u, v))) < len(rest)
+            assert splits == is_face_chord(g, u, v), ((u, v), emb.to_pg(g))
+            edges += 1
+            separating += splits
+    assert separating > 1000 and edges > 2 * separating, (edges, separating)
 
 
 def test_key_evaluations_per_step_do_not_grow_with_n():
