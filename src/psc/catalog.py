@@ -53,15 +53,18 @@ def _sort_key(w):
 # read its degree as 0.
 
 class _FaceSets(dict):
-    """Vertex -> the set of faces on whose boundary it lies, computed on
-    first use."""
+    """Vertex -> the set of the faces on whose boundary it lies, computed
+    on first use.  A face is held by its id(): one tuple object serves
+    every corner of a face (emb.trace_faces, emb._derived), and hashing
+    the ids costs O(1) per corner where hashing the walks costs their
+    length."""
 
     def __init__(self, g):
         super().__init__()
         self.g = g
 
     def __missing__(self, v):
-        s = self[v] = set(self.g.face_at[v])
+        s = self[v] = set(map(id, self.g.face_at[v]))
         return s
 
     def is_cut(self, v):
@@ -138,9 +141,8 @@ def _two_small_at(g, cap):
     """The witnesses at a face f of g: its FaceTwoSmall if f has length 4
     or more and carries non-adjacent vertices of degree below cap, for the
     first such pair in walk order, smaller id first, with the chord
-    recipe.  A face changes, or the degrees or adjacencies of its vertices
-    do, only if it passes through a touched id, so the row re-keys the
-    faces through touched ids before and after a mutation."""
+    recipe.  _face_marks proves which faces the row re-keys after a
+    mutation."""
     rot, adj = g.rotation, g.adj
 
     def of(f):
@@ -465,6 +467,33 @@ def _separator_marks(m):
     return out
 
 
+def _face_marks(m):
+    """The faces find_face_two_small's row re-keys after m: those that can
+    have gained a witness or moved their place (emb.least_corner), less
+    those shorter than 4, which never have one.  After the deletion of w
+    they are the faces at w's neighbours, the merged face among them;
+    after a chord, its two halves and the faces whose least corner is at
+    a chord end.  A face that lost its witness, or is gone, keeps its key
+    until it reaches the heap top, where _Row.first drops it.
+
+    A face of the graph after m that m did not make is a face before m
+    with the same walk.  Its place moves only if the rotation of its least
+    corner's vertex changed, and that vertex is touched.  Its witness
+    reads the degrees of its vertices and which of them are adjacent.
+    - A chord ab only raises the degrees of a and b and joins them, so
+      such a face keeps or loses its witness, and only its pair changes.
+    - A deletion of w lowers only the degrees of w's neighbours and parts
+      only pairs at w, which such a face does not visit, so it can gain a
+      witness only if it passes through a neighbour of w."""
+    rot, at = m.new.rotation, m.new.face_at
+    kept = [x for x in m.touched if rot[x] is not None]
+    if len(kept) < len(m.touched):  # a deletion: kept are w's neighbours
+        faces = [f for x in kept for f in at[x]]
+    else:
+        faces = [*m.made, *(f for x in kept for f in at[x] if f[0] == x)]
+    return [f for f in faces if len(f) > 3]
+
+
 def _no_args(budget):
     return ()
 
@@ -474,7 +503,7 @@ def _no_args(budget):
 _LOW_DEGREE = _per_vertex(_low_degree, "touched")
 _SEPARATORS = _Track(_edges, _separators_at, _itself, _separator_marks)
 _FACES = _Track(attrgetter("faces"), _two_small_at, emb.least_corner,
-                attrgetter("faces"))
+                _face_marks)
 _SMALL_VERTEX = _per_vertex(_small_vertex, "near")
 _WEAK = _per_vertex(_weak, "near")
 _DELETABLE = _per_vertex(_deletable, "near")._replace(first=_itself)
@@ -562,14 +591,12 @@ def find_first_witness(g, budget):
 
 class _Mutation(NamedTuple):
     """One deletion or chord from `old` to `new`, as the rows read it: the
-    ids whose rows it changed, the faces through them before and after,
-    the faces it made, the vertices on those, and those with their
-    neighbors plus the touched ids (`near`)."""
+    ids whose rows it changed, the faces it made, the vertices on those,
+    and those with their neighbors plus the touched ids (`near`)."""
     old: emb.EmbeddedGraph
     new: emb.EmbeddedGraph
     touched: tuple
-    faces: set
-    made: set
+    made: list
     on_new: set
     near: set
 
@@ -620,31 +647,26 @@ class WitnessIndex:
                 best = w
         return best
 
-    def update(self, g, touched):
-        """Move to g, made from self.g by one deletion (mutate_delete_vertex)
-        or one chord inside a face (mutate_add_edge, add_bypass_chord).
-        `touched` names the ids whose rotation rows it changed: the deleted
-        vertex and its neighbors, or the chord's two ends.
-
-        A face of g that is not a face of self.g passes through a touched
-        id, for a walk through unchanged rows only is an old walk; so the
-        faces the mutation made or destroyed are among those through
-        touched ids.  A destroyed face's vertices other than a removed id
-        all lie on a face made in its place: the merged face of a
-        deletion, or the two halves of a chord's face."""
-        old, cut = self.g, self.cut
-        before = {f for x in touched for f in old.face_at[x]}
-        after = {f for x in touched if x in g for f in g.face_at[x]}
-        made = after - before
+    def update(self, g, touched, made, destroyed):
+        """Move to g, made from self.g by one deletion or one chord inside
+        a face, as the helpers of emb.mutate_delete_vertex, mutate_add_edge,
+        add_bypass_chord and add_edge_any_face return it: `touched` names
+        the ids whose rotation rows it changed, the deleted vertex and its
+        neighbors or the chord's two ends, `made` the faces of g that
+        self.g lacks, and `destroyed` those of self.g that g lacks.  A
+        destroyed face's vertices other than a removed id all lie on a
+        face made in its place: the merged face of a deletion, or the two
+        halves of a chord's face."""
+        cut = self.cut
         on_new = set().union(*made)
         near = set(touched).union(on_new, *(g.adj[x] for x in on_new))
-        for f in before - after:
+        for f in destroyed:
             for x in _repeated(f):
                 cut[x] -= 1
         for f in made:
             for x in _repeated(f):
                 cut[x] += 1
-        m = _Mutation(old, g, touched, before | after, made, on_new, near)
+        m = _Mutation(self.g, g, touched, made, on_new, near)
         for _, row in self._rows.values():
             row.mark(m)
         self.g = g
@@ -666,13 +688,16 @@ class _Row:
     detector does.  A pulled element's place is taken on `start`, which is
     exact for an element no mutation has marked: edges and vertices are
     their own places, and a face's place moves only when its least-corner
-    vertex is touched, which marks the face.  Marked elements are re-keyed
-    on g before anything is pulled, and a pulled element that is keyed
-    already is not listed again.  The heap top is listed too, unless its
-    re-key made its list in the same call, and it leaves the heap when it
-    has no witness; so the top is exact.  A place does not move when an
-    element loses its witnesses, so a first-match row's marks can leave
-    such an element out: it is dropped once it reaches the top."""
+    vertex is touched, which marks the face unless it is too short to
+    have a witness.  Marked elements are re-keyed on g before anything is
+    pulled, and a pulled element that is keyed already is not listed
+    again.  The heap top is listed too, unless its re-key made its list in
+    the same call, and it leaves the heap when it has no witness; so the
+    top is exact.  A place does not move when an element loses its
+    witnesses, so a first-match row's marks can leave such an element
+    out: it is dropped once it reaches the top.  A row with nothing
+    marked, keyed or left in `todo` (None once read to its end) has no
+    witness, and first() returns at once."""
 
     def __init__(self, g, track, args):
         self.track = track
@@ -691,10 +716,13 @@ class _Row:
         """The least, by (rank, actors), of the witnesses the row's
         detector reports on g."""
         place, key, heap = self.track.first, self.key, self.heap
+        if not (self.dirty or heap or self.todo):
+            return None
         at = self.track.at(g, *self.args)
         listed = {}  # element -> its witnesses, for those listed here
-        if place is None:
+        if place is None and self.todo:
             self.dirty.update(self.todo)
+            self.todo = None
         for e in self.dirty:
             found = at(e)
             if not found:
@@ -715,7 +743,7 @@ class _Row:
                     break
                 del key[top]
             heapq.heappop(heap)
-        if place is not None:
+        if place is not None and self.todo:
             e = next(self.todo, None) if self.pulled is None else self.pulled
             while e is not None and not (
                     heap and heap[0][0] < place(self.start, e)):
@@ -723,9 +751,12 @@ class _Row:
                     listed[e] = found
                     key[e] = k = place(self.start, e)
                     heapq.heappush(heap, (k, e))
-                    e = None
-                else:
-                    e = next(self.todo, None)
+                    e = None  # stopped after keying e, not at the end
+                    break
+                e = next(self.todo, None)
+            else:
+                if e is None:
+                    self.todo = None
             self.pulled = e
         return _least(listed[heap[0][1]]) if heap else None
 

@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 check failure, 2 usage/input error.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import dataclasses
 import functools
 import json
@@ -224,6 +223,8 @@ def _corpus_member(task):
 
 
 def cmd_corpus(args):
+    import concurrent.futures  # here, its one use: it imports logging too
+
     if args.n < 1:
         raise PscError("--n must be at least 1")
     delta_max = 6 if args.delta <= 6 else None

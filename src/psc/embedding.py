@@ -288,7 +288,8 @@ def _walk_face(rot, a, j):
 
 
 def _derived(vertices, rot, adj, rows, starts):
-    """The graph a mutation derives from its parent without a rebuild.
+    """The graph a mutation derives from its parent without a rebuild, and
+    the faces it walked.
 
     rows are the parent's face_at rows at the child's rotation positions
     (None for a removed id); an entry for a new corner may hold anything.
@@ -296,23 +297,33 @@ def _derived(vertices, rot, adj, rows, starts):
     written into a copy of every row it reaches.  They hold every corner
     of the faces the mutation destroyed, and a row they do not reach stays
     the parent's list, so the result equals build(len(rot), rot) field by
-    field."""
-    copied = set()
+    field, with one tuple object for every corner of a face."""
+    copied, made = set(), []
     for a, j in starts:
         corners = _walk_face(rot, a, j)
         f = tuple(x for x, _ in corners)
+        made.append(f)
         for x, i in corners:
             if x not in copied:
                 copied.add(x)
                 rows[x] = rows[x].copy()
             rows[x][i] = f
-    return EmbeddedGraph(vertices, rot, adj, None, rows)
+    return EmbeddedGraph(vertices, rot, adj, None, rows), made
 
+
+# Each mutation below is a public function that returns the new graph,
+# and a helper that returns (graph, made, destroyed): the faces of the new
+# graph that the old one lacks, from the walk that made them, and the faces
+# of the old graph that the new one lacks.  A WitnessIndex reads the delta.
 
 def mutate_add_edge(g, u, v, dart):
     """Add the chord uv inside the face named by `dart` (see face_dart);
     returns the new graph.  Each end x takes the other just before y,
     where (x -> y) is the first corner at x in the face's walk."""
+    return _add_edge(g, u, v, dart)[0]
+
+
+def _add_edge(g, u, v, dart):
     g._check_vertex(u)
     g._check_vertex(v)
     if u == v or g.adjacent(u, v):
@@ -330,6 +341,10 @@ def add_bypass_chord(g, v):
     the one face that visits v twice.  Deleting v then leaves G - v plus
     uw, the graph that contracting uv gives; raises NotOnSameFace when v
     is not a degree-2 cut vertex."""
+    return _bypass_chord(g, v)[0]
+
+
+def _bypass_chord(g, v):
     g._check_vertex(v)
     r, at = g.rotation[v], g.face_at[v]
     if len(r) != 2 or at[0] != at[1]:
@@ -338,10 +353,11 @@ def add_bypass_chord(g, v):
 
 
 def _insert_chord(g, u, v, yu, yv):
-    """g plus the chord uv, which u takes just before yu and v just before
-    yv in their rotations; the corners (u -> yu) and (v -> yv) lie on one
-    face.  The two faces the chord splits it into are the only ones
-    walked; every other face keeps its corners."""
+    """(g plus the chord uv, the two faces it splits its face into, that
+    face as a 1-tuple); u takes v just before yu and v takes u just before
+    yv in their rotations, and the corners (u -> yu) and (v -> yv) lie on
+    the split face.  Only the two new faces are walked; every other face
+    keeps its corners."""
     rot, rows, starts = list(g.rotation), list(g.face_at), []
     for x, other, y in ((u, v, yu), (v, u, yv)):
         j = rot[x].index(y)
@@ -350,7 +366,9 @@ def _insert_chord(g, u, v, yu, yv):
         starts.append((x, j))
     adj = list(g.adj)
     adj[u], adj[v] = adj[u] | {v}, adj[v] | {u}
-    return _derived(g.vertices, tuple(rot), tuple(adj), rows, starts)
+    split = g.face_at[u][starts[0][1]]  # at the corner (u -> yu) of g
+    return (*_derived(g.vertices, tuple(rot), tuple(adj), rows, starts),
+            (split,))
 
 
 def mutate_delete_vertex(g, v):
@@ -360,10 +378,17 @@ def mutate_delete_vertex(g, v):
     into one face, the only one walked; every other face keeps its
     corners.  v is a cut vertex, and deleting it raises WouldDisconnect,
     exactly when a face visits it twice."""
+    return _delete_vertex(g, v)[0]
+
+
+def _delete_vertex(g, v):
+    """(G - v, [the merged face], the set of faces around v); K2 - v makes
+    no face."""
     g._check_vertex(v)
     if g.n == 1:
         raise UnknownVertex(f"deleting {v} leaves no vertex")
-    if len(set(g.face_at[v])) < len(g.face_at[v]):
+    around = set(g.face_at[v])
+    if len(around) < len(g.face_at[v]):
         raise WouldDisconnect(f"removing {v} disconnects the graph")
     old = g.rotation
     rot, adj, rows = list(old), list(g.adj), list(g.face_at)
@@ -380,8 +405,8 @@ def mutate_delete_vertex(g, v):
     starts = [(x, j % len(rot[x]))] if rot[x] else []  # none for K2 - v
     live = g.vertices  # increasing, a range or a tuple
     i = bisect_left(live, v)
-    return _derived((*live[:i], *live[i + 1:]), tuple(rot), tuple(adj), rows,
-                    starts)
+    return (*_derived((*live[:i], *live[i + 1:]), tuple(rot), tuple(adj),
+                      rows, starts), around)
 
 
 def induced_subgraph(g, vertices):
@@ -405,13 +430,17 @@ def least_corner(g, f):
 def add_edge_any_face(g, u, v):
     """Add uv inside the first face, by least corner, containing both
     endpoints."""
+    return _add_edge_any_face(g, u, v)[0]
+
+
+def _add_edge_any_face(g, u, v):
     g._check_vertex(u)
     g._check_vertex(v)
     shared = set(g.face_at[u]).intersection(g.face_at[v])
     if not shared:
         raise NotOnSameFace(f"{u} and {v} share no face")
     f = min(shared, key=lambda f: least_corner(g, f))
-    return mutate_add_edge(g, u, v, face_dart(f))
+    return _add_edge(g, u, v, face_dart(f))
 
 
 # -- text format -------------------------------------------------------------

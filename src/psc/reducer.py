@@ -77,9 +77,10 @@ class _Reduction:
             self._index = cat.WitnessIndex(self.g, self.budget)
         return self._index.first()
 
-    def advance(self, g, touched):
+    def advance(self, g, touched, made, destroyed):
         """Move to g, made from the current graph by one mutation that
-        changed the rows of `touched` only."""
+        changed the rows of `touched` only, made the faces `made` and
+        destroyed the faces `destroyed`."""
         digest = self.digest
         for x in touched:
             digest -= self.hashes.pop(x)
@@ -88,7 +89,7 @@ class _Reduction:
                 digest += h
         self.digest = digest % 2**64
         if self._index is not None:
-            self._index.update(g, touched)
+            self._index.update(g, touched, made, destroyed)
         self.g = g
 
 
@@ -161,8 +162,9 @@ def _reduce(g, budget, base_limit, records, tasks, colorings):
             return
         if op == "add_edge":
             touched = (w.recipe["u"], w.recipe["v"])
-            run.advance(emb.mutate_add_edge(current, *touched,
-                                            w.recipe["face"]), touched)
+            nxt, made, destroyed = emb._add_edge(current, *touched,
+                                                 w.recipe["face"])
+            run.advance(nxt, touched, made, destroyed)
         else:
             v = w.recipe["v"]
             touched = (v, *current.adj[v])
@@ -170,8 +172,8 @@ def _reduce(g, budget, base_limit, records, tasks, colorings):
             # the extension reads only v's ball, so the graph is not kept
             tasks.append(functools.partial(
                 _extend, v, emb.dist2_neighborhood(current, v), budget, step))
-            for nxt, changed in _deletion(current, v, edges):
-                run.advance(nxt, changed)
+            for mutation in _deletion(current, v, edges):
+                run.advance(*mutation)
         if any(len(run.g.rotation[x]) > budget.delta_context
                for x in touched if x in run.g):
             raise ExtensionStuck("reduction raised the maximum degree past "
@@ -182,7 +184,8 @@ def _reduce(g, budget, base_limit, records, tasks, colorings):
 
 def _deletion(g, v, edges):
     """G - v plus the recipe's edges, one mutation at a time: yields each
-    graph with the ids whose rows it changed.
+    graph with the ids whose rows it changed and the faces it made and
+    destroyed.
 
     Deleting a cut vertex v alone would disconnect the graph.  The only
     first witness that deletes one is of kind Deg2 (rank 1): a degree-1
@@ -193,18 +196,18 @@ def _deletion(g, v, edges):
     neighbors, its recipe's edge; any other cut vertex raises
     WouldDisconnect."""
     try:
-        out = emb.mutate_delete_vertex(g, v)
+        out, made, destroyed = emb._delete_vertex(g, v)
     except emb.WouldDisconnect:
         if len(g.rotation[v]) != 2:
             raise
-        out = emb.add_bypass_chord(g, v)
-        yield out, g.rotation[v]
-        out = emb.mutate_delete_vertex(out, v)
-    yield out, (v, *g.adj[v])
+        out, made, destroyed = emb._bypass_chord(g, v)
+        yield out, g.rotation[v], made, destroyed
+        out, made, destroyed = emb._delete_vertex(out, v)
+    yield out, (v, *g.adj[v]), made, destroyed
     for a, b in edges:
         if not out.adjacent(a, b):
-            out = emb.add_edge_any_face(out, a, b)
-            yield out, (a, b)
+            out, made, destroyed = emb._add_edge_any_face(out, a, b)
+            yield out, (a, b), made, destroyed
 
 
 def _extend(v, ball, budget, step, colorings):

@@ -479,6 +479,26 @@ def assert_rows_shared(g, h):
             assert h.face_at[x] is g.face_at[x], x
 
 
+def face_delta_scan(old, new, touched):
+    """Oracle for the (made, destroyed) of the mutation helpers: the faces
+    through the touched ids after the mutation and not before, and those
+    before and not after.  A walk through unchanged rows only is an old
+    walk, so every face one graph has and the other lacks passes through
+    a touched id."""
+    before = {f for x in touched for f in old.face_at[x]}
+    after = {f for x in touched if x in new for f in new.face_at[x]}
+    return after - before, before - after
+
+
+def assert_one_tuple_per_face(g):
+    """Every corner of a face holds the one tuple object that g.faces
+    holds for it, so the object's id() names the face (catalog._FaceSets)."""
+    held = {f: f for f in g.faces}
+    for x in g.vertices:
+        for f in g.face_at[x]:
+            assert held[f] is f, (x, f)
+
+
 def assert_mutations_match_build(g):
     """Every single deletion and every chord of g equals its build oracle
     field by field and leaves the rows it does not reach alone, and a
@@ -645,7 +665,7 @@ def replay_trace(g, records):
         elif rec["op"] == "add_edge":
             g = emb.mutate_add_edge(g, rec["u"], rec["v"], rec["face"])
         else:
-            *_, (g, _) = red._deletion(g, rec["v"], rec.get("edges", []))
+            *_, (g, *_) = red._deletion(g, rec["v"], rec.get("edges", []))
     raise AssertionError("trace without a terminal record")
 
 

@@ -447,3 +447,14 @@ def test_main_in_a_row_matches_fresh_processes(tri, capsys):
             code = run(argv)
             out, err = capsys.readouterr()
             assert (code, out, err) == (p.returncode, p.stdout, p.stderr), argv
+
+
+def test_import_leaves_process_pool_out():
+    # only `psc corpus` runs a process pool, so only it imports one
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(psc.__file__)))
+    code = ("import sys, psc.cli; "
+            "assert 'concurrent.futures' not in sys.modules, 'imported'")
+    p = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True, env=env)
+    assert p.returncode == 0, p.stderr

@@ -5,17 +5,19 @@ import hashlib
 import pickle
 import struct
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import psc
 from conftest import (add_chord_first_visit, add_edge_first_face_scan,
-                      assert_mutations_match_build, assert_rows_shared,
-                      assert_same_graph, block_chains, bowtie, bridge,
-                      build_oracle, cube, degree2_cut_vertices,
-                      delete_by_build, double_pocket, face_corners_scan,
-                      single_deletions, small_graphs)
+                      assert_mutations_match_build, assert_one_tuple_per_face,
+                      assert_rows_shared, assert_same_graph, block_chains,
+                      bowtie, bridge, build_oracle, cube,
+                      degree2_cut_vertices, delete_by_build, double_pocket,
+                      face_corners_scan, face_delta_scan, single_deletions,
+                      small_graphs)
 from psc import embedding as emb
 from psc import generators as gen
 from psc import errors as err
@@ -593,6 +595,62 @@ def test_mutations_match_build():
                  emb.build(2, [[1], [0]])]):
         count += assert_mutations_match_build(g)
     assert count >= 10_000
+
+
+def helper_mutations(graphs):
+    """(kind, the graph mutated, the ids touched, the helper's (graph,
+    made, destroyed)) for every connected deletion of the graphs, every
+    bypass chord of a degree-2 cut vertex, and on each face the chord of
+    its first non-adjacent pair by _add_edge and of its last by
+    _add_edge_any_face."""
+    for g in graphs:
+        for v in g.vertices:
+            try:
+                yield "delete", g, (v, *g.adj[v]), emb._delete_vertex(g, v)
+            except err.WouldDisconnect:
+                if len(g.rotation[v]) == 2:
+                    yield "bypass", g, g.rotation[v], emb._bypass_chord(g, v)
+        for f in g.faces:
+            pairs = [(u, v) for i, u in enumerate(f) for v in f[i + 1:]
+                     if u != v and v not in g.adj[u]]
+            if pairs:
+                u, v = pairs[0]
+                yield "chord", g, (u, v), emb._add_edge(g, u, v,
+                                                        emb.face_dart(f))
+                u, v = pairs[-1]
+                yield "any face", g, (u, v), emb._add_edge_any_face(g, u, v)
+
+
+def delta_graphs(corpus_large, corpus_small):
+    k2 = emb.build(2, [[1], [0]])
+    return (corpus_large + corpus_small + block_chains()
+            + single_deletions(small_graphs()) + [k2, bowtie(), bridge()])
+
+
+def test_mutation_helpers_return_their_face_delta(corpus_large,
+                                                  corpus_small):
+    """Each mutation helper's made and destroyed faces are those of the
+    scan through the touched ids, each once, on the corpora, the block
+    chains, the small graphs less a vertex and K2 - v."""
+    kinds = Counter()
+    for kind, g, touched, (h, made, destroyed) in helper_mutations(
+            delta_graphs(corpus_large, corpus_small)):
+        want_made, want_destroyed = face_delta_scan(g, h, touched)
+        assert sorted(made) == sorted(want_made), (kind, touched)
+        assert sorted(destroyed) == sorted(want_destroyed), (kind, touched)
+        kinds[kind] += 1
+        kinds["K2 - v"] += g.n == 2
+    assert min(kinds.values()) >= 2 and kinds["bypass"] >= 50, kinds
+    assert kinds["delete"] > 10_000 and kinds["any face"] > 5000, kinds
+
+
+def test_every_corner_of_a_face_holds_one_tuple(corpus_large, corpus_small):
+    # built graphs, and the graphs each mutation derives from them
+    graphs = delta_graphs(corpus_large, corpus_small)
+    for g in graphs:
+        assert_one_tuple_per_face(g)
+    for _, _, _, (h, _, _) in helper_mutations(graphs):
+        assert_one_tuple_per_face(h)
 
 
 def test_forced_intermediates_match_build(forced_intermediates):

@@ -40,7 +40,7 @@ def checked_run(g, base_limit):
     real_first = cat.WitnessIndex.first
     real_index = cat.WitnessIndex.__init__
     real_part = red._Reduction.__init__
-    real_bypass = emb.add_bypass_chord
+    real_bypass = emb._bypass_chord
 
     def first(index):
         w = real_first(index)
@@ -61,7 +61,7 @@ def checked_run(g, base_limit):
                               counted("index", real_index)), \
             mock.patch.object(red._Reduction, "__init__",
                               counted("parts", real_part)), \
-            mock.patch.object(emb, "add_bypass_chord",
+            mock.patch.object(emb, "_bypass_chord",
                               counted("bypass", real_bypass)):
         red.color_within_budget(g, base_limit=base_limit)
     assert counts["index"] <= counts["parts"]
@@ -127,18 +127,21 @@ def row_outcome(first):
 
 def random_mutation(g, rng):
     """A random chord of a face, or a random deletion that keeps the graph
-    connected: (the new graph, the touched ids), or None."""
+    connected: (the new graph, the touched ids, the faces made, the faces
+    destroyed), or None."""
     faces = [(emb.face_dart(f), sorted(set(f))) for f in g.faces]
     chords = [(dart, u, v) for dart, on in faces for u in on for v in on
               if u < v and v not in g.adj[u]]
     if chords and rng.random() < 0.5:
         dart, u, v = rng.choice(chords)
-        return emb.mutate_add_edge(g, u, v, dart), (u, v)
+        h, made, destroyed = emb._add_edge(g, u, v, dart)
+        return h, (u, v), made, destroyed
     for v in rng.sample(list(g.vertices), g.n):
         try:
-            return emb.mutate_delete_vertex(g, v), (v, *g.adj[v])
+            h, made, destroyed = emb._delete_vertex(g, v)
         except WouldDisconnect:
-            pass
+            continue
+        return h, (v, *g.adj[v]), made, destroyed
     return None
 
 
@@ -170,8 +173,8 @@ def test_rows_match_detectors_under_random_mutations(seed):
             step = random_mutation(g, rng)
             if step is None:
                 break
-            g, touched = step
-            index.update(g, touched)
+            g = step[0]
+            index.update(*step)
             assert_cut_flags(index)
     assert checked > 1000
 
@@ -183,9 +186,9 @@ def test_separator_row_after_pendant_deletion():
     index = cat.WitnessIndex(g, Budget.for_graph(g))
     row = index._rows["find_edge_separator"][1]
     assert row.first(g).actors == (0, 1)
-    h = emb.mutate_delete_vertex(g, 4)
+    h, made, destroyed = emb._delete_vertex(g, 4)
     assert 1 not in h.face_at[0][h.rotation[0].index(3)]
-    index.update(h, (4, 0))
+    index.update(h, (4, 0), made, destroyed)
     assert row.first(h) is None is cat.find_edge_separator(h)
 
 
@@ -205,9 +208,9 @@ def test_separator_row_after_deletion_beside_cut_vertex():
     index = cat.WitnessIndex(g, Budget.for_graph(g))
     row = index._rows["find_edge_separator"][1]
     assert row.first(g).actors == (0, 2)
-    h = emb.mutate_delete_vertex(g, 4)
+    h, made, destroyed = emb._delete_vertex(g, 4)
     assert (0, 2, 5, 2, 1, 3) in h.faces
-    index.update(h, (4, 2, 3))
+    index.update(h, (4, 2, 3), made, destroyed)
     assert row.first(h) == cat.find_edge_separator(h)
     assert row.first(h).actors == (0, 1)
 
@@ -377,3 +380,33 @@ def test_forced_k4_chain_tests_few_separators(k):
         red.color_within_budget(k4_chain(k), base_limit=12)
     assert calls <= 6 * k
     assert k != 200 or calls <= 592
+
+
+def test_face_marks_cover_every_gain_and_moved_place(corpus_large,
+                                                     corpus_small):
+    """Every mutation of forced runs on the corpora and a 12x12 grid marks,
+    in the face row, every face of the new graph that gains a FaceTwoSmall
+    witness or, at length 4 or more, moves its least corner (a shorter
+    face never has a witness)."""
+    real = cat._Row.mark
+    checked = Counter()
+
+    def mark(row, m):
+        if row.track is cat._FACES:
+            marked = set(cat._face_marks(m))
+            had, has = (cat._two_small_at(h, *row.args) for h in (m.old, m.new))
+            for f in m.new.faces:
+                gained = bool(has(f)) and not had(f)
+                moved = (len(f) > 3 and emb.dart_face(m.old, f[:2]) == f
+                         and (emb.least_corner(m.old, f)
+                              != emb.least_corner(m.new, f)))
+                assert f in marked or not (gained or moved), (
+                    f, m.touched, emb.to_pg(m.old))
+                checked["gained"] += gained
+                checked["moved"] += moved
+        return real(row, m)
+
+    with mock.patch.object(cat._Row, "mark", mark):
+        for g in corpus_large + corpus_small + [gen.gen_grid(12, 12)]:
+            red.color_within_budget(g, base_limit=12)
+    assert checked["gained"] > 500 and checked["moved"] > 500, checked
