@@ -11,9 +11,11 @@ is renumbered; a removed id keeps a None row in `rotation`, `adj`, `face_at`.
 from __future__ import annotations
 
 import struct
+from array import array
 from bisect import bisect_left
 from collections.abc import Mapping
 from hashlib import blake2b
+from itertools import accumulate, chain
 
 from .errors import (
     AlreadyAdjacent,
@@ -32,20 +34,23 @@ class EmbeddedGraph:
     """Immutable simple connected planar graph with a fixed embedding: live
     ids `vertices` (increasing) and their count `n`, the rotation, neighbor
     sets `adj`, and the `faces` and `face_at` of `trace_faces`.  `build`
-    makes one whose `adj` is made on first read (_LazyAdj); deletions and
-    chords derive one equal to what it makes, whose `faces` are read off
-    `face_at` on first use."""
+    makes one whose `adj` and `face_at` are made on first read (_LazyRows),
+    `face_at` from the flat per-corner face index `_fa` that its walk
+    leaves; deletions and chords derive one equal to what it makes, whose
+    `faces` are read off `face_at` on first use."""
 
-    __slots__ = ("vertices", "n", "rotation", "adj", "_faces", "face_at")
+    __slots__ = ("vertices", "n", "rotation", "adj", "_faces", "face_at",
+                 "_fa")
 
     def __init__(self, vertices, rotation, adj, faces, face_at):
         self.vertices = vertices
         self.n = len(vertices)
         self.rotation = rotation
-        if adj is not None:  # else left unset for _LazyAdj to make
+        if adj is not None:  # else left unset for _LazyRows to make
             self.adj = adj
         self._faces = faces
-        self.face_at = face_at
+        if face_at is not None:  # likewise
+            self.face_at = face_at
 
     # -- accessors -----------------------------------------------------------
 
@@ -96,26 +101,39 @@ class EmbeddedGraph:
         return f"EmbeddedGraph(n={self.n}, m={self.m})"
 
 
-class _LazyAdj(EmbeddedGraph):
-    """What `build` returns: an EmbeddedGraph whose `adj` slot is unset
-    until it is first read, when it is made from the rotation and the
-    graph becomes a plain EmbeddedGraph.  Only a missing attribute reaches
+class _LazyRows(EmbeddedGraph):
+    """What `build` returns: an EmbeddedGraph whose `adj` and `face_at`
+    slots are unset until each is first read.  `adj` is then made from
+    the rotation, and `face_at` from `faces` and `_fa`, the face index of
+    every corner in rotation order, which is dropped.  The graph becomes a
+    plain EmbeddedGraph once both are made: a class can be assigned only
+    between equal slot layouts.  Only a missing attribute reaches
     __getattr__, so reads of set slots cost what they cost on the base."""
 
     __slots__ = ()
 
     def __getattr__(self, name):
-        if name != "adj":
+        if name == "adj":
+            value = self.adj = tuple(None if r is None else frozenset(r)
+                                     for r in self.rotation)
+            other = "face_at"
+        elif name == "face_at":
+            value = self.face_at = _face_rows(self.rotation, self._faces,
+                                              self._fa)
+            self._fa, other = None, "adj"
+        else:
             raise AttributeError(name)
-        self.adj = tuple(None if r is None else frozenset(r)
-                         for r in self.rotation)
+        try:  # object's own lookup never calls __getattr__
+            object.__getattribute__(self, other)
+        except AttributeError:
+            return value
         self.__class__ = EmbeddedGraph
-        return self.adj
+        return value
 
     def __reduce_ex__(self, protocol):
         """Pickle or copy the graph as a plain EmbeddedGraph: pickle reads
-        the class before the slots, and reading adj changes the class."""
-        self.__getattr__("adj")
+        the class before the slots, and making the rows changes it."""
+        _ = self.adj, self.face_at
         return object.__reduce_ex__(self, protocol)
 
 
@@ -133,13 +151,14 @@ def build(n, rotation):
     live = [v for v, r in enumerate(rot) if r is not None]
     if not live:
         raise UnknownVertex("vertex count must be positive")
-    faces, face_at = trace_faces(rot)
+    faces, fa = _trace(rot)
     reached = len(component(rot, live[0], ()))
     if reached != len(live):
         raise Disconnected(
             f"only {reached} of {len(live)} vertices reachable from {live[0]}")
     vertices = range(n) if len(live) == n else tuple(live)
-    g = _LazyAdj(vertices, rot, None, faces, face_at)
+    g = _LazyRows(vertices, rot, None, faces, None)
+    g._fa = fa
     nv, m, f = g.n, g.m, len(g.faces)
     if nv - m + f != 2:
         raise NonPlanarEmbedding(f"Euler count n-m+f = {nv}-{m}+{f} = {nv - m + f} != 2")
@@ -153,47 +172,73 @@ def trace_faces(rot):
 
     A face is the tuple of vertices its corner walk visits from its least
     corner: corner i is (f[i] -> f[i+1]), read cyclically, so a cut vertex
-    appears once per visit.  Entry i of face_at[v] is the face holding the
-    corner (v -> rot[v][i]).  A graph without edges has one face, ().
+    appears once per visit.  Entry i of the list face_at[v] is the face
+    holding the corner (v -> rot[v][i]).  A graph without edges has one
+    face, ().
 
     A None row is a removed id.  Raises DuplicateNeighbor, UnknownVertex
     or AsymmetricAdjacency for the first bad row, or else the first pair
     (v, u) in vertex order where v lists u but u does not list v."""
+    faces, fa = _trace(rot)
+    return faces, _face_rows(rot, faces, fa)
+
+
+def _trace(rot):
+    """(faces, fa): trace_faces's faces, and fa the array of face indices
+    of every corner, the rows of rot laid end to end."""
     ids = frozenset(v for v, r in enumerate(rot) if r is not None)
-    pos = [None] * len(rot)
+    # nxt[b][a]: the corner after (a -> b), (b -> the successor of a
+    # around b), as an index into the laid-out rows
+    nxt = [None] * len(rot)
+    c = 0
     for v, r in enumerate(rot):
         if r is None:
             continue
-        pos[v] = p = {u: i for i, u in enumerate(r)}
-        if len(p) != len(r):
+        d = len(r)
+        nxt[v] = p = dict(zip(r, range(c + 1, c + d + 1)))
+        if len(p) != d:
             raise DuplicateNeighbor(f"vertex {v} lists a neighbor twice")
         if v in p:
             raise DuplicateNeighbor(f"vertex {v} lists itself")
         if not ids.issuperset(r):
             raise UnknownVertex(f"vertex {v} lists unknown ids {sorted(set(r) - ids)}")
-    face_at = [None if r is None else [None] * len(r) for r in rot]
+        if d:
+            p[r[-1]] = c
+        c += d
+    head = list(chain.from_iterable(filter(None, rot)))  # corner c: -> head[c]
+    fa = [-1] * c
     faces = []
+    end = 0
     for v, r in enumerate(rot):
-        for i in range(len(r or ())):
-            if face_at[v][i] is not None:
+        start, end = end, end + len(r or ())
+        for c in range(start, end):
+            if fa[c] >= 0:
                 continue
-            fi = len(faces)  # (v, i) is this face's least corner
+            fi = len(faces)  # c is this face's least corner
             walk = []
-            a, j = v, i
-            while face_at[a][j] is None:
-                b = rot[a][j]
-                face_at[a][j] = fi
+            a, e = v, c
+            while fa[e] < 0:
+                fa[e] = fi
                 walk.append(a)
-                k = pos[b].get(a)
-                if k is None:  # name the first such pair, as a scan would
+                b = head[e]
+                e = nxt[b].get(a)
+                if e is None:  # name the first such pair, as a scan would
                     x, y = next((x, y) for x in sorted(ids) for y in rot[x]
-                                if x not in pos[y])
+                                if x not in nxt[y])
                     raise AsymmetricAdjacency(
                         f"{x} lists {y} but {y} does not list {x}")
-                a, j = b, (k + 1) % len(rot[b])
+                a = b
             faces.append(tuple(walk))
-    faces = tuple(faces) or ((),)
-    return faces, [r and list(map(faces.__getitem__, r)) for r in face_at]
+    return tuple(faces) or ((),), array("i", fa)
+
+
+def _face_rows(rot, faces, fa):
+    """The face_at rows of rot: fa's face indices read as faces, cut into
+    a list per live row."""
+    flat = list(map(faces.__getitem__, fa))
+    ends = accumulate(len(r or ()) for r in rot)
+    return [None if r is None else flat[e - len(r):e]
+            for r, e in zip(rot, ends)]
 
 
 def face_dart(f):
@@ -462,6 +507,10 @@ def from_pg(text):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        # int() also reads "+1", "0_1" and non-ASCII digits; "-" is no id
+        if not line.isascii() or "_" in line or "+" in line or "-" in line:
+            raise UnknownVertex(
+                f"ids and counts are ASCII decimal digits, got {line!r}")
         if line.startswith("n "):
             if n is not None:
                 raise DuplicateRow("more than one 'n <count>' header line")
@@ -474,7 +523,7 @@ def from_pg(text):
         v = int(head)
         if v in rows:
             raise DuplicateRow(f"vertex {v} has more than one row")
-        rows[v] = [int(t) for t in rest.split()]
+        rows[v] = tuple(map(int, rest.split()))  # build keeps a tuple
     if n is None:
         raise UnknownVertex("missing 'n <count>' header line")
     for v in rows:

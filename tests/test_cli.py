@@ -372,6 +372,12 @@ def test_bad_row_exit_2(tmp_path, capsys):
     bad.write_text("n 4\n0: 1 2 3\n1: 0 3 2\n2: 0 1 3\n3: 0 2 1\n9:\n")
     assert run(["detect", str(bad)]) == 2
     assert "row for vertex 9" in capsys.readouterr().err
+    # int() reads each of these as the id 1
+    for token in ("0_1", "+1", "\u0661"):
+        bad.write_text(f"n 2\n0: {token}\n1: 0\n", encoding="utf-8")
+        assert run(["color", str(bad)]) == 2
+        assert ("ids and counts are ASCII decimal digits, got "
+                f"'0: {token}'") in capsys.readouterr().err
 
 
 def test_corpus(capsys):

@@ -206,59 +206,93 @@ def test_build_matches_oracle_on_each_fault(faults, error):
 
 
 def test_adj_is_made_on_first_read():
-    for g in (gen.gen_stacked_triangulation(30, 7),
-              emb.build(4, [None, [2, 3], [3, 1], [1, 2]])):
-        assert type(g) is not emb.EmbeddedGraph
-        want = tuple(None if r is None else frozenset(r) for r in g.rotation)
-        assert g.adj == want
-        assert type(g) is emb.EmbeddedGraph and g.adj is g.adj
-        with pytest.raises(AttributeError):
-            g.not_a_field  # noqa: B018
+    # adj and face_at are each made on first read, in either order, and
+    # the graph becomes a plain EmbeddedGraph once both are made
+    for first, second in (("adj", "face_at"), ("face_at", "adj")):
+        for g in (gen.gen_stacked_triangulation(30, 7),
+                  emb.build(4, [None, [2, 3], [3, 1], [1, 2]])):
+            want = build_oracle(len(g.rotation), g.rotation)
+            assert type(g) is not emb.EmbeddedGraph
+            assert getattr(g, first) == getattr(want, first)
+            assert type(g) is not emb.EmbeddedGraph
+            assert getattr(g, second) == getattr(want, second)
+            assert type(g) is emb.EmbeddedGraph and g._fa is None
+            assert g.adj is g.adj and g.face_at is g.face_at
+            assert_same_graph(g, want)
+            with pytest.raises(AttributeError):
+                g.not_a_field  # noqa: B018
 
 
 @pytest.mark.parametrize("copier", [lambda g: pickle.loads(pickle.dumps(g)),
                                     copy.copy, copy.deepcopy],
                          ids=["pickle", "copy", "deepcopy"])
 def test_graph_whose_adj_was_never_read_copies(copier):
-    g = gen.gen_stacked_triangulation(30, 7)
-    h = copier(g)
-    assert type(g) is type(h) is emb.EmbeddedGraph
-    assert_same_graph(h, g)
+    # a copy makes both fields first, whichever of them was read
+    for read in ((), ("adj",), ("face_at",)):
+        g = gen.gen_stacked_triangulation(30, 7)
+        for name in read:
+            getattr(g, name)
+        h = copier(g)
+        assert type(g) is type(h) is emb.EmbeddedGraph
+        assert_same_graph(h, g)
+        assert_same_graph(h, build_oracle(len(g.rotation), g.rotation))
 
 
 def test_mutations_before_adj_is_read():
-    # a deletion and a chord on a built graph whose adj was never read
-    # equal build's graph
+    # a deletion and a chord on a built graph whose adj, face_at or both
+    # were never read equal build's graph
     rot = gen.gen_stacked_triangulation(30, 7).rotation
-    g = emb.build(len(rot), rot)
-    v = max(g.vertices, key=g.degree)
-    h = emb.mutate_delete_vertex(g, v)
-    assert_same_graph(h, delete_by_build(g, v))
-    face = max(h.faces, key=len)
-    u, w = next((a, b) for a in face for b in face
-                if a != b and not h.adjacent(a, b))
-    fresh = emb.build(len(h.rotation), h.rotation)
-    assert type(fresh) is not emb.EmbeddedGraph
-    k = emb.mutate_add_edge(fresh, u, w, emb.face_dart(face))
-    assert_same_graph(k, emb.build(len(k.rotation), k.rotation))
-    assert_same_graph(k, add_chord_first_visit(h, u, w, emb.face_dart(face)))
+    for read in ((), ("adj",), ("face_at",)):
+        g = emb.build(len(rot), rot)
+        for name in read:
+            getattr(g, name)
+        v = max(g.vertices, key=g.degree)
+        h = emb.mutate_delete_vertex(g, v)
+        assert_same_graph(h, delete_by_build(g, v))
+        face = max(h.faces, key=len)
+        u, w = next((a, b) for a in face for b in face
+                    if a != b and not h.adjacent(a, b))
+        fresh = emb.build(len(h.rotation), h.rotation)
+        for name in read:
+            getattr(fresh, name)
+        assert type(fresh) is not emb.EmbeddedGraph
+        k = emb.mutate_add_edge(fresh, u, w, emb.face_dart(face))
+        assert_same_graph(k, emb.build(len(k.rotation), k.rotation))
+        assert_same_graph(k, add_chord_first_visit(h, u, w,
+                                                   emb.face_dart(face)))
+        assert_same_graph(k, build_oracle(len(k.rotation), k.rotation))
     b = bridge()
     assert_same_graph(emb.add_bypass_chord(b, 0),
                       emb.add_bypass_chord(build_oracle(7, b.rotation), 0))
 
 
-def test_gen_corpus_holds_no_neighbour_sets():
-    # eight 400-vertex graphs hold their rotations and faces; with a
-    # frozenset per vertex as well they held 2.3 MB
+def _kept(make):
+    """(make(), the bytes it keeps allocated, by tracemalloc)."""
     gc.collect()
     tracemalloc.start()
     try:
-        graphs = gen.gen_corpus(8, (400, 400), 9, 1)
+        out = make()
         gc.collect()
         current, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return out, current
+
+
+def test_gen_corpus_holds_no_neighbour_sets():
+    # eight 400-vertex graphs hold their rotations and faces; with a
+    # frozenset per vertex as well they held 2.3 MB
+    graphs, current = _kept(lambda: gen.gen_corpus(8, (400, 400), 9, 1))
     assert len(graphs) == 8 and current <= 1.6e6, current
+
+
+def test_built_graph_holds_one_flat_face_index():
+    # with a face_at list per vertex these held 2.00 and 2.50 MiB
+    g, current = _kept(lambda: gen.gen_stacked_triangulation(5000, 7))
+    assert current <= 1.6 * 2**20, current
+    text = emb.to_pg(g)
+    _, current = _kept(lambda: emb.from_pg(text))
+    assert current <= 2.1 * 2**20, current
 
 
 def test_faces_k4():
@@ -528,6 +562,10 @@ K3 = "n 3\n0: 1 2\n1: 2 0\n2: 0 1\n"
     (K3.replace("n 3", "n 5"), err.UnknownVertex),
     (K3.replace("n 3", "n 1000000000000"), err.UnknownVertex),
     ("n 1\n", err.UnknownVertex),
+    (K3.replace("n 3", "n +3"), err.UnknownVertex),
+    (K3.replace("1: 2 0", "1: 2 0_0"), err.UnknownVertex),
+    (K3.replace("2: 0 1", "\u0662: 0 1"), err.UnknownVertex),
+    (K3 + "-0:\n", err.UnknownVertex),
 ])
 def test_from_pg_rejects_bad_rows(text, error):
     with pytest.raises(error):
